@@ -36,6 +36,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.hpp"
+
 namespace cs31::bench {
 
 class JsonReport {
@@ -74,10 +76,10 @@ class JsonReport {
   void workload(std::string description) { workload_ = std::move(description); }
 
   void config(const std::string& key, const std::string& value) {
-    add(config_, key, quote(value));
+    add(config_, key, common::json_quote(value));
   }
   void config(const std::string& key, const char* value) {
-    add(config_, key, quote(value));
+    add(config_, key, common::json_quote(value));
   }
   void config(const std::string& key, double value) { add(config_, key, number(value)); }
   void config(const std::string& key, bool value) {
@@ -89,10 +91,10 @@ class JsonReport {
   }
 
   void metric(const std::string& key, const std::string& value) {
-    add(metrics_, key, quote(value));
+    add(metrics_, key, common::json_quote(value));
   }
   void metric(const std::string& key, const char* value) {
-    add(metrics_, key, quote(value));
+    add(metrics_, key, common::json_quote(value));
   }
   void metric(const std::string& key, double value) { add(metrics_, key, number(value)); }
   void metric(const std::string& key, bool value) {
@@ -115,8 +117,8 @@ class JsonReport {
       return false;
     }
     std::fprintf(out, "{\n  \"bench\": %s,\n  \"workload\": %s,\n  \"timestamp\": %s,\n",
-                 quote(name_).c_str(), quote(workload_).c_str(),
-                 quote(timestamp_).c_str());
+                 common::json_quote(name_).c_str(), common::json_quote(workload_).c_str(),
+                 common::json_quote(timestamp_).c_str());
     emit(out, "config", config_);
     std::fprintf(out, ",\n");
     emit(out, "metrics", metrics_);
@@ -137,28 +139,6 @@ class JsonReport {
       }
     }
     fields.emplace_back(key, std::move(encoded));
-  }
-
-  static std::string quote(const std::string& text) {
-    std::string out = "\"";
-    for (const char c : text) {
-      switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            out += buf;
-          } else {
-            out += c;
-          }
-      }
-    }
-    out += '"';
-    return out;
   }
 
   static std::string number(double value) {
@@ -183,7 +163,8 @@ class JsonReport {
     std::fprintf(out, "  \"%s\": {", section);
     const char* sep = "\n";
     for (const auto& [key, value] : fields) {
-      std::fprintf(out, "%s    %s: %s", sep, quote(key).c_str(), value.c_str());
+      std::fprintf(out, "%s    %s: %s", sep, common::json_quote(key).c_str(),
+                   value.c_str());
       sep = ",\n";
     }
     std::fprintf(out, fields.empty() ? "}" : "\n  }");

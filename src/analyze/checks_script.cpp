@@ -4,23 +4,13 @@
 #include <set>
 #include <sstream>
 
+#include "common/json.hpp"
+
 namespace cs31::analyze {
 
-namespace {
+using common::json_quote;
 
-std::string json_quote(const std::string& text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
+namespace {
 
 std::string lockset_text(const std::vector<std::string>& locks) {
   std::string out = "{";
@@ -155,10 +145,14 @@ std::string ConcurSummary::to_json() const {
 }
 
 ConcurSummary analyze_scripts(const std::vector<std::vector<std::string>>& scripts) {
-  const ScriptModel model = build_script_model(scripts);
+  return analyze_scripts(race::parse_script(scripts));
+}
+
+ConcurSummary analyze_scripts(const race::Script& script) {
+  const ScriptModel model = build_script_model(script);
   ConcurSummary summary;
   summary.threads = model.threads.size();
-  summary.ops = model.total_ops();
+  summary.ops = script.total_ops();
 
   // --- static race candidates -------------------------------------
   const std::vector<const ScriptOp*> accesses = model.accesses();
@@ -168,7 +162,7 @@ ConcurSummary analyze_scripts(const std::vector<std::vector<std::string>>& scrip
       const ScriptOp& a = *accesses[i];
       const ScriptOp& b = *accesses[j];
       if (a.thread == b.thread || a.object != b.object) continue;
-      if (a.verb != ScriptVerb::Write && b.verb != ScriptVerb::Write) continue;
+      if (a.verb != Verb::Write && b.verb != Verb::Write) continue;
       if (!disjoint(a.must_locks, b.must_locks)) continue;
       if (model.barrier_ordered(a, b)) continue;
 
@@ -182,8 +176,8 @@ ConcurSummary analyze_scripts(const std::vector<std::vector<std::string>>& scrip
       race.second = b.text;
       race.first_thread = a.thread;
       race.second_thread = b.thread;
-      race.first_is_write = a.verb == ScriptVerb::Write;
-      race.second_is_write = b.verb == ScriptVerb::Write;
+      race.first_is_write = a.verb == Verb::Write;
+      race.second_is_write = b.verb == Verb::Write;
       race.explanation = "locksets " + lockset_text(a.must_locks) + " vs " +
                          lockset_text(b.must_locks) +
                          " share no lock and no barrier orders the pair";
@@ -263,7 +257,7 @@ ConcurSummary analyze_scripts(const std::vector<std::vector<std::string>>& scrip
     const ScriptOp* witness = nullptr;
     for (const ThreadScript& thread : model.threads) {
       for (const ScriptOp& op : thread.ops) {
-        if (op.verb == ScriptVerb::Recv && op.object == channel) {
+        if (op.verb == Verb::Recv && op.object == channel) {
           witness = &op;
           break;
         }
@@ -296,7 +290,7 @@ ConcurSummary analyze_scripts(const std::vector<std::vector<std::string>>& scrip
         // that can never complete.
         std::size_t arrivals = 0;
         for (const ScriptOp& op : thread.ops) {
-          if (op.verb != ScriptVerb::Barrier) continue;
+          if (op.verb != Verb::Barrier) continue;
           if (++arrivals == model.min_arrivals + 1) {
             witness = &op;
             break;
@@ -329,7 +323,7 @@ ConcurSummary analyze_scripts(const std::vector<std::vector<std::string>>& scrip
     for (const ThreadScript& thread : model.threads) {
       for (const ScriptOp& op : thread.ops) {
         if (op.object != var ||
-            (op.verb != ScriptVerb::Read && op.verb != ScriptVerb::Write)) {
+            (op.verb != Verb::Read && op.verb != Verb::Write)) {
           continue;
         }
         if (first) {
@@ -375,12 +369,12 @@ ConcurSummary analyze_scripts(const std::vector<std::vector<std::string>>& scrip
     std::vector<std::string> held;  // acquisition order
     for (const ScriptOp& op : thread.ops) {
       switch (op.verb) {
-        case ScriptVerb::Lock:
+        case Verb::Lock:
           seen_mutexes.insert(op.object);
           for (const std::string& h : held) impure.insert(h);
           held.push_back(op.object);
           break;
-        case ScriptVerb::Unlock: {
+        case Verb::Unlock: {
           const auto it = std::find(held.rbegin(), held.rend(), op.object);
           if (it != held.rend()) {
             held.erase(std::next(it).base());
@@ -389,8 +383,8 @@ ConcurSummary analyze_scripts(const std::vector<std::vector<std::string>>& scrip
           }
           break;
         }
-        case ScriptVerb::Read:
-        case ScriptVerb::Write:
+        case Verb::Read:
+        case Verb::Write:
           for (const std::string& h : held) {
             const auto guard = summary.guarded_vars.find(op.object);
             const bool guarded_by_h =
@@ -398,9 +392,9 @@ ConcurSummary analyze_scripts(const std::vector<std::vector<std::string>>& scrip
             if (!guarded_by_h && !thread_local_var(op.object)) impure.insert(h);
           }
           break;
-        case ScriptVerb::Send:
-        case ScriptVerb::Recv:
-        case ScriptVerb::Barrier:
+        case Verb::Send:
+        case Verb::Recv:
+        case Verb::Barrier:
           for (const std::string& h : held) impure.insert(h);
           break;
       }

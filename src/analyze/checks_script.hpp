@@ -136,6 +136,9 @@ struct ConcurSummary {
 [[nodiscard]] ConcurSummary analyze_scripts(
     const std::vector<std::vector<std::string>>& scripts);
 
+/// Same, over an already-parsed script (never throws).
+[[nodiscard]] ConcurSummary analyze_scripts(const race::Script& script);
+
 /// Convert a summary into explorer guidance: static race candidates
 /// become priority hints (the same mechanism PR 9 uses for prior
 /// RaceReports), thread-local and consistently-guarded variables become

@@ -2,41 +2,10 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
-
-#include "common/error.hpp"
 
 namespace cs31::analyze {
 
 namespace {
-
-/// Parse one untagged op ("write z", "barrier"). Mirrors the replay
-/// grammar checks exactly so the static and dynamic tiers accept the
-/// same scripts.
-ScriptOp parse_op(const std::string& text, const std::string& tag) {
-  std::istringstream in(text);
-  std::string verb, arg;
-  in >> verb >> arg;
-  require(!verb.empty(), "concur op '" + text + "' is missing a verb");
-  ScriptOp op;
-  op.text = tag + ' ' + text;
-  if (verb == "read" || verb == "write") {
-    require(!arg.empty(), "concur op '" + text + "' needs a variable");
-    op.verb = verb == "read" ? ScriptVerb::Read : ScriptVerb::Write;
-  } else if (verb == "lock" || verb == "unlock") {
-    require(!arg.empty(), "concur op '" + text + "' needs a mutex");
-    op.verb = verb == "lock" ? ScriptVerb::Lock : ScriptVerb::Unlock;
-  } else if (verb == "send" || verb == "recv") {
-    require(!arg.empty(), "concur op '" + text + "' needs a channel");
-    op.verb = verb == "send" ? ScriptVerb::Send : ScriptVerb::Recv;
-  } else if (verb == "barrier") {
-    op.verb = ScriptVerb::Barrier;
-  } else {
-    throw Error("concur op '" + text + "': unknown verb '" + verb + "'");
-  }
-  op.object = arg;
-  return op;
-}
 
 void add_edge(std::vector<OrderEdge>& edges, std::string from, std::string to,
               const ScriptOp* witness) {
@@ -54,42 +23,23 @@ void sort_edges(std::vector<OrderEdge>& edges) {
 
 }  // namespace
 
-std::string to_string(ScriptVerb verb) {
-  switch (verb) {
-    case ScriptVerb::Read: return "read";
-    case ScriptVerb::Write: return "write";
-    case ScriptVerb::Lock: return "lock";
-    case ScriptVerb::Unlock: return "unlock";
-    case ScriptVerb::Send: return "send";
-    case ScriptVerb::Recv: return "recv";
-    case ScriptVerb::Barrier: return "barrier";
-  }
-  throw Error("unknown script verb");
-}
-
 std::string mutex_resource(const std::string& name) { return "mutex " + name; }
 std::string channel_resource(const std::string& name) { return "channel " + name; }
 std::string barrier_resource() { return "barrier"; }
 
 std::string ScriptOp::waits_on() const {
   switch (verb) {
-    case ScriptVerb::Lock: return mutex_resource(object);
-    case ScriptVerb::Recv: return channel_resource(object);
+    case Verb::Lock: return mutex_resource(object);
+    case Verb::Recv: return channel_resource(object);
     default: return "";
   }
-}
-
-std::size_t ScriptModel::total_ops() const {
-  std::size_t n = 0;
-  for (const ThreadScript& t : threads) n += t.ops.size();
-  return n;
 }
 
 std::vector<const ScriptOp*> ScriptModel::accesses() const {
   std::vector<const ScriptOp*> out;
   for (const ThreadScript& t : threads) {
     for (const ScriptOp& op : t.ops) {
-      if (op.verb == ScriptVerb::Read || op.verb == ScriptVerb::Write) {
+      if (op.verb == Verb::Read || op.verb == Verb::Write) {
         out.push_back(&op);
       }
     }
@@ -108,18 +58,29 @@ bool ScriptModel::barrier_ordered(const ScriptOp& a, const ScriptOp& b) const {
 }
 
 ScriptModel build_script_model(const std::vector<std::vector<std::string>>& scripts) {
-  ScriptModel model;
-  model.threads.resize(scripts.size());
+  return build_script_model(race::parse_script(scripts));
+}
 
-  for (std::size_t t = 0; t < scripts.size(); ++t) {
+ScriptModel build_script_model(const race::Script& script) {
+  ScriptModel model;
+  model.threads.resize(script.threads.size());
+  for (const auto& [t, i] : race::unmatched_unlocks(script)) {
+    model.threads[t].unmatched_unlocks.push_back(i);
+  }
+
+  for (std::size_t t = 0; t < script.threads.size(); ++t) {
     ThreadScript& thread = model.threads[t];
     thread.tag = "t" + std::to_string(t);
-    thread.ops.reserve(scripts[t].size());
+    thread.ops.reserve(script.threads[t].size());
 
     std::vector<std::string> held;  // acquisition order
     std::size_t arrivals = 0;
-    for (std::size_t i = 0; i < scripts[t].size(); ++i) {
-      ScriptOp op = parse_op(scripts[t][i], thread.tag);
+    for (std::size_t i = 0; i < script.threads[t].size(); ++i) {
+      const race::ScriptOp& parsed = script.threads[t][i];
+      ScriptOp op;
+      op.verb = parsed.verb;
+      op.object = script.name(parsed);
+      op.text = parsed.text;
       op.thread = t;
       op.index = i;
       op.epoch = arrivals;
@@ -127,7 +88,7 @@ ScriptModel build_script_model(const std::vector<std::vector<std::string>>& scri
       std::sort(op.must_locks.begin(), op.must_locks.end());
 
       switch (op.verb) {
-        case ScriptVerb::Lock:
+        case Verb::Lock:
           if (std::find(held.begin(), held.end(), op.object) != held.end()) {
             thread.self_relocks.push_back(i);
             // The walk stays lenient: past this point the thread is
@@ -137,22 +98,18 @@ ScriptModel build_script_model(const std::vector<std::vector<std::string>>& scri
             held.push_back(op.object);
           }
           break;
-        case ScriptVerb::Unlock: {
+        case Verb::Unlock: {
           const auto it = std::find(held.begin(), held.end(), op.object);
-          if (it == held.end()) {
-            thread.unmatched_unlocks.push_back(i);
-          } else {
-            held.erase(it);
-          }
+          if (it != held.end()) held.erase(it);
           break;
         }
-        case ScriptVerb::Send: model.sends[op.object] += 1; break;
-        case ScriptVerb::Recv: model.recvs[op.object] += 1; break;
-        case ScriptVerb::Barrier:
+        case Verb::Send: model.sends[op.object] += 1; break;
+        case Verb::Recv: model.recvs[op.object] += 1; break;
+        case Verb::Barrier:
           ++arrivals;
           break;
-        case ScriptVerb::Read:
-        case ScriptVerb::Write: {
+        case Verb::Read:
+        case Verb::Write: {
           auto& owners = model.var_threads[op.object];
           if (owners.empty() || owners.back() != t) owners.push_back(t);
           break;
@@ -189,7 +146,7 @@ ScriptModel build_script_model(const std::vector<std::vector<std::string>>& scri
     for (const ScriptOp& op : thread.ops) {
       const bool parked_possible = op.epoch > 0;  // waited at a barrier before this op
       switch (op.verb) {
-        case ScriptVerb::Lock:
+        case Verb::Lock:
           for (const std::string& h : op.must_locks) {
             add_edge(model.lock_order, mutex_resource(h), mutex_resource(op.object), &op);
             add_edge(model.wait_order, mutex_resource(h), mutex_resource(op.object), &op);
@@ -203,13 +160,13 @@ ScriptModel build_script_model(const std::vector<std::vector<std::string>>& scri
                      mutex_resource(op.object), &op);
           }
           break;
-        case ScriptVerb::Recv:
+        case Verb::Recv:
           for (const std::string& h : op.must_locks) {
             add_edge(model.wait_order, mutex_resource(h), channel_resource(op.object),
                      &op);
           }
           break;
-        case ScriptVerb::Send:
+        case Verb::Send:
           for (const std::string& r : blocking_before) {
             add_edge(model.wait_order, channel_resource(op.object), r, &op);
           }
@@ -218,7 +175,7 @@ ScriptModel build_script_model(const std::vector<std::vector<std::string>>& scri
                      &op);
           }
           break;
-        case ScriptVerb::Barrier:
+        case Verb::Barrier:
           for (const std::string& h : op.must_locks) {
             add_edge(model.wait_order, mutex_resource(h), barrier_resource(), &op);
           }
@@ -232,14 +189,14 @@ ScriptModel build_script_model(const std::vector<std::vector<std::string>>& scri
             add_edge(model.wait_order, barrier_resource(), r, &op);
           }
           break;
-        case ScriptVerb::Read:
-        case ScriptVerb::Write:
+        case Verb::Read:
+        case Verb::Write:
           break;
-        case ScriptVerb::Unlock:
+        case Verb::Unlock:
           break;
       }
       if (op.blocks()) blocking_before.push_back(op.waits_on());
-      if (op.verb == ScriptVerb::Barrier) blocking_before.push_back(barrier_resource());
+      if (op.verb == Verb::Barrier) blocking_before.push_back(barrier_resource());
     }
   }
   sort_edges(model.lock_order);

@@ -1,4 +1,4 @@
-// Static model of the concurrent-script grammar (race/replay.hpp):
+// Static model of the concurrent-script grammar (race/script.hpp):
 // the representation every `analyze::concur` check works on.
 //
 // The per-thread scripts the replay engine and the DPOR explorer
@@ -36,17 +36,17 @@
 #include <string>
 #include <vector>
 
+#include "race/script.hpp"
+
 namespace cs31::analyze {
 
-enum class ScriptVerb : std::uint8_t { Read, Write, Lock, Unlock, Send, Recv, Barrier };
-
-[[nodiscard]] std::string to_string(ScriptVerb verb);
+using race::Verb;
 
 /// One parsed op of one thread's script, with the per-thread abstract
 /// state attached: the must-hold lockset and the barrier epoch at the
 /// point this op executes.
 struct ScriptOp {
-  ScriptVerb verb = ScriptVerb::Read;
+  Verb verb = Verb::Read;
   std::string object;  ///< variable / mutex / channel name ("" for barrier)
   std::string text;    ///< tagged text, e.g. "t0 write z" — report attribution
   std::size_t thread = 0;  ///< owning thread index
@@ -62,7 +62,7 @@ struct ScriptOp {
   /// True for ops that can block under real semantics: lock, recv,
   /// and any op whose thread is parked at an incomplete barrier.
   [[nodiscard]] bool blocks() const {
-    return verb == ScriptVerb::Lock || verb == ScriptVerb::Recv;
+    return verb == Verb::Lock || verb == Verb::Recv;
   }
 
   /// The resource a blocking op waits on, in the shared naming scheme
@@ -93,9 +93,10 @@ struct ThreadScript {
   std::vector<ScriptOp> ops;
   std::size_t barrier_arrivals = 0;
 
-  /// Ops flagged by the lenient walk: an unlock with no program-order
-  /// lock (the dynamic detector would throw) and a re-lock of a mutex
-  /// already held (guaranteed self-deadlock under blocking semantics).
+  /// Discipline violations: an unlock with no program-order lock
+  /// (race::unmatched_unlocks — the dynamic tier throws on these) and a
+  /// re-lock of a mutex already held (guaranteed self-deadlock under
+  /// blocking semantics).
   std::vector<std::size_t> unmatched_unlocks;  ///< op indices
   std::vector<std::size_t> self_relocks;       ///< op indices
 };
@@ -127,8 +128,6 @@ struct ScriptModel {
   /// Deduplicated, deterministic order.
   std::vector<OrderEdge> wait_order;
 
-  [[nodiscard]] std::size_t total_ops() const;
-
   /// Every var access (read/write) in (thread, index) order — the
   /// iteration the race-candidate check walks.
   [[nodiscard]] std::vector<const ScriptOp*> accesses() const;
@@ -139,12 +138,14 @@ struct ScriptModel {
   [[nodiscard]] bool barrier_ordered(const ScriptOp& a, const ScriptOp& b) const;
 };
 
-/// Build the model from untagged per-thread scripts (the same input
-/// shape race::Explorer and race::replay_all_interleavings take; tags
-/// are derived as "t<k>"). Throws cs31::Error on a malformed op — an
-/// unknown verb or a missing operand — exactly like the replay
-/// parser; discipline violations (unlock-without-lock, re-lock) are
-/// recorded in the model for the checks, not thrown.
+/// Build the model from a parsed script. Discipline violations
+/// (unlock-without-lock, re-lock) are recorded in the model for the
+/// checks, not thrown.
+[[nodiscard]] ScriptModel build_script_model(const race::Script& script);
+
+/// Same, from untagged per-thread scripts (the same input shape
+/// race::Explorer and race::replay_all_interleavings take). Throws
+/// cs31::Error on a malformed op (race::parse_script).
 [[nodiscard]] ScriptModel build_script_model(
     const std::vector<std::vector<std::string>>& scripts);
 

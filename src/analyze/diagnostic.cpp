@@ -5,7 +5,11 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/json.hpp"
+
 namespace cs31::analyze {
+
+using common::json_quote;
 
 std::string to_string(Severity severity) {
   switch (severity) {
@@ -22,28 +26,6 @@ std::string hex_addr(std::uint32_t addr) {
   char buf[16];
   std::snprintf(buf, sizeof buf, "0x%x", addr);
   return buf;
-}
-
-std::string json_quote(const std::string& text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
 }
 
 }  // namespace

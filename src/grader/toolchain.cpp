@@ -223,12 +223,12 @@ std::vector<std::vector<std::string>> parse_script_threads(const std::string& bo
 Verdict grade_script(const std::string& body, const ToolchainLimits& limits) {
   Verdict verdict;
   try {
-    const auto scripts = parse_script_threads(body);
+    race::Script script = race::parse_script(parse_script_threads(body));
 
     // Static first: every diagnostic becomes a report note, and the
     // summary seeds the exploration (priority hints, independence
     // pruning, blocking semantics).
-    const analyze::ConcurSummary summary = analyze::analyze_scripts(scripts);
+    const analyze::ConcurSummary summary = analyze::analyze_scripts(script);
     std::size_t findings = 0;
     for (const analyze::Diagnostic& d : summary.diagnostics) {
       if (d.severity != analyze::Severity::Note) ++findings;
@@ -238,7 +238,7 @@ Verdict grade_script(const std::string& body, const ToolchainLimits& limits) {
     race::ExploreOptions options = analyze::seed_explore_options(summary);
     options.max_schedules = 4096;
     options.max_events = limits.max_instructions;
-    const race::ExploreResult explored = race::explore_races(scripts, options);
+    const race::ExploreResult explored = race::Explorer(std::move(script), options).run();
     verdict.result = static_cast<std::int32_t>(explored.schedules_replayed);
     verdict.events = explored.events_replayed;
     verdict.races = explored.races.size();
@@ -273,8 +273,8 @@ Verdict grade_script(const std::string& body, const ToolchainLimits& limits) {
       verdict.score = clean_score(findings);
     }
   } catch (const std::exception& e) {
-    // Malformed ops (analyze) and unlock-without-lock (the Explorer's
-    // eager validation) are both submission defects.
+    // Malformed ops (parse_script) and unlock-without-lock (the
+    // Explorer's eager validation) are both submission defects.
     verdict.status = "invalid";
     verdict.score = 0;
     verdict.notes.push_back(e.what());
@@ -292,28 +292,6 @@ Verdict run_toolchain(const Submission& submission, const ToolchainLimits& limit
     case SubmissionKind::Script: return grade_script(submission.body, limits);
   }
   throw Error("unknown submission kind");
-}
-
-std::string json_quote(const std::string& text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
 }
 
 std::string Verdict::to_json() const {

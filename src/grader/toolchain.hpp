@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "grader/submission.hpp"
 
 namespace cs31::grader {
@@ -75,8 +76,7 @@ struct Verdict {
 [[nodiscard]] Verdict run_toolchain(const Submission& submission,
                                     const ToolchainLimits& limits = {});
 
-/// JSON-string escape shared by the report paths (quotes + control
-/// characters, matching bench_json's encoding).
-[[nodiscard]] std::string json_quote(const std::string& text);
+/// The report paths quote with the kit's one JSON escape.
+using common::json_quote;
 
 }  // namespace cs31::grader

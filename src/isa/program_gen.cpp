@@ -4,32 +4,11 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "isa/ia32.hpp"
 
 namespace cs31::isa {
 namespace {
-
-/// splitmix64 (Steele, Lea & Flood) — tiny, well-mixed, and identical
-/// on every platform, which std's distributions are not.
-class SplitMix64 {
- public:
-  explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
-
-  std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-
-  /// Uniform in [0, bound); 0 when bound == 0.
-  std::uint32_t below(std::uint32_t bound) {
-    return bound == 0 ? 0 : static_cast<std::uint32_t>(next() % bound);
-  }
-
- private:
-  std::uint64_t state_;
-};
 
 // The ALU-play register pool. %ecx is reserved for loop counters,
 // %esp/%ebp for the stack discipline; everything else is fair game —
@@ -85,13 +64,13 @@ class Generator {
 
  private:
   const char* reg() {
-    return kFreeRegs[rng_.below(static_cast<std::uint32_t>(kFreeRegs.size()))];
+    return kFreeRegs[rng_.below(kFreeRegs.size())];
   }
 
   std::string imm() {
     // Mostly small values (loop-ish arithmetic), sometimes a boundary.
     if (rng_.below(4) == 0) {
-      return std::to_string(kEdgeImms[rng_.below(static_cast<std::uint32_t>(kEdgeImms.size()))]);
+      return std::to_string(kEdgeImms[rng_.below(kEdgeImms.size())]);
     }
     return std::to_string(rng_.below(100000));
   }
@@ -133,7 +112,7 @@ class Generator {
   /// immediately before use, so the access is in bounds no matter what
   /// earlier ALU play left in the registers.
   void emit_mem() {
-    const std::uint32_t word = rng_.below(config_.mem_words);
+    const auto word = static_cast<std::uint32_t>(rng_.below(config_.mem_words));
     const std::uint32_t addr = config_.data_base + 4 * word;
     const char* v = reg();
     switch (rng_.below(4)) {
@@ -170,11 +149,11 @@ class Generator {
   /// loop. The body never touches %ecx, and decl is the last flag
   /// writer before the jne, so the loop always terminates.
   void emit_loop() {
-    const std::uint32_t trip = 1 + rng_.below(config_.max_trip);
+    const auto trip = static_cast<std::uint32_t>(1 + rng_.below(config_.max_trip));
     const std::string top = fresh_label("loop");
     emit_.ins("movl $" + std::to_string(trip) + ", %ecx");
     emit_.label(top);
-    const std::size_t body = 1 + rng_.below(static_cast<std::uint32_t>(config_.ops_per_block));
+    const std::size_t body = 1 + rng_.below(config_.ops_per_block);
     for (std::size_t i = 0; i < body; ++i) emit_body_op();
     emit_.ins("decl %ecx");
     emit_.ins("jne " + top);
@@ -188,13 +167,13 @@ class Generator {
     const std::string then_label = fresh_label("then");
     const std::string join_label = fresh_label("join");
     emit_.ins(std::string("cmpl $") + imm() + ", " + reg());
-    emit_.ins(std::string(kJcc[rng_.below(static_cast<std::uint32_t>(kJcc.size()))]) + " " +
+    emit_.ins(std::string(kJcc[rng_.below(kJcc.size())]) + " " +
               then_label);
-    const std::uint32_t else_ops = 1 + rng_.below(3);
+    const auto else_ops = static_cast<std::uint32_t>(1 + rng_.below(3));
     for (std::uint32_t i = 0; i < else_ops; ++i) emit_alu();
     emit_.ins("jmp " + join_label);
     emit_.label(then_label);
-    const std::uint32_t then_ops = 1 + rng_.below(3);
+    const auto then_ops = static_cast<std::uint32_t>(1 + rng_.below(3));
     for (std::uint32_t i = 0; i < then_ops; ++i) emit_alu();
     emit_.label(join_label);
   }
@@ -202,7 +181,7 @@ class Generator {
   /// Balanced push/pop play: n pushes (registers and immediates),
   /// then exactly n pops back into free registers.
   void emit_stack_play() {
-    const std::uint32_t depth = 1 + rng_.below(4);
+    const auto depth = static_cast<std::uint32_t>(1 + rng_.below(4));
     for (std::uint32_t i = 0; i < depth; ++i) {
       emit_.ins(rng_.below(2) ? std::string("pushl ") + reg() : "pushl $" + imm());
     }
@@ -212,7 +191,7 @@ class Generator {
   /// cdecl call into the helper ladder: push the argument, call,
   /// caller pops the argument.
   void emit_call() {
-    const std::size_t callee = rng_.below(static_cast<std::uint32_t>(config_.functions));
+    const std::size_t callee = rng_.below(config_.functions);
     emit_.ins(rng_.below(2) ? std::string("pushl ") + reg() : "pushl $" + imm());
     emit_.ins("call f" + std::to_string(callee));
     emit_.ins("addl $4, %esp");
@@ -241,18 +220,18 @@ class Generator {
     emit_.ins("pushl %ebp");
     emit_.ins("movl %esp, %ebp");
     emit_.ins("movl 8(%ebp), %eax");
-    const std::size_t body = 1 + rng_.below(static_cast<std::uint32_t>(config_.ops_per_block));
+    const std::size_t body = 1 + rng_.below(config_.ops_per_block);
     for (std::size_t i = 0; i < body; ++i) emit_body_op();
     if (index > 0 && rng_.below(2) == 0) {
       emit_.ins("pushl %eax");
-      emit_.ins("call f" + std::to_string(rng_.below(static_cast<std::uint32_t>(index))));
+      emit_.ins("call f" + std::to_string(rng_.below(index)));
       emit_.ins("addl $4, %esp");
     }
     emit_.ins("leave");
     emit_.ins("ret");
   }
 
-  SplitMix64 rng_;
+  common::SplitMix64 rng_;
   ProgramGenConfig config_;
   Emitter emit_;
   std::size_t label_counter_ = 0;

@@ -3,8 +3,8 @@
 // assembly for the kit's IA-32 subset — straight ALU runs, scratch-
 // region memory traffic, counted loops, branch diamonds, cdecl calls
 // through an acyclic helper-function ladder, balanced push/pop play —
-// produced deterministically from a 64-bit seed (its own splitmix64
-// PRNG, the same one race::trace_gen uses; no std distributions, whose
+// produced deterministically from a 64-bit seed (the kit's
+// common::SplitMix64, the same one race::trace_gen uses; no std distributions, whose
 // output is implementation-defined). "Structurally valid" means the
 // program always terminates at _start's final hlt and never faults:
 // every memory operand lands in the scratch region, every jump target

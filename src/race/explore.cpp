@@ -9,89 +9,11 @@
 
 #include "common/bounded_queue.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "os/interleave.hpp"
 
 namespace cs31::race {
 namespace {
-
-// ---------------------------------------------------------------------
-// Parsed op model. Mirrors replay.cpp's grammar exactly; parsing happens
-// once in the Explorer constructor so the walk and the dependence checks
-// never touch strings, and malformed scripts fail before any thread is
-// spawned.
-// ---------------------------------------------------------------------
-
-enum class Verb : std::uint8_t { Read, Write, Lock, Unlock, Send, Recv, Barrier };
-enum class ObjKind : std::uint8_t { Var, Mutex, Channel, Barrier };
-
-struct POp {
-  Verb verb = Verb::Read;
-  ObjKind okind = ObjKind::Var;
-  std::uint32_t obj = 0;  ///< interned per ObjKind
-  std::string text;       ///< the tagged op string fed to replay()
-  std::string arg;        ///< operand name ("" for barrier) — deadlock reports
-};
-
-/// Two ops of different threads are dependent iff reordering them could
-/// change the detector's verdict (see the soundness sketch in
-/// DESIGN.md §11). Barrier arrivals are dependent with everything: the
-/// completing arrival joins every waiter's clock, and which arrival
-/// completes is schedule-dependent.
-bool dependent(const POp& a, const POp& b) {
-  if (a.verb == Verb::Barrier || b.verb == Verb::Barrier) return true;
-  if (a.okind != b.okind || a.obj != b.obj) return false;
-  if (a.okind == ObjKind::Var) {
-    return a.verb == Verb::Write || b.verb == Verb::Write;  // read/read commutes
-  }
-  return true;  // mutex and channel ops on the same object
-}
-
-struct OpInterner {
-  std::map<std::string, std::uint32_t> ids;
-  std::uint32_t intern(const std::string& name) {
-    const auto [it, inserted] = ids.emplace(name, static_cast<std::uint32_t>(ids.size()));
-    (void)inserted;
-    return it->second;
-  }
-};
-
-/// Parse one tagged op ("t0 write balance"). Same checks as
-/// replay.cpp's parse_op; interning per object kind on top.
-POp parse_op(const std::string& text, OpInterner& vars, OpInterner& mutexes,
-             OpInterner& channels) {
-  std::istringstream in(text);
-  std::string tag, verb, arg;
-  in >> tag >> verb >> arg;
-  require(tag.size() >= 2 && tag[0] == 't',
-          "explore op '" + text + "' is missing its thread tag (t<k>)");
-  require(!verb.empty(), "explore op '" + text + "' is missing a verb");
-  POp op;
-  op.text = text;
-  if (verb == "read" || verb == "write") {
-    require(!arg.empty(), "explore op '" + text + "' needs a variable");
-    op.verb = verb == "read" ? Verb::Read : Verb::Write;
-    op.okind = ObjKind::Var;
-    op.obj = vars.intern(arg);
-  } else if (verb == "lock" || verb == "unlock") {
-    require(!arg.empty(), "explore op '" + text + "' needs a mutex");
-    op.verb = verb == "lock" ? Verb::Lock : Verb::Unlock;
-    op.okind = ObjKind::Mutex;
-    op.obj = mutexes.intern(arg);
-  } else if (verb == "send" || verb == "recv") {
-    require(!arg.empty(), "explore op '" + text + "' needs a channel");
-    op.verb = verb == "send" ? Verb::Send : Verb::Recv;
-    op.okind = ObjKind::Channel;
-    op.obj = channels.intern(arg);
-  } else if (verb == "barrier") {
-    op.verb = Verb::Barrier;
-    op.okind = ObjKind::Barrier;
-    op.obj = 0;
-  } else {
-    throw Error("explore op '" + text + "': unknown verb '" + verb + "'");
-  }
-  op.arg = std::move(arg);
-  return op;
-}
 
 // ---------------------------------------------------------------------
 // Work items between the sequential walk and the replay workers.
@@ -104,7 +26,7 @@ struct ScheduleResult {
 
 struct Batch {
   std::uint64_t first_index = 0;
-  std::vector<std::vector<std::string>> schedules;
+  std::vector<Schedule> schedules;
 };
 
 struct BatchResult {
@@ -118,16 +40,15 @@ struct BatchResult {
 
 class Engine {
  public:
-  Engine(const std::vector<std::vector<POp>>& ops, const ExploreOptions& options,
-         std::uint64_t total, bool total_saturated,
-         std::set<std::uint32_t> independent_vars,
-         std::set<std::uint32_t> independent_mutexes, std::size_t mutex_count,
-         std::size_t channel_count)
-      : ops_(ops),
+  Engine(const Script& script, const ExploreOptions& options, std::uint64_t total,
+         bool total_saturated, std::set<std::uint32_t> independent_vars,
+         std::set<std::uint32_t> independent_mutexes)
+      : script_(script),
         options_(options),
         independent_vars_(std::move(independent_vars)),
         independent_mutexes_(std::move(independent_mutexes)),
-        threads_(ops.size()),
+        threads_(script.threads.size()),
+        state_(script),
         work_(std::max<std::size_t>(1, options.queue_capacity)),
         // Sized to hold every result the settle window allows in flight
         // at once — counted in SCHEDULES, not batches, because the
@@ -139,13 +60,7 @@ class Engine {
                  std::max<std::size_t>(1, options.workers) + 4) {
     result_.interleavings_total = total;
     result_.total_saturated = total_saturated;
-    pos_.assign(threads_, 0);
     last_event_of_.assign(threads_, -1);
-    mutex_holder_.assign(mutex_count, -1);
-    channel_fill_.assign(channel_count, 0);
-    arrivals_.assign(threads_, 0);
-    total_ops_ = 0;
-    for (const auto& script : ops_) total_ops_ += script.size();
     for (const RaceReport& hint : options_.hints) {
       add_hint(hint.first.where, hint.second.where);
     }
@@ -189,7 +104,7 @@ class Engine {
 
   struct Event {
     std::uint32_t tid = 0;
-    const POp* op = nullptr;
+    const ScriptOp* op = nullptr;
     int prev_last = -1;               ///< last_event_of_[tid] before this event
     std::vector<std::uint32_t> clock; ///< trace happens-before clock
   };
@@ -204,9 +119,14 @@ class Engine {
     std::set<std::uint32_t> enabled;
   };
 
-  /// The dependence relation, minus caller-proven-independent variable
-  /// pairs (options.independent_vars: thread-local or consistently
-  /// locked). A pruned access mutates no blocking state and its pairs
+  /// Two ops of different threads are dependent iff reordering them
+  /// could change the detector's verdict (see the soundness sketch in
+  /// DESIGN.md §11). Barrier arrivals are dependent with everything:
+  /// the completing arrival joins every waiter's clock, and which
+  /// arrival completes is schedule-dependent.
+  ///
+  /// Caller-proven-independent variables (options.independent_vars:
+  /// thread-local or consistently locked) drop their edges. A pruned access mutates no blocking state and its pairs
   /// are never co-enabled under blocking, so dropping the edge keeps
   /// both the clock joins and the sleep sets sound.
   ///
@@ -217,44 +137,23 @@ class Engine {
   /// verdict nor any reachable stuck state depends on which thread won
   /// the lock. The walk still models the mutex's enabledness (a waiter
   /// parks until the section ends); only the ORDER stops mattering.
-  bool dep(const POp& a, const POp& b) const {
-    if (a.okind == ObjKind::Var && b.okind == ObjKind::Var && a.obj == b.obj &&
-        independent_vars_.count(a.obj) != 0) {
-      return false;
+  bool dep(const ScriptOp& a, const ScriptOp& b) const {
+    if (a.verb == Verb::Barrier || b.verb == Verb::Barrier) return true;
+    const ObjectKind kind = object_kind(a.verb);
+    if (kind != object_kind(b.verb) || a.object != b.object) return false;
+    if (kind == ObjectKind::Var) {
+      if (independent_vars_.count(a.object) != 0) return false;
+      return a.verb == Verb::Write || b.verb == Verb::Write;  // read/read commutes
     }
-    if (a.okind == ObjKind::Mutex && b.okind == ObjKind::Mutex && a.obj == b.obj &&
-        independent_mutexes_.count(a.obj) != 0) {
-      return false;
-    }
-    return dependent(a, b);
+    // Mutex and channel ops on the same object.
+    return kind != ObjectKind::Mutex || independent_mutexes_.count(a.object) == 0;
   }
 
-  /// Barrier cycles completed so far: the slowest participating
-  /// (non-empty) thread's arrival count.
-  std::size_t completed_cycles() const {
-    std::size_t completed = ~std::size_t{0};
-    bool any = false;
-    for (std::size_t t = 0; t < threads_; ++t) {
-      if (ops_[t].empty()) continue;
-      completed = any ? std::min(completed, arrivals_[t]) : arrivals_[t];
-      any = true;
-    }
-    return any ? completed : 0;
-  }
-
-  bool parked(std::uint32_t t) const { return arrivals_[t] > completed_cycles(); }
-
+  /// Without blocking every pending op is enabled; with it,
+  /// BlockingState decides.
   bool enabled(std::uint32_t t) const {
-    if (pos_[t] >= ops_[t].size()) return false;
-    if (!options_.model_blocking) return true;
-    if (parked(t)) return false;
-    const POp& op = ops_[t][pos_[t]];
-    if (op.verb == Verb::Lock) return mutex_holder_[op.obj] < 0;
-    if (op.verb == Verb::Recv) return channel_fill_[op.obj] > 0;
-    return true;
+    return options_.model_blocking ? state_.enabled(t) : !state_.done(t);
   }
-
-  const POp& next_op(std::uint32_t t) const { return ops_[t][pos_[t]]; }
 
   /// Did executed event i happen-before (program order + dependence,
   /// transitively) some already-executed event of thread p?
@@ -268,7 +167,7 @@ class Engine {
   void execute(std::uint32_t p) {
     Event ev;
     ev.tid = p;
-    ev.op = &next_op(p);
+    ev.op = &state_.next(p);
     ev.prev_last = last_event_of_[p];
     if (ev.prev_last >= 0) {
       ev.clock = executed_[static_cast<std::size_t>(ev.prev_last)].clock;
@@ -283,35 +182,12 @@ class Engine {
     }
     ev.clock[p] += 1;
     last_event_of_[p] = static_cast<int>(executed_.size());
-    if (options_.model_blocking) {
-      const POp& op = *executed_.emplace_back(std::move(ev)).op;
-      switch (op.verb) {
-        case Verb::Lock: mutex_holder_[op.obj] = static_cast<int>(p); break;
-        case Verb::Unlock: mutex_holder_[op.obj] = -1; break;
-        case Verb::Send: ++channel_fill_[op.obj]; break;
-        case Verb::Recv: --channel_fill_[op.obj]; break;
-        case Verb::Barrier: ++arrivals_[p]; break;
-        default: break;
-      }
-    } else {
-      executed_.push_back(std::move(ev));
-    }
-    ++pos_[p];
+    executed_.push_back(std::move(ev));
+    state_.execute(p);
   }
 
   void undo(std::uint32_t p) {
-    --pos_[p];
-    if (options_.model_blocking) {
-      const POp& op = *executed_.back().op;
-      switch (op.verb) {
-        case Verb::Lock: mutex_holder_[op.obj] = -1; break;
-        case Verb::Unlock: mutex_holder_[op.obj] = static_cast<int>(p); break;
-        case Verb::Send: --channel_fill_[op.obj]; break;
-        case Verb::Recv: ++channel_fill_[op.obj]; break;
-        case Verb::Barrier: --arrivals_[p]; break;
-        default: break;
-      }
-    }
+    state_.undo(p);
     last_event_of_[p] = executed_.back().prev_last;
     executed_.pop_back();
   }
@@ -322,7 +198,7 @@ class Engine {
   /// in p's script (run p toward it); 0: no hint says anything.
   int score(std::uint32_t p) const {
     if (hint_labels_.empty()) return 0;
-    const POp& np = next_op(p);
+    const ScriptOp& np = state_.next(p);
     if (hint_labels_.count(np.text) != 0) {
       for (const auto& [a, b] : hint_pairs_) {
         const std::string* partner = nullptr;
@@ -332,8 +208,9 @@ class Engine {
       }
       return 1;
     }
-    for (std::size_t j = pos_[p] + 1; j < ops_[p].size(); ++j) {
-      if (hint_labels_.count(ops_[p][j].text) != 0) return 1;
+    const auto& ops = script_.threads[p];
+    for (std::size_t j = state_.positions()[p] + 1; j < ops.size(); ++j) {
+      if (hint_labels_.count(ops[j].text) != 0) return 1;
     }
     return 0;
   }
@@ -343,8 +220,9 @@ class Engine {
   bool label_pending(const std::string& label, std::uint32_t self) const {
     for (std::uint32_t q = 0; q < threads_; ++q) {
       if (q == self) continue;
-      for (std::size_t j = pos_[q]; j < ops_[q].size(); ++j) {
-        if (ops_[q][j].text == label) return true;
+      const auto& ops = script_.threads[q];
+      for (std::size_t j = state_.positions()[q]; j < ops.size(); ++j) {
+        if (ops[j].text == label) return true;
       }
     }
     return false;
@@ -389,8 +267,8 @@ class Engine {
     // complete leaf no thread has a pending op, so the loop is a no-op
     // there and the non-blocking walk is unchanged.
     for (std::uint32_t p = 0; p < threads_; ++p) {
-      if (pos_[p] >= ops_[p].size()) continue;
-      const POp& np = next_op(p);
+      if (state_.done(p)) continue;
+      const ScriptOp& np = state_.next(p);
       for (std::size_t i = depth; i-- > 0;) {
         const Event& ev = executed_[i];
         if (ev.tid == p || !dep(*ev.op, np)) continue;
@@ -414,7 +292,7 @@ class Engine {
       // someone still has ops but nobody can move. Both are emitted —
       // the prefix carries real race evidence too — and the stuck
       // state is recorded once per position vector.
-      if (depth == total_ops_) {
+      if (depth == script_.total_ops()) {
         emit();
       } else {
         emit();
@@ -453,11 +331,11 @@ class Engine {
       }
       if (todo.empty()) break;
       const std::uint32_t p = pick(todo);
-      const POp& op = next_op(p);
+      const ScriptOp& op = state_.next(p);
 
       std::set<std::uint32_t> child_sleep;
       for (const std::uint32_t q : frames_[depth].sleep) {
-        if (!dep(next_op(q), op)) child_sleep.insert(q);
+        if (!dep(state_.next(q), op)) child_sleep.insert(q);
       }
 
       execute(p);
@@ -477,28 +355,11 @@ class Engine {
   /// whole deadlock list — is worker-count independent.
   void record_deadlock() {
     ++result_.deadlocked_schedules;
-    std::string key;
-    for (const std::size_t p : pos_) {
-      key += std::to_string(p);
-      key += ',';
-    }
-    if (!deadlock_seen_.insert(key).second) return;
-    DeadlockState state;
-    for (std::uint32_t t = 0; t < threads_; ++t) {
-      if (pos_[t] >= ops_[t].size()) continue;
-      if (parked(t)) {
-        state.waiting.push_back(ops_[t][pos_[t] - 1].text);
-        state.resources.push_back("barrier");
-      } else {
-        const POp& op = ops_[t][pos_[t]];
-        state.waiting.push_back(op.text);
-        state.resources.push_back((op.verb == Verb::Lock ? "mutex " : "channel ") +
-                                  op.arg);
-      }
-    }
-    state.witness.reserve(executed_.size());
-    for (const Event& ev : executed_) state.witness.push_back(ev.op->text);
-    result_.deadlocks.push_back(std::move(state));
+    if (!deadlock_seen_.insert(state_.positions()).second) return;
+    std::vector<std::string> witness;
+    witness.reserve(executed_.size());
+    for (const Event& ev : executed_) witness.push_back(ev.op->text);
+    result_.deadlocks.push_back(state_.deadlock(std::move(witness)));
   }
 
   void emit() {
@@ -526,9 +387,9 @@ class Engine {
       merge_next();
     }
 
-    std::vector<std::string> schedule;
+    Schedule schedule;
     schedule.reserve(executed_.size());
-    for (const Event& ev : executed_) schedule.push_back(ev.op->text);
+    for (const Event& ev : executed_) schedule.push_back(ev.tid);
     if (batch_.schedules.empty()) batch_.first_index = emitted_;
     batch_.schedules.push_back(std::move(schedule));
     ++emitted_;
@@ -592,9 +453,10 @@ class Engine {
         BatchResult out;
         out.first_index = batch.first_index;
         out.items.reserve(batch.schedules.size());
-        for (const auto& schedule : batch.schedules) {
+        for (const Schedule& schedule : batch.schedules) {
+          Detector detector;
           ReplayResult rr =
-              replay(schedule, ReplayOptions{options_.model_blocking});
+              replay(script_, schedule, detector, ReplayOptions{options_.model_blocking});
           out.items.push_back({std::move(rr.races), rr.events});
         }
         results_.push(std::move(out));
@@ -614,27 +476,22 @@ class Engine {
     }
   }
 
-  const std::vector<std::vector<POp>>& ops_;
+  const Script& script_;
   const ExploreOptions& options_;
   std::set<std::uint32_t> independent_vars_;     ///< pruned var ids (dep())
   std::set<std::uint32_t> independent_mutexes_;  ///< pure-guard mutex ids (dep())
   std::size_t threads_;
-  std::size_t total_ops_ = 0;
 
-  // Walk state.
-  std::vector<std::size_t> pos_;
+  // Walk state. state_ always tracks positions; its blocking verdicts
+  // are consulted only under model_blocking (enabled()).
+  BlockingState state_;
   std::vector<int> last_event_of_;
   std::vector<Event> executed_;
   std::vector<Frame> frames_;
   bool stop_ = false;
   bool truncated_ = false;
 
-  // Blocking-semantics state (model_blocking only; kept in lockstep by
-  // execute/undo).
-  std::vector<int> mutex_holder_;           ///< holding thread, -1 = free
-  std::vector<std::size_t> channel_fill_;   ///< pending sends per channel
-  std::vector<std::size_t> arrivals_;       ///< barrier arrivals per thread
-  std::set<std::string> deadlock_seen_;     ///< position-vector keys
+  std::set<std::vector<std::size_t>> deadlock_seen_;  ///< stuck position vectors
 
   // Guidance state (mutated only at deterministic merge points).
   std::set<std::string> hint_labels_;
@@ -663,7 +520,10 @@ class Engine {
 // ---------------------------------------------------------------------
 
 Explorer::Explorer(std::vector<std::vector<std::string>> scripts, ExploreOptions options)
-    : scripts_(std::move(scripts)), options_(std::move(options)) {
+    : Explorer(parse_script(scripts), std::move(options)) {}
+
+Explorer::Explorer(Script script, ExploreOptions options)
+    : script_(std::move(script)), options_(std::move(options)) {
   // Dependence pruning is only sound when critical sections actually
   // exclude each other — without blocking, the enumerator happily
   // interleaves two "consistently locked" accesses inside one critical
@@ -673,50 +533,30 @@ Explorer::Explorer(std::vector<std::vector<std::string>> scripts, ExploreOptions
               options_.model_blocking,
           "explore: independent_vars/independent_mutexes require model_blocking "
           "(lockset-based independence is unsound without real mutual exclusion)");
-  // Validate eagerly: parse every op and check per-thread lock
-  // discipline (an unlock with no program-order lock would make the
-  // detector throw mid-replay inside a worker).
-  OpInterner vars, mutexes, channels;
-  const auto tagged = tag_threads(scripts_);
-  for (const auto& script : tagged) {
-    std::multiset<std::uint32_t> held;
-    for (const std::string& text : script) {
-      const POp op = parse_op(text, vars, mutexes, channels);
-      if (op.verb == Verb::Lock) held.insert(op.obj);
-      if (op.verb == Verb::Unlock) {
-        const auto it = held.find(op.obj);
-        require(it != held.end(),
-                "explore op '" + text + "' releases a mutex its thread never locked");
-        held.erase(it);
-      }
-    }
-  }
+  // An unlock with no program-order lock would make the detector throw
+  // mid-replay inside a worker.
+  require_lock_discipline(script_);
 }
 
 ExploreResult Explorer::run() {
-  const auto tagged = tag_threads(scripts_);
-  OpInterner vars, mutexes, channels;
-  std::vector<std::vector<POp>> ops(tagged.size());
-  for (std::size_t t = 0; t < tagged.size(); ++t) {
-    ops[t].reserve(tagged[t].size());
-    for (const std::string& text : tagged[t]) {
-      ops[t].push_back(parse_op(text, vars, mutexes, channels));
-    }
-  }
+  // The multinomial depends only on the script lengths.
+  std::vector<std::vector<std::string>> shape;
+  for (const auto& ops : script_.threads) shape.emplace_back(ops.size());
   bool saturated = false;
-  const std::uint64_t total = os::interleaving_count(tagged, saturated);
-  std::set<std::uint32_t> independent;
-  for (const std::string& name : options_.independent_vars) {
-    const auto it = vars.ids.find(name);
-    if (it != vars.ids.end()) independent.insert(it->second);
-  }
-  std::set<std::uint32_t> pure_guards;
-  for (const std::string& name : options_.independent_mutexes) {
-    const auto it = mutexes.ids.find(name);
-    if (it != mutexes.ids.end()) pure_guards.insert(it->second);
-  }
-  Engine engine(ops, options_, total, saturated, std::move(independent),
-                std::move(pure_guards), mutexes.ids.size(), channels.ids.size());
+  const std::uint64_t total = os::interleaving_count(shape, saturated);
+  // Names the script never uses are ignored.
+  const auto ids = [](const std::vector<std::string>& table,
+                      const std::vector<std::string>& names) {
+    std::set<std::uint32_t> out;
+    for (const std::string& name : names) {
+      const auto it = std::find(table.begin(), table.end(), name);
+      if (it != table.end()) out.insert(static_cast<std::uint32_t>(it - table.begin()));
+    }
+    return out;
+  };
+  Engine engine(script_, options_, total, saturated,
+                ids(script_.vars, options_.independent_vars),
+                ids(script_.mutexes, options_.independent_mutexes));
   return engine.run();
 }
 
@@ -745,27 +585,12 @@ std::string ExploreResult::summary() const {
 }
 
 // ---------------------------------------------------------------------
-// Seeded script generator (splitmix64, the trace_gen pattern)
+// Seeded script generator
 // ---------------------------------------------------------------------
-
-namespace {
-
-struct SplitMix64 {
-  std::uint64_t state;
-  std::uint64_t next() {
-    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
-  std::uint64_t below(std::uint64_t bound) { return bound == 0 ? 0 : next() % bound; }
-};
-
-}  // namespace
 
 std::vector<std::vector<std::string>> generate_script(std::uint64_t seed,
                                                       ScriptGenConfig config) {
-  SplitMix64 rng{seed * 0x9e3779b97f4a7c15ull + 0x2545f4914f6cdd1dull};
+  common::SplitMix64 rng(seed * 0x9e3779b97f4a7c15ull + 0x2545f4914f6cdd1dull);
   std::vector<std::vector<std::string>> scripts(config.threads);
   for (std::size_t t = 0; t < config.threads; ++t) {
     std::vector<std::uint32_t> held;  // lock ids, acquisition order

@@ -15,7 +15,7 @@
 // schedules — the differential tier in tests/race_explore_test.cpp
 // asserts exactly that on an exhaustively-enumerable corpus.
 //
-// Dependence relation (derived from the script grammar in replay.hpp;
+// Dependence relation (derived from the script grammar in script.hpp;
 // two ops of different threads are dependent iff):
 //   - read/write or write/write on the same variable (read/read
 //     commutes: the detector keeps reader sites sorted by thread id);
@@ -157,14 +157,19 @@ struct ExploreResult {
 
 /// The DPOR explorer over untagged per-thread scripts (same input shape
 /// as replay_all_interleavings; tagging happens internally). The
-/// constructor parses and validates every op up front — malformed ops,
+/// constructor parses and validates every op once — malformed ops,
 /// a release without a program-order acquire, or independent_vars
 /// without model_blocking (the pruning is unsound when critical
-/// sections can overlap) throw here, never from a worker mid-run.
+/// sections can overlap) throw here, never from a worker mid-run. The
+/// walk emits schedules as thread sequences over the parsed Script,
+/// and the workers replay them through the typed replay core.
 class Explorer {
  public:
   explicit Explorer(std::vector<std::vector<std::string>> scripts,
                     ExploreOptions options = {});
+
+  /// Same, over an already-parsed script.
+  explicit Explorer(Script script, ExploreOptions options = {});
 
   /// Run one exploration. Deterministic: same scripts + options (modulo
   /// `workers`, `batch`, `queue_capacity`) give byte-identical results.
@@ -173,7 +178,7 @@ class Explorer {
   [[nodiscard]] const ExploreOptions& options() const { return options_; }
 
  private:
-  std::vector<std::vector<std::string>> scripts_;
+  Script script_;
   ExploreOptions options_;
 };
 

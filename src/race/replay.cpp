@@ -1,9 +1,8 @@
 #include "race/replay.hpp"
 
 #include <algorithm>
-#include <map>
+#include <charconv>
 #include <set>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "os/interleave.hpp"
@@ -11,41 +10,31 @@
 namespace cs31::race {
 namespace {
 
-struct Op {
-  std::string tag;   // "t0", "t1", ...
-  std::string verb;  // read/write/lock/unlock/send/recv/barrier
-  std::string arg;   // variable/lock/channel name (empty for barrier)
-};
+/// Tags above this are rejected rather than registered as that many
+/// detector threads.
+constexpr std::uint32_t kMaxTag = 1u << 16;
 
-Op parse_op(const std::string& text) {
-  std::istringstream in(text);
-  Op op;
-  in >> op.tag >> op.verb >> op.arg;
-  require(op.tag.size() >= 2 && op.tag[0] == 't', "replay op '" + text +
-                                                      "' is missing its thread tag (t<k>)");
-  require(!op.verb.empty(), "replay op '" + text + "' is missing a verb");
-  const bool needs_arg = op.verb != "barrier";
-  require(!needs_arg || !op.arg.empty(),
-          "replay op '" + text + "' needs an operand (variable/lock/channel)");
-  return op;
+/// Split "t<k> <op>" into (k, "<op>").
+std::pair<std::uint32_t, std::string> split_tag(const std::string& text) {
+  const auto untagged = [&text] {
+    return Error("script op '" + text + "': missing its thread tag (t<k>)");
+  };
+  const std::size_t end = std::min(text.find_first_of(" \t"), text.size());
+  if (end < 2 || text[0] != 't') throw untagged();
+  std::uint32_t k = 0;
+  const auto [ptr, ec] = std::from_chars(text.data() + 1, text.data() + end, k);
+  if (ec != std::errc{} || ptr != text.data() + end || k > kMaxTag) throw untagged();
+  return {k, end < text.size() ? text.substr(end + 1) : std::string()};
 }
 
 }  // namespace
 
 std::vector<std::vector<std::string>> tag_threads(
     const std::vector<std::vector<std::string>>& scripts) {
-  std::vector<std::vector<std::string>> tagged;
-  tagged.reserve(scripts.size());
+  std::vector<std::vector<std::string>> tagged(scripts.size());
   for (std::size_t k = 0; k < scripts.size(); ++k) {
-    std::string prefix = "t";
-    prefix += std::to_string(k);
-    prefix += ' ';
-    std::vector<std::string> ops;
-    ops.reserve(scripts[k].size());
-    for (const std::string& op : scripts[k]) {
-      ops.push_back(prefix + op);
-    }
-    tagged.push_back(std::move(ops));
+    const std::string prefix = "t" + std::to_string(k) + ' ';
+    for (const std::string& op : scripts[k]) tagged[k].push_back(prefix + op);
   }
   return tagged;
 }
@@ -57,67 +46,60 @@ ReplayResult replay(const std::vector<std::string>& interleaving, ReplayOptions 
 
 ReplayResult replay(const std::vector<std::string>& interleaving, EventSink& sink,
                     ReplayOptions options) {
-  // Pre-scan for the set of threads so a barrier knows its waiter count.
-  std::set<std::string> tags;
-  for (const std::string& text : interleaving) tags.insert(parse_op(text).tag);
+  // A thread's ops in interleaving order are its script.
+  std::vector<std::vector<std::string>> scripts;
+  Schedule schedule;
+  schedule.reserve(interleaving.size());
+  for (const std::string& text : interleaving) {
+    auto [k, op] = split_tag(text);
+    if (k >= scripts.size()) scripts.resize(k + 1);
+    scripts[k].push_back(std::move(op));
+    schedule.push_back(k);
+  }
+  Script script = parse_script(scripts);
+  require_lock_discipline(script);
+  // Site labels keep the interleaving's own spelling.
+  std::vector<std::size_t> next(scripts.size(), 0);
+  for (std::size_t i = 0; i < interleaving.size(); ++i) {
+    script.threads[schedule[i]][next[schedule[i]]++].text = interleaving[i];
+  }
+  ReplayResult result = replay(script, schedule, sink, options);
+  result.schedule = interleaving;
+  return result;
+}
 
-  std::map<std::string, ThreadId> tids;
-  // Replay threads are concurrent roots: register in tag order for
-  // stable ids (the first tag reuses the sink's pre-registered thread 0).
-  bool first = true;
-  for (const std::string& tag : tags) {
-    tids[tag] = first ? 0 : sink.register_thread();
-    first = false;
+ReplayResult replay(const Script& script, const Schedule& schedule, EventSink& sink,
+                    ReplayOptions options) {
+  // Replay threads are concurrent roots, script k as detector thread k
+  // (the sink pre-registers thread 0).
+  std::vector<ThreadId> waiters;
+  for (std::size_t k = 0; k < script.threads.size(); ++k) {
+    if (k > 0) (void)sink.register_thread();
+    if (!script.threads[k].empty()) waiters.push_back(static_cast<ThreadId>(k));
   }
 
-  // Blocking bookkeeping (model_blocking only): who holds each mutex,
-  // how many sends each channel has pending. A thread in `at_barrier`
-  // is parked until the cycle completes — under blocking, any op it
-  // tries to run before that makes the schedule infeasible.
-  std::map<std::string, ThreadId> holder;
-  std::map<std::string, std::size_t> filled;
-
+  BlockingState state(script);
   ReplayResult result;
-  result.schedule = interleaving;
-
-  std::set<ThreadId> at_barrier;
-  for (const std::string& text : interleaving) {
-    const Op op = parse_op(text);
-    const ThreadId t = tids.at(op.tag);
-    if (options.model_blocking) {
-      bool blocked = at_barrier.count(t) != 0;
-      if (!blocked && op.verb == "lock") blocked = holder.count(op.arg) != 0;
-      if (!blocked && op.verb == "recv") blocked = filled[op.arg] == 0;
-      if (blocked) {
-        result.feasible = false;
-        break;
-      }
+  for (const std::uint32_t t : schedule) {
+    if (t >= script.threads.size() || state.done(t)) {
+      throw Error("replay schedule runs thread " + std::to_string(t) + " past its script");
     }
-    if (op.verb == "read") {
-      sink.read(t, op.arg, text);
-    } else if (op.verb == "write") {
-      sink.write(t, op.arg, text);
-    } else if (op.verb == "lock") {
-      sink.acquire(t, op.arg);
-      if (options.model_blocking) holder[op.arg] = t;
-    } else if (op.verb == "unlock") {
-      sink.release(t, op.arg);
-      if (options.model_blocking) holder.erase(op.arg);
-    } else if (op.verb == "send") {
-      sink.channel_send(t, op.arg);
-      if (options.model_blocking) ++filled[op.arg];
-    } else if (op.verb == "recv") {
-      sink.channel_recv(t, op.arg);
-      if (options.model_blocking) --filled[op.arg];
-    } else if (op.verb == "barrier") {
-      at_barrier.insert(t);
-      if (at_barrier.size() == tids.size()) {
-        sink.barrier(std::vector<ThreadId>(at_barrier.begin(), at_barrier.end()));
-        at_barrier.clear();
-      }
-    } else {
-      throw Error("replay op '" + text + "': unknown verb '" + op.verb + "'");
+    if (options.model_blocking && !state.enabled(t)) {
+      result.feasible = false;
+      break;
     }
+    const ScriptOp& op = state.next(t);
+    const std::string& name = script.name(op);
+    switch (op.verb) {
+      case Verb::Read: sink.read(t, name, op.text); break;
+      case Verb::Write: sink.write(t, name, op.text); break;
+      case Verb::Lock: sink.acquire(t, name); break;
+      case Verb::Unlock: sink.release(t, name); break;
+      case Verb::Send: sink.channel_send(t, name); break;
+      case Verb::Recv: sink.channel_recv(t, name); break;
+      case Verb::Barrier: break;
+    }
+    if (state.execute(t)) sink.barrier(waiters);
     ++result.executed;
   }
 
@@ -173,140 +155,47 @@ std::vector<RaceReport> distinct_races(const std::vector<ReplayResult>& results)
   return out;
 }
 
-std::string DeadlockState::to_string() const {
-  std::string out = "deadlock after " + std::to_string(witness.size()) + " step(s):";
-  for (std::size_t i = 0; i < waiting.size(); ++i) {
-    out += i == 0 ? " " : "; ";
-    out += "'" + waiting[i] + "' waits on " + resources[i];
-  }
-  return out;
-}
-
 namespace {
 
 /// Memoized DFS over position vectors (see find_deadlocks in the
-/// header). State mutates in place with execute/undo; `visited` keys on
-/// the position vector, which determines the rest of the state exactly
-/// because scripts are straight-line.
+/// header): the position vector determines the rest of the blocking
+/// state exactly because scripts are straight-line.
 struct DeadlockSearch {
-  const std::vector<std::vector<Op>>& ops;
+  const Script& script;
   std::size_t max_states;
-
-  std::vector<std::size_t> pos;
-  std::map<std::string, std::size_t> holder;  // mutex -> thread index
-  std::map<std::string, std::size_t> filled;  // channel -> pending sends
-  std::vector<std::size_t> arrivals;
+  BlockingState state;
   std::vector<std::string> trail;
   std::set<std::vector<std::size_t>> visited;
   DeadlockSearchResult out;
 
-  DeadlockSearch(const std::vector<std::vector<Op>>& o, std::size_t m)
-      : ops(o), max_states(m), pos(o.size(), 0), arrivals(o.size(), 0) {}
-
-  /// Cycles completed so far: the slowest participating thread's
-  /// arrival count. Threads with empty scripts never arrive and never
-  /// count (they are not in the schedule's waiter set).
-  [[nodiscard]] std::size_t completed_cycles() const {
-    std::size_t completed = ~std::size_t{0};
-    bool any = false;
-    for (std::size_t t = 0; t < ops.size(); ++t) {
-      if (ops[t].empty()) continue;
-      completed = any ? std::min(completed, arrivals[t]) : arrivals[t];
-      any = true;
-    }
-    return any ? completed : 0;
-  }
-
-  [[nodiscard]] bool parked(std::size_t t) const {
-    return arrivals[t] > completed_cycles();
-  }
-
-  [[nodiscard]] bool enabled(std::size_t t) const {
-    if (pos[t] >= ops[t].size() || parked(t)) return false;
-    const Op& op = ops[t][pos[t]];
-    if (op.verb == "lock") return holder.count(op.arg) == 0;
-    if (op.verb == "recv") {
-      const auto it = filled.find(op.arg);
-      return it != filled.end() && it->second > 0;
-    }
-    return true;
-  }
-
-  void execute(std::size_t t) {
-    const Op& op = ops[t][pos[t]];
-    if (op.verb == "lock") {
-      holder[op.arg] = t;
-    } else if (op.verb == "unlock") {
-      holder.erase(op.arg);
-    } else if (op.verb == "send") {
-      ++filled[op.arg];
-    } else if (op.verb == "recv") {
-      --filled[op.arg];
-    } else if (op.verb == "barrier") {
-      ++arrivals[t];
-    }
-    trail.push_back(op.tag + ' ' + op.verb + (op.arg.empty() ? "" : ' ' + op.arg));
-    ++pos[t];
-  }
-
-  void undo(std::size_t t) {
-    --pos[t];
-    trail.pop_back();
-    const Op& op = ops[t][pos[t]];
-    if (op.verb == "lock") {
-      holder.erase(op.arg);
-    } else if (op.verb == "unlock") {
-      holder[op.arg] = t;
-    } else if (op.verb == "send") {
-      --filled[op.arg];
-    } else if (op.verb == "recv") {
-      ++filled[op.arg];
-    } else if (op.verb == "barrier") {
-      --arrivals[t];
-    }
-  }
-
-  void record_deadlock() {
-    DeadlockState state;
-    for (std::size_t t = 0; t < ops.size(); ++t) {
-      if (pos[t] >= ops[t].size()) continue;
-      if (parked(t)) {
-        state.waiting.push_back(ops[t][pos[t] - 1].tag + " barrier");
-        state.resources.push_back("barrier");
-      } else {
-        const Op& op = ops[t][pos[t]];
-        state.waiting.push_back(op.tag + ' ' + op.verb + ' ' + op.arg);
-        state.resources.push_back((op.verb == "lock" ? "mutex " : "channel ") + op.arg);
-      }
-    }
-    state.witness = trail;
-    out.deadlocks.push_back(std::move(state));
-  }
+  DeadlockSearch(const Script& s, std::size_t m) : script(s), max_states(m), state(s) {}
 
   void visit() {
-    if (visited.count(pos) != 0) return;
+    if (visited.count(state.positions()) != 0) return;
     if (out.states_visited >= max_states) {
       out.complete = false;
       return;
     }
-    visited.insert(pos);
+    visited.insert(state.positions());
     ++out.states_visited;
 
     bool all_done = true;
     bool any_enabled = false;
-    for (std::size_t t = 0; t < ops.size(); ++t) {
-      if (pos[t] < ops[t].size()) all_done = false;
-      if (enabled(t)) any_enabled = true;
+    for (std::size_t t = 0; t < script.threads.size(); ++t) {
+      if (!state.done(t)) all_done = false;
+      if (state.enabled(t)) any_enabled = true;
     }
     if (!any_enabled) {
-      if (!all_done) record_deadlock();
+      if (!all_done) out.deadlocks.push_back(state.deadlock(trail));
       return;
     }
-    for (std::size_t t = 0; t < ops.size(); ++t) {
-      if (!enabled(t)) continue;
-      execute(t);
+    for (std::size_t t = 0; t < script.threads.size(); ++t) {
+      if (!state.enabled(t)) continue;
+      trail.push_back(state.next(t).text);
+      state.execute(t);
       visit();
-      undo(t);
+      state.undo(t);
+      trail.pop_back();
     }
   }
 };
@@ -315,31 +204,11 @@ struct DeadlockSearch {
 
 DeadlockSearchResult find_deadlocks(const std::vector<std::vector<std::string>>& scripts,
                                     std::size_t max_states) {
-  // Parse + validate up front, Explorer-style: malformed ops and
-  // unlock-without-lock throw here, never mid-search.
-  std::vector<std::vector<Op>> ops(scripts.size());
-  for (std::size_t t = 0; t < scripts.size(); ++t) {
-    std::multiset<std::string> held;
-    const std::string tag = "t" + std::to_string(t);
-    ops[t].reserve(scripts[t].size());
-    for (const std::string& text : scripts[t]) {
-      Op op = parse_op(tag + ' ' + text);
-      const bool known = op.verb == "read" || op.verb == "write" || op.verb == "lock" ||
-                         op.verb == "unlock" || op.verb == "send" || op.verb == "recv" ||
-                         op.verb == "barrier";
-      require(known, "deadlock search op '" + text + "': unknown verb '" + op.verb + "'");
-      if (op.verb == "lock") held.insert(op.arg);
-      if (op.verb == "unlock") {
-        const auto it = held.find(op.arg);
-        require(it != held.end(), "deadlock search: '" + tag + ' ' + text +
-                                      "' releases a lock with no program-order acquire");
-        held.erase(it);
-      }
-      ops[t].push_back(std::move(op));
-    }
-  }
-
-  DeadlockSearch search(ops, max_states);
+  // Validate up front: malformed ops and unlock-without-lock throw
+  // here, never mid-search.
+  const Script script = parse_script(scripts);
+  require_lock_discipline(script);
+  DeadlockSearch search(script, max_states);
   search.visit();
   return std::move(search.out);
 }

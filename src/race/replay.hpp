@@ -6,17 +6,9 @@
 // the interleaving enumerator produce every schedule, and replay each
 // through the detector to see which schedules expose which races.
 //
-// Script grammar (one op per string, thread tag added by tag_threads or
-// already present in an interleaved stream):
-//   "t<k> read <var>"    read of a shared variable
-//   "t<k> write <var>"   write of a shared variable
-//   "t<k> lock <m>"      mutex acquire
-//   "t<k> unlock <m>"    mutex release
-//   "t<k> send <ch>"     producer publish into channel <ch>
-//   "t<k> recv <ch>"     consumer take from channel <ch>
-//   "t<k> barrier"       this thread arrives at the (single, implicit)
-//                        barrier; the HB edge forms when every thread
-//                        that ever appears in the schedule has arrived
+// The grammar and the blocking semantics live in race/script.hpp; a
+// tagged interleaving spells each op "t<k> <op>", and thread k is
+// detector thread k in every report.
 //
 // Replay threads are registered as concurrent roots (no fork edges):
 // exactly the model of the homework's already-running processes. Note
@@ -24,12 +16,11 @@
 // schedules that real mutual exclusion would forbid (two threads
 // "inside" one lock at once) are still replayed, which is itself a
 // talking point: the enumerator over-approximates, the detector
-// under-approximates. ReplayOptions::model_blocking switches real
-// semantics on: a lock blocks while the mutex is held (including by
-// its own thread — self-deadlock), a recv blocks on an empty channel,
-// and a barrier arrival parks the thread until every thread in the
-// schedule has arrived. Under blocking, a schedule that tries to run a
-// blocked op is INFEASIBLE (result.feasible == false, the prefix
+// under-approximates. ReplayOptions::model_blocking switches the real
+// semantics (race::BlockingState) on: a lock blocks while the mutex is
+// held, a recv blocks on an empty channel, and a barrier arrival parks
+// the thread until the cycle completes. Under blocking, a schedule
+// that tries to run a blocked op is INFEASIBLE (result.feasible == false, the prefix
 // before the blocked op is what got replayed), and find_deadlocks()
 // searches the reachable state space — exactly, via memoized DFS over
 // position vectors, no schedule enumeration — for states where some
@@ -41,6 +32,7 @@
 #include <vector>
 
 #include "race/detector.hpp"
+#include "race/script.hpp"
 
 namespace cs31::race {
 
@@ -83,8 +75,22 @@ struct ReplayResult {
 /// Same, but through a caller-supplied detector implementation — the
 /// differential harness replays one schedule into both the FastTrack
 /// and the reference detector this way. The sink must be fresh (no
-/// prior events); thread tags are registered in tag order.
+/// prior events); tag t<k> becomes thread k. The ops are grouped by tag
+/// into a Script (a thread's ops in interleaving order are its script)
+/// and replayed through the typed core below.
 [[nodiscard]] ReplayResult replay(const std::vector<std::string>& interleaving,
+                                  EventSink& sink, ReplayOptions options = {});
+
+/// A schedule over a parsed Script: the thread that runs each step
+/// (each step runs that thread's next op in program order).
+using Schedule = std::vector<std::uint32_t>;
+
+/// The typed core: replay `schedule` over `script` into a fresh sink,
+/// with no string parsing (the result's `schedule` strings stay empty).
+/// Script thread k is detector thread k; a barrier's waiters are the
+/// threads with non-empty scripts. Throws cs31::Error when the schedule
+/// runs a thread past the end of its script.
+[[nodiscard]] ReplayResult replay(const Script& script, const Schedule& schedule,
                                   EventSink& sink, ReplayOptions options = {});
 
 /// Enumerate every interleaving of the scripts (program order preserved
@@ -116,21 +122,6 @@ struct ReplayStats {
 [[nodiscard]] std::vector<RaceReport> distinct_races(
     const std::vector<ReplayResult>& results);
 
-/// One reachable stuck state under blocking semantics: some thread
-/// still has ops, nobody can move. `waiting`/`resources` are parallel
-/// — the blocked op of each unfinished thread and what it waits on in
-/// the analyze::concur resource spelling ("mutex a", "channel q0",
-/// "barrier"); a thread parked inside the barrier reports its barrier
-/// op. `witness` is a feasible tagged schedule prefix reaching the
-/// state (replayable with model_blocking to confirm).
-struct DeadlockState {
-  std::vector<std::string> waiting;
-  std::vector<std::string> resources;
-  std::vector<std::string> witness;
-
-  [[nodiscard]] std::string to_string() const;
-};
-
 struct DeadlockSearchResult {
   /// Distinct stuck states (one per position vector), in deterministic
   /// lowest-thread-first DFS discovery order.
@@ -149,7 +140,7 @@ struct DeadlockSearchResult {
 /// vectors covers every reachable state without enumerating schedules:
 /// the state space is at most prod(len_t + 1), not the multinomial.
 /// Throws cs31::Error on malformed ops or an unlock with no
-/// program-order lock (same validation as Explorer).
+/// program-order lock (require_lock_discipline, as Explorer does).
 [[nodiscard]] DeadlockSearchResult find_deadlocks(
     const std::vector<std::vector<std::string>>& scripts,
     std::size_t max_states = std::size_t{1} << 20);

@@ -4,31 +4,10 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace cs31::race {
 namespace {
-
-/// splitmix64 (Steele, Lea & Flood) — tiny, well-mixed, and identical
-/// on every platform, which std's distributions are not.
-class SplitMix64 {
- public:
-  explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
-
-  std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-
-  /// Uniform in [0, bound); 0 when bound == 0.
-  std::uint32_t below(std::uint32_t bound) {
-    return bound == 0 ? 0 : static_cast<std::uint32_t>(next() % bound);
-  }
-
- private:
-  std::uint64_t state_;
-};
 
 const char* kind_name(TraceOp::Kind kind) {
   switch (kind) {
@@ -87,7 +66,7 @@ std::string Trace::to_string() const {
 Trace generate_trace(std::uint64_t seed, TraceGenConfig config) {
   require(config.max_threads >= 1, "trace_gen: need at least the root thread");
   require(config.vars >= 1, "trace_gen: need at least one variable");
-  SplitMix64 rng(seed);
+  common::SplitMix64 rng(seed);
 
   Trace trace;
   trace.seed = seed;
@@ -114,8 +93,8 @@ Trace generate_trace(std::uint64_t seed, TraceGenConfig config) {
   for (const Weighted& w : menu) total_weight += w.weight;
 
   while (trace.ops.size() < config.ops) {
-    const std::uint32_t actor = live[rng.below(static_cast<std::uint32_t>(live.size()))];
-    std::uint32_t roll = rng.below(total_weight);
+    const std::uint32_t actor = live[rng.below(live.size())];
+    auto roll = static_cast<std::uint32_t>(rng.below(total_weight));
     Pick pick = Pick::Read;
     for (const Weighted& w : menu) {
       if (roll < w.weight) {
@@ -131,19 +110,18 @@ Trace generate_trace(std::uint64_t seed, TraceGenConfig config) {
       case Pick::Read:
       case Pick::Write:
         op.kind = pick == Pick::Read ? TraceOp::Kind::Read : TraceOp::Kind::Write;
-        op.object = rng.below(static_cast<std::uint32_t>(config.vars));
+        op.object = static_cast<std::uint32_t>(rng.below(config.vars));
         break;
       case Pick::Acquire: {
         if (config.locks == 0 || held[actor].size() >= config.max_locks_held) continue;
         op.kind = TraceOp::Kind::Acquire;
-        op.object = rng.below(static_cast<std::uint32_t>(config.locks));
+        op.object = static_cast<std::uint32_t>(rng.below(config.locks));
         held[actor].push_back(op.object);
         break;
       }
       case Pick::Release: {
         if (held[actor].empty()) continue;
-        const std::uint32_t idx =
-            rng.below(static_cast<std::uint32_t>(held[actor].size()));
+        const auto idx = static_cast<std::uint32_t>(rng.below(held[actor].size()));
         op.kind = TraceOp::Kind::Release;
         op.object = held[actor][idx];
         held[actor].erase(held[actor].begin() + idx);
@@ -165,8 +143,7 @@ Trace generate_trace(std::uint64_t seed, TraceGenConfig config) {
           if (t != actor && t != 0 && held[t].empty()) candidates.push_back(t);
         }
         if (candidates.empty()) continue;
-        const std::uint32_t child =
-            candidates[rng.below(static_cast<std::uint32_t>(candidates.size()))];
+        const std::uint32_t child = candidates[rng.below(candidates.size())];
         op.kind = TraceOp::Kind::Join;
         op.object = child;
         live.erase(std::find(live.begin(), live.end(), child));
@@ -176,17 +153,16 @@ Trace generate_trace(std::uint64_t seed, TraceGenConfig config) {
       case Pick::Recv:
         if (config.channels == 0) continue;
         op.kind = pick == Pick::Send ? TraceOp::Kind::Send : TraceOp::Kind::Recv;
-        op.object = rng.below(static_cast<std::uint32_t>(config.channels));
+        op.object = static_cast<std::uint32_t>(rng.below(config.channels));
         break;
       case Pick::Barrier: {
         if (live.size() < 2) continue;
         // A barrier cycle among a shuffled subset of >= 2 live threads.
         std::vector<std::uint32_t> pool = live;
         for (std::size_t i = pool.size() - 1; i > 0; --i) {
-          std::swap(pool[i], pool[rng.below(static_cast<std::uint32_t>(i + 1))]);
+          std::swap(pool[i], pool[rng.below(i + 1)]);
         }
-        const std::uint32_t size =
-            2 + rng.below(static_cast<std::uint32_t>(pool.size() - 1));
+        const auto size = static_cast<std::uint32_t>(2 + rng.below(pool.size() - 1));
         pool.resize(size);
         op.kind = TraceOp::Kind::Barrier;
         op.waiters = std::move(pool);

@@ -2,8 +2,8 @@
 // detectors. A Trace is a structurally valid linearized event stream —
 // fork/join trees, nested lock sections, barrier cycles over live
 // subsets, channel sends/recvs, and reads/writes over a small variable
-// pool — generated deterministically from a 64-bit seed (its own
-// splitmix64 PRNG; no std::uniform_int_distribution, whose output is
+// pool — generated deterministically from a 64-bit seed (the kit's
+// common::SplitMix64; no std::uniform_int_distribution, whose output is
 // implementation-defined). "Structurally valid" means a trace never
 // trips the detectors' own error checks: releases name held locks,
 // joins name live non-root threads, barriers wait on live threads.

@@ -422,6 +422,64 @@ TEST(ConcurChecks, MalformedOpsThrow) {
   EXPECT_THROW((void)analyze_scripts({{"read"}}), Error);
 }
 
+TEST(ConcurChecks, JsonEscapesControlCharacters) {
+  const std::string json = analyze_scripts({{"write a\001b"}, {"write a\001b"}}).to_json();
+  EXPECT_EQ(json.find('\001'), std::string::npos) << json;
+  EXPECT_NE(json.find("\"variable\":\"a\\u0001b\""), std::string::npos) << json;
+}
+
+// ---------------------------------------------------------------------
+// One grammar: every entry point rejects the same ops, the same way
+// ---------------------------------------------------------------------
+
+/// The message `run` throws, or "" when it does not throw.
+template <typename Run>
+std::string thrown(Run run) {
+  try {
+    run();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ScriptGrammar, EveryEntryPointRejectsMalformedOpsAlike) {
+  const std::vector<std::pair<std::string, std::string>> table = {
+      {"spin c", "unknown verb 'spin'"},
+      {"", "missing a verb"},
+      {"read", "'read' needs a variable"},
+      {"unlock", "'unlock' needs a mutex"},
+      {"recv", "'recv' needs a channel"},
+      {"write x y z", "unexpected token 'y'"},
+      {"barrier junk", "unexpected token 'junk'"},
+  };
+  for (const auto& [op, problem] : table) {
+    const std::string expected = "script op 't0 " + op + "': " + problem;
+    const std::vector<std::vector<std::string>> scripts = {{op}};
+    EXPECT_EQ(thrown([&] { (void)race::replay({"t0 " + op}); }), expected);
+    EXPECT_EQ(thrown([&] { (void)find_deadlocks(scripts); }), expected);
+    EXPECT_EQ(thrown([&] { (void)race::Explorer(scripts); }), expected);
+    EXPECT_EQ(thrown([&] { (void)analyze_scripts(scripts); }), expected);
+  }
+}
+
+TEST(ScriptGrammar, UnlockWithoutLockHasOneMessage) {
+  const std::string expected =
+      "script op 't0 unlock m': unlock without a matching program-order lock";
+  EXPECT_EQ(thrown([] { (void)race::replay({"t0 unlock m"}); }), expected);
+  EXPECT_EQ(thrown([] { (void)find_deadlocks({{"unlock m"}}); }), expected);
+  EXPECT_EQ(thrown([] { (void)race::Explorer({{"unlock m"}}); }), expected);
+  // The static tier records it instead of throwing.
+  EXPECT_NE(find_pass(analyze_scripts({{"unlock m"}}), "unlock-without-lock"), nullptr);
+}
+
+TEST(ScriptGrammar, WhitespaceSeparatesTokens) {
+  const auto summary = analyze_scripts({{"write\tz "}, {"  read z"}});
+  ASSERT_EQ(summary.races.size(), 1u);
+  EXPECT_EQ(summary.races.front().variable, "z");
+  EXPECT_EQ(summary.races.front().first, "t0 write\tz ");
+}
+
 TEST(ConcurChecks, CycleComponentsFindsSccsAndSelfLoops) {
   std::vector<OrderEdge> edges;
   edges.push_back({"a", "b", nullptr});

@@ -189,7 +189,8 @@ TEST(Toolchain, ScriptMalformedOpIsInvalid) {
       {"s", SubmissionKind::Script, poison_bad_script()}, test_limits());
   EXPECT_EQ(v.status, "invalid") << v.to_json();
   EXPECT_EQ(v.score, 0);
-  ASSERT_FALSE(v.notes.empty());
+  EXPECT_EQ(v.notes,
+            std::vector<std::string>{"script op 't0 spin c': unknown verb 'spin'"});
 }
 
 TEST(Toolchain, ScriptVerdictIsDeterministic) {

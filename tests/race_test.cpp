@@ -17,6 +17,7 @@
 #include "parallel/sync.hpp"
 #include "parallel/threads.hpp"
 #include "race/detector.hpp"
+#include "race/explore.hpp"
 #include "race/replay.hpp"
 #include "race/vector_clock.hpp"
 #include "trace/context.hpp"
@@ -532,6 +533,28 @@ TEST(Replay, BarrierAndChannelOps) {
   EXPECT_THROW(replay({"write x"}), Error) << "missing thread tag";
   EXPECT_THROW(replay({"t0 frobnicate x"}), Error) << "unknown verb";
   EXPECT_THROW(replay({"t0 read"}), Error) << "missing operand";
+}
+
+TEST(Replay, ThreadIdsMatchTheScriptIndex) {
+  // Eleven threads: "t10" sorts before "t2" as a string, but it is
+  // script 10 and must be reported as thread 10.
+  std::vector<std::string> schedule = {"t0 write x"};
+  for (int k = 1; k <= 9; ++k) schedule.push_back("t" + std::to_string(k) + " read own");
+  schedule.push_back("t10 write x");
+  const ReplayResult result = replay(schedule);
+  ASSERT_EQ(result.races.size(), 1u);
+  EXPECT_EQ(result.races[0].first.thread, 0u);
+  EXPECT_EQ(result.races[0].second.thread, 10u);
+  EXPECT_EQ(result.races[0].second.where, "t10 write x");
+
+  // An empty script keeps its index: the race is between threads 1
+  // and 2, the same index analyze::StaticRace reports.
+  const ExploreResult explored = explore_races({{}, {"write y"}, {"write y"}});
+  ASSERT_EQ(explored.races.size(), 1u);
+  EXPECT_EQ(explored.races[0].first.thread, 1u);
+  EXPECT_EQ(explored.races[0].second.thread, 2u);
+  EXPECT_EQ(explored.races[0].first.where, "t1 write y");
+  EXPECT_EQ(explored.races[0].second.where, "t2 write y");
 }
 
 TEST(Replay, SameScheduleListTwiceGivesIdenticalReports) {
