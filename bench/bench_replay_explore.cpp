@@ -45,8 +45,8 @@ double seconds_since(std::chrono::steady_clock::time_point begin) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
 }
 
-std::set<std::string> key_set(const std::vector<RaceReport>& races) {
-  std::set<std::string> keys;
+std::set<cs31::race::RacePairKey> key_set(const std::vector<RaceReport>& races) {
+  std::set<cs31::race::RacePairKey> keys;
   for (const RaceReport& r : races) {
     keys.insert(cs31::race::race_pair_key(r.variable, r.first, r.second));
   }

@@ -59,7 +59,7 @@ void act2_game_of_life() {
 
   std::cout << "\n[fixed] Lab 10 structure: compute, barrier, serial swap, barrier:\n";
   const auto good = cs31::life::traced_life_check(initial, 3, 3, /*use_barrier=*/true);
-  std::cout << "  " << good.report << '\n';
+  std::cout << "  " << good.report() << '\n';
 
   std::cout << "\n[buggy] same run with the barriers deleted:\n";
   const auto bad = cs31::life::traced_life_check(initial, 3, 3, /*use_barrier=*/false);
@@ -207,7 +207,7 @@ void act5_pipelined_analysis() {
     const auto piped = cs31::life::traced_life_check(initial, 3, 3, options);
     std::cout << "[" << shards << " shard" << (shards == 1 ? "] " : "s]")
               << " same run, analyzed off-thread: " << piped.races.size()
-              << " races, report " << (piped.report == inline_verdict.report
+              << " races, report " << (piped.report() == inline_verdict.report()
                                            ? "byte-identical to inline"
                                            : "DIFFERS (bug!)")
               << '\n';

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
+#include <tuple>
 
 #include "common/json.hpp"
 
@@ -156,7 +157,7 @@ ConcurSummary analyze_scripts(const race::Script& script) {
 
   // --- static race candidates -------------------------------------
   const std::vector<const ScriptOp*> accesses = model.accesses();
-  std::set<std::string> race_seen;
+  std::set<std::tuple<std::string, std::string, std::string>> race_seen;
   for (std::size_t i = 0; i < accesses.size(); ++i) {
     for (std::size_t j = i + 1; j < accesses.size(); ++j) {
       const ScriptOp& a = *accesses[i];
@@ -166,9 +167,10 @@ ConcurSummary analyze_scripts(const race::Script& script) {
       if (!disjoint(a.must_locks, b.must_locks)) continue;
       if (model.barrier_ordered(a, b)) continue;
 
-      const std::string key = a.object + '\x1f' + std::min(a.text, b.text) + '\x1f' +
-                              std::max(a.text, b.text);
-      if (!race_seen.insert(key).second) continue;
+      if (!race_seen.emplace(a.object, std::min(a.text, b.text), std::max(a.text, b.text))
+               .second) {
+        continue;
+      }
 
       StaticRace race;
       race.variable = a.object;

@@ -1,6 +1,9 @@
-// The kit's one seeded PRNG. Generators that must reproduce a corpus
-// from a seed (isa::generate_program, race::generate_trace,
-// race::generate_script) all draw from it.
+// The kit's seeded PRNGs. Generators that must reproduce a corpus from
+// a seed (isa::generate_program, race::generate_trace,
+// race::generate_script) draw from SplitMix64; grader::make_scenario and
+// the trace context's sampling capture draw from Xorshift32, whose
+// exact stream gradebench's workloads and sampled verdicts are pinned
+// to.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +28,26 @@ class SplitMix64 {
 
  private:
   std::uint64_t state_;
+};
+
+/// Marsaglia's xorshift32 (shifts 13, 17, 5): one 32-bit word of state.
+class Xorshift32 {
+ public:
+  /// A zero seed would stick at zero forever; it is mapped to 1.
+  explicit Xorshift32(std::uint32_t seed) : state_(seed == 0 ? 1 : seed) {}
+
+  std::uint32_t next() {
+    state_ ^= state_ << 13;
+    state_ ^= state_ >> 17;
+    state_ ^= state_ << 5;
+    return state_;
+  }
+
+  /// next() reduced into [0, bound); bound must be nonzero.
+  std::uint32_t below(std::uint32_t bound) { return next() % bound; }
+
+ private:
+  std::uint32_t state_;
 };
 
 }  // namespace cs31::common

@@ -6,7 +6,9 @@
 
 namespace cs31::grader {
 
-std::string to_string(SubmissionKind kind) {
+std::string to_string(SubmissionKind kind) { return std::string(kind_name(kind)); }
+
+std::string_view kind_name(SubmissionKind kind) {
   switch (kind) {
     case SubmissionKind::MiniC: return "mini_c";
     case SubmissionKind::Assembly: return "assembly";

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace cs31::grader {
 
@@ -22,6 +23,8 @@ enum class SubmissionKind {
   Script,     ///< per-thread op scripts; statically analyzed, then explored
 };
 
+/// The kind's wire name: "mini_c", "assembly", "life_trace", "script".
+[[nodiscard]] std::string_view kind_name(SubmissionKind kind);
 [[nodiscard]] std::string to_string(SubmissionKind kind);
 
 /// One submission. `id` is the envelope label ("alice/hw4/try2");

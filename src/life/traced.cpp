@@ -81,13 +81,22 @@ struct ReplayOps {
   TracedLifeResult finish(Grid grid) {
     ctx.flush();  // with a pipeline attached this also waits for idle
     if (pipeline != nullptr) {
-      return TracedLifeResult{std::move(grid),        pipeline->race_free(),
-                              pipeline->races(),      pipeline->events(),
-                              pipeline->summary(),    ctx.events_sampled_out()};
+      return TracedLifeResult{std::move(grid),         pipeline->race_free(),
+                              pipeline->races(),       pipeline->events(),
+                              ctx.events_sampled_out(), pipeline->race_count(),
+                              pipeline->threads()};
     }
-    return TracedLifeResult{std::move(grid),       verdict->race_free(),
-                            verdict->races(),      verdict->events(),
-                            verdict->summary(),    ctx.events_sampled_out()};
+    // No report is built here: the built-in detector hands over its
+    // compact records, a foreign sink its finished reports.
+    const auto* detector = dynamic_cast<const race::Detector*>(verdict);
+    return TracedLifeResult{
+        std::move(grid),
+        verdict->race_free(),
+        detector != nullptr ? detector->race_list() : race::RaceList(verdict->races()),
+        verdict->events(),
+        ctx.events_sampled_out(),
+        verdict->race_count(),
+        verdict->threads()};
   }
 };
 

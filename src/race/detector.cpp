@@ -33,12 +33,11 @@ std::string RaceReport::to_string() const {
   return out.str();
 }
 
-std::string race_pair_key(const std::string& variable, const AccessSite& a,
+RacePairKey race_pair_key(const std::string& variable, const AccessSite& a,
                           const AccessSite& b) {
-  std::string side_a = std::to_string(a.thread) + '@' + a.where;
-  std::string side_b = std::to_string(b.thread) + '@' + b.where;
-  if (side_b < side_a) side_a.swap(side_b);  // unordered pair
-  return variable + '|' + side_a + '|' + side_b;
+  RacePairKey key{variable, {a.thread, a.where}, {b.thread, b.where}};
+  if (key.hi < key.lo) std::swap(key.lo, key.hi);  // unordered pair
+  return key;
 }
 
 std::string explain_race(const AccessSite& first, const AccessSite& second,
@@ -72,7 +71,110 @@ std::string explain_race(const AccessSite& first, const AccessSite& second,
   return out.str();
 }
 
-std::string summarize_races(const std::vector<RaceReport>& races, std::uint64_t race_count,
+std::string to_string(Conflict conflict) {
+  switch (conflict) {
+    case Conflict::WriteRead: return "write-read conflict";
+    case Conflict::WriteWrite: return "write-write conflict";
+    case Conflict::ReadWrite: return "read-write conflict";
+  }
+  return "conflict";
+}
+
+namespace {
+
+AccessSite materialize(const NameTables& names, const CompactSite& site) {
+  AccessSite out;
+  out.thread = site.thread;
+  out.kind = site.kind;
+  out.where = names.name(NameKind::Site, site.where);
+  out.event = site.event;
+  if (site.locks) {
+    out.locks_held.reserve(site.locks->size());
+    for (const NameId l : *site.locks) {
+      out.locks_held.push_back(names.name(NameKind::Lock, l));
+    }
+  }
+  return out;
+}
+
+RaceReport build_report(const NameTables& names, const RaceRecord& race) {
+  RaceReport r;
+  r.variable = names.name(NameKind::Var, race.variable);
+  r.first = materialize(names, race.first);
+  r.second = materialize(names, race.second);
+  r.explanation = explain_race(r.first, r.second, to_string(race.conflict));
+  return r;
+}
+
+}  // namespace
+
+// --- RaceList ------------------------------------------------------------
+
+struct RaceList::State {
+  std::shared_ptr<const NameTables> names;  ///< null when built from reports
+  std::vector<RaceRecord> records;
+  std::mutex mutex;
+  std::vector<std::unique_ptr<RaceReport>> built;  ///< one slot per race
+};
+
+RaceList::RaceList(std::shared_ptr<const NameTables> names, std::vector<RaceRecord> records)
+    : state_(std::make_shared<State>()) {
+  state_->names = std::move(names);
+  state_->built.resize(records.size());
+  state_->records = std::move(records);
+}
+
+RaceList::RaceList(std::vector<RaceReport> reports) : state_(std::make_shared<State>()) {
+  state_->built.reserve(reports.size());
+  for (RaceReport& r : reports) {
+    state_->built.push_back(std::make_unique<RaceReport>(std::move(r)));
+  }
+}
+
+std::size_t RaceList::size() const { return state_ ? state_->built.size() : 0; }
+
+const RaceReport& RaceList::operator[](std::size_t i) const {
+  require(i < size(), "race list index out of range");
+  std::scoped_lock lock(state_->mutex);
+  std::unique_ptr<RaceReport>& slot = state_->built[i];
+  if (!slot) {
+    slot = std::make_unique<RaceReport>(build_report(*state_->names, state_->records[i]));
+  }
+  return *slot;
+}
+
+std::size_t RaceList::materialized() const {
+  if (!state_) return 0;
+  std::scoped_lock lock(state_->mutex);
+  return static_cast<std::size_t>(
+      std::count_if(state_->built.begin(), state_->built.end(),
+                    [](const std::unique_ptr<RaceReport>& r) { return r != nullptr; }));
+}
+
+RaceList RaceList::merge_shards(const std::vector<RaceList>& shards) {
+  std::shared_ptr<const NameTables> names;
+  std::vector<RaceRecord> merged;
+  for (const RaceList& shard : shards) {
+    if (shard.empty()) continue;
+    require(shard.state_->names != nullptr && (!names || names == shard.state_->names),
+            "merge_shards needs record lists over one set of name tables");
+    names = shard.state_->names;
+    merged.insert(merged.end(), shard.state_->records.begin(), shard.state_->records.end());
+  }
+  std::stable_sort(merged.begin(), merged.end(),
+                   [](const RaceRecord& a, const RaceRecord& b) {
+                     return a.second.event < b.second.event;
+                   });
+  std::unordered_set<Detector::RaceKey, Detector::RaceKeyHash> seen;
+  std::vector<RaceRecord> deduped;
+  deduped.reserve(merged.size());
+  for (RaceRecord& r : merged) {
+    if (seen.insert(Detector::race_key(r)).second) deduped.push_back(std::move(r));
+  }
+  return RaceList(std::move(names), std::move(deduped));
+}
+
+std::string summarize_races(const RaceList& races, std::uint64_t race_count,
                             std::uint64_t events, std::size_t threads) {
   std::ostringstream out;
   if (races.empty()) {
@@ -86,29 +188,12 @@ std::string summarize_races(const std::vector<RaceReport>& races, std::uint64_t 
   return out.str();
 }
 
-std::vector<RaceReport> merge_shard_reports(std::vector<std::vector<RaceReport>> shards) {
-  std::vector<RaceReport> merged;
-  std::size_t total = 0;
-  for (const auto& shard : shards) total += shard.size();
-  merged.reserve(total);
-  for (auto& shard : shards) {
-    for (RaceReport& r : shard) merged.push_back(std::move(r));
-  }
-  std::stable_sort(merged.begin(), merged.end(), [](const RaceReport& a, const RaceReport& b) {
-    return a.second.event < b.second.event;
-  });
-  std::set<std::string> seen;
-  std::vector<RaceReport> deduped;
-  deduped.reserve(merged.size());
-  for (RaceReport& r : merged) {
-    if (seen.insert(race_pair_key(r.variable, r.first, r.second)).second) {
-      deduped.push_back(std::move(r));
-    }
-  }
-  return deduped;
-}
+// --- Detector --------------------------------------------------------------
 
-Detector::Detector() {
+Detector::Detector() : Detector(std::make_shared<NameTables>()) {}
+
+Detector::Detector(std::shared_ptr<NameTables> names) : names_(std::move(names)) {
+  require(names_ != nullptr, "detector needs name tables");
   // Thread 0 is the main/root thread.
   ThreadState main;
   main.vc.set(0, 1);
@@ -146,29 +231,28 @@ void Detector::join(ThreadId parent, ThreadId child) {
 }
 
 NameId Detector::intern_var(std::string_view name) {
+  const NameId id = names_->intern(NameKind::Var, name);
   std::scoped_lock lock(mutex_);
-  const NameId id = var_names_.id(name);
   if (id >= vars_.size()) vars_.resize(id + 1);
   return id;
 }
 
 NameId Detector::intern_lock(std::string_view name) {
+  const NameId id = names_->intern(NameKind::Lock, name);
   std::scoped_lock lock(mutex_);
-  const NameId id = lock_names_.id(name);
   if (id >= locks_.size()) locks_.resize(id + 1);
   return id;
 }
 
 NameId Detector::intern_channel(std::string_view name) {
+  const NameId id = names_->intern(NameKind::Channel, name);
   std::scoped_lock lock(mutex_);
-  const NameId id = channel_names_.id(name);
   if (id >= channels_.size()) channels_.resize(id + 1);
   return id;
 }
 
 NameId Detector::intern_site(std::string_view label) {
-  std::scoped_lock lock(mutex_);
-  return site_names_.id(label);
+  return names_->intern(NameKind::Site, label);
 }
 
 void Detector::acquire(ThreadId t, const std::string& lock_name) {
@@ -177,7 +261,7 @@ void Detector::acquire(ThreadId t, const std::string& lock_name) {
 
 void Detector::acquire(ThreadId t, NameId lock_id) {
   std::scoped_lock lock(mutex_);
-  check_lock_id(lock_id);
+  cover(locks_, NameKind::Lock, lock_id);
   ++events_;
   ThreadState& ts = state(t);
   ts.vc.join(locks_[lock_id]);  // observe the previous critical section
@@ -190,13 +274,13 @@ void Detector::release(ThreadId t, const std::string& lock_name) {
 
 void Detector::release(ThreadId t, NameId lock_id) {
   std::scoped_lock lock(mutex_);
-  check_lock_id(lock_id);
+  cover(locks_, NameKind::Lock, lock_id);
   ++events_;
   ThreadState& ts = state(t);
   const auto it = std::find(ts.held.rbegin(), ts.held.rend(), lock_id);
   if (it == ts.held.rend()) {
-    throw Error("release of lock '" + lock_names_.name(lock_id) + "' not held by thread " +
-                std::to_string(t));
+    throw Error("release of lock '" + names_->name(NameKind::Lock, lock_id) +
+                "' not held by thread " + std::to_string(t));
   }
   locks_[lock_id] = ts.vc;  // publish this critical section to the lock
   ts.vc.tick(t);
@@ -222,7 +306,7 @@ void Detector::channel_send(ThreadId t, const std::string& channel) {
 
 void Detector::channel_send(ThreadId t, NameId channel_id) {
   std::scoped_lock lock(mutex_);
-  check_channel_id(channel_id);
+  cover(channels_, NameKind::Channel, channel_id);
   ++events_;
   ThreadState& ts = state(t);
   channels_[channel_id].join(ts.vc);
@@ -235,7 +319,7 @@ void Detector::channel_recv(ThreadId t, const std::string& channel) {
 
 void Detector::channel_recv(ThreadId t, NameId channel_id) {
   std::scoped_lock lock(mutex_);
-  check_channel_id(channel_id);
+  cover(channels_, NameKind::Channel, channel_id);
   ++events_;
   state(t).vc.join(channels_[channel_id]);
 }
@@ -260,9 +344,7 @@ void Detector::write(ThreadId t, NameId var, NameId site) {
 
 void Detector::check_and_record(ThreadId t, NameId var, AccessKind kind,
                                 NameId site_label) {
-  if (var >= vars_.size()) {
-    throw Error("unknown variable id " + std::to_string(var));
-  }
+  cover(vars_, NameKind::Var, var);
   ++events_;
   ThreadState& ts = state(t);
   VarState& vs = vars_[var];
@@ -275,7 +357,7 @@ void Detector::check_and_record(ThreadId t, NameId var, AccessKind kind,
   // vector_clock.hpp, pinned by the property tests).
   if (vs.write_epoch.valid() && vs.write_epoch.tid != t && !ts.vc.contains(vs.write_epoch)) {
     report(var, vs.write_site, site,
-           kind == AccessKind::Read ? "write-read conflict" : "write-write conflict");
+           kind == AccessKind::Read ? Conflict::WriteRead : Conflict::WriteWrite);
   }
 
   if (kind == AccessKind::Read) {
@@ -319,12 +401,12 @@ void Detector::check_and_record(ThreadId t, NameId var, AccessKind kind,
   if (vs.shared) {
     for (const auto& [reader, read_site] : vs.shared->sites) {
       if (reader != t && vs.shared->vc.get(reader) > ts.vc.get(reader)) {
-        report(var, read_site, site, "read-write conflict");
+        report(var, read_site, site, Conflict::ReadWrite);
       }
     }
   } else if (vs.read_epoch.valid() && vs.read_epoch.tid != t &&
              vs.read_epoch.clock > ts.vc.get(vs.read_epoch.tid)) {
-    report(var, vs.read_site, site, "read-write conflict");
+    report(var, vs.read_site, site, Conflict::ReadWrite);
   }
 
   // Record the write and deflate: reads before this write are subsumed
@@ -337,7 +419,7 @@ void Detector::check_and_record(ThreadId t, NameId var, AccessKind kind,
   vs.shared.reset();
 }
 
-Detector::CompactSite Detector::make_site(ThreadId t, AccessKind kind, NameId where) const {
+CompactSite Detector::make_site(ThreadId t, AccessKind kind, NameId where) const {
   CompactSite site;
   site.thread = t;
   site.kind = kind;
@@ -349,35 +431,28 @@ Detector::CompactSite Detector::make_site(ThreadId t, AccessKind kind, NameId wh
   return site;
 }
 
-AccessSite Detector::materialize(const CompactSite& site) const {
-  AccessSite out;
-  out.thread = site.thread;
-  out.kind = site.kind;
-  out.where = site_names_.name(site.where);
-  out.event = site.event;
-  if (site.locks) {
-    out.locks_held.reserve(site.locks->size());
-    for (const NameId l : *site.locks) out.locks_held.push_back(lock_names_.name(l));
-  }
-  return out;
+Detector::RaceKey Detector::race_key(const RaceRecord& race) {
+  const auto side = [](const CompactSite& site) {
+    return (static_cast<std::uint64_t>(site.thread) << 32) | site.where;
+  };
+  const std::uint64_t a = side(race.first), b = side(race.second);
+  return RaceKey{race.variable, std::min(a, b), std::max(a, b)};  // unordered pair
+}
+
+std::size_t Detector::RaceKeyHash::operator()(const RaceKey& k) const {
+  std::uint64_t h = k.variable;
+  h = h * 0x9e3779b97f4a7c15ULL ^ k.lo;
+  h = h * 0x9e3779b97f4a7c15ULL ^ k.hi;
+  return static_cast<std::size_t>(h ^ (h >> 29));
 }
 
 void Detector::report(NameId var, const CompactSite& first, const CompactSite& second,
-                      const char* why) {
+                      Conflict conflict) {
   ++race_count_;
-  // Ids resolve back to names only here, on the cold path.
-  const std::string& variable = var_names_.name(var);
-  AccessSite first_site = materialize(first);
-  AccessSite second_site = materialize(second);
-  if (!reported_.insert(race_pair_key(variable, first_site, second_site)).second) {
-    return;  // one report per (variable, site pair)
-  }
-  RaceReport r;
-  r.variable = variable;
-  r.explanation = explain_race(first_site, second_site, why);
-  r.first = std::move(first_site);
-  r.second = std::move(second_site);
-  races_.push_back(std::move(r));
+  // Ids only: names are looked up when a report is read (RaceList).
+  RaceRecord race{var, first, second, conflict};
+  if (!reported_.insert(race_key(race)).second) return;  // one per (variable, site pair)
+  records_.push_back(std::move(race));
 }
 
 // The per-event validity checks build their error message only on the
@@ -391,23 +466,33 @@ Detector::ThreadState& Detector::state(ThreadId t) {
   return threads_[t];
 }
 
-void Detector::check_lock_id(NameId lock_id) const {
-  if (lock_id >= locks_.size()) {
-    throw Error("unknown lock id " + std::to_string(lock_id));
+template <typename Table>
+void Detector::cover(Table& table, NameKind kind, NameId id) {
+  if (id < table.size()) return;
+  if (id >= names_->size(kind)) {
+    static constexpr const char* kWhat[] = {"variable", "lock", "channel", "site"};
+    throw Error(std::string("unknown ") + kWhat[static_cast<std::size_t>(kind)] + " id " +
+                std::to_string(id));
   }
+  table.resize(id + 1);
 }
 
-void Detector::check_channel_id(NameId channel_id) const {
-  if (channel_id >= channels_.size()) {
-    throw Error("unknown channel id " + std::to_string(channel_id));
+const std::vector<RaceReport>& Detector::races() const {
+  std::scoped_lock lock(mutex_);
+  while (built_.size() < records_.size()) {
+    built_.push_back(build_report(*names_, records_[built_.size()]));
   }
+  return built_;
 }
 
-const std::vector<RaceReport>& Detector::races() const { return races_; }
+RaceList Detector::race_list() const {
+  std::scoped_lock lock(mutex_);
+  return RaceList(names_, records_);
+}
 
 bool Detector::race_free() const {
   std::scoped_lock lock(mutex_);
-  return races_.empty();
+  return records_.empty();
 }
 
 std::uint64_t Detector::race_count() const {
@@ -459,9 +544,7 @@ std::size_t Detector::shadow_bytes() const {
       }
     }
   }
-  total += var_names_.bytes() + lock_names_.bytes() + channel_names_.bytes() +
-           site_names_.bytes();
-  return total;
+  return total + names_->bytes();
 }
 
 VectorClock Detector::clock_of(ThreadId t) const {
@@ -471,8 +554,7 @@ VectorClock Detector::clock_of(ThreadId t) const {
 }
 
 std::string Detector::summary() const {
-  std::scoped_lock lock(mutex_);
-  return summarize_races(races_, race_count_, events_, threads_.size());
+  return summarize_races(race_list(), race_count(), events(), threads());
 }
 
 void Detector::set_event_clock(std::uint64_t seen) {

@@ -34,11 +34,15 @@
 // still a single epoch overwrite.
 #pragma once
 
+#include <compare>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "race/interner.hpp"
@@ -76,10 +80,19 @@ struct RaceReport {
 
 /// Dedup key of a race: the variable plus the unordered pair of
 /// (thread, site-label) endpoints. Every detector implementation — and
-/// the cross-schedule aggregation in replay.cpp — keys reports the same
-/// way, so "one report per (variable, site pair) per run" holds
-/// everywhere and the differential harness can compare report sets.
-[[nodiscard]] std::string race_pair_key(const std::string& variable, const AccessSite& a,
+/// the cross-schedule aggregation in replay.cpp and the Explorer —
+/// keys reports the same way, so "one report per (variable, site pair)
+/// per run" holds everywhere and the differential harness can compare
+/// report sets. The key compares field by field: labels are free-form
+/// text, so no separator-joined string could tell every pair apart.
+struct RacePairKey {
+  std::string variable;
+  std::pair<ThreadId, std::string> lo, hi;  ///< the endpoints, lo <= hi
+
+  auto operator<=>(const RacePairKey&) const = default;
+};
+
+[[nodiscard]] RacePairKey race_pair_key(const std::string& variable, const AccessSite& a,
                                         const AccessSite& b);
 
 /// The shared "why" text: names the missing happens-before edge and the
@@ -87,26 +100,108 @@ struct RaceReport {
 [[nodiscard]] std::string explain_race(const AccessSite& first, const AccessSite& second,
                                        const std::string& why);
 
-/// The one summary format every verdict path prints (Detector::summary
-/// and trace::AnalysisPipeline::summary both call it), so a sharded
-/// analysis can be compared byte-for-byte against the inline one.
-[[nodiscard]] std::string summarize_races(const std::vector<RaceReport>& races,
-                                          std::uint64_t race_count, std::uint64_t events,
-                                          std::size_t threads);
+/// Which ordering check a race failed.
+enum class Conflict : std::uint8_t { WriteRead, WriteWrite, ReadWrite };
 
-/// Deterministic merge of per-shard report lists into the order the
-/// inline detector would have produced. Because a report is keyed by
-/// the *second* access — the one that completed the race — and every
-/// detector stamps that access with its detector-global event number
-/// (which a sharded run overrides to the router's global numbering via
-/// set_event_clock), a stable sort on `second.event` reconstructs
-/// detection order exactly: two reports never share a stamp unless they
-/// fired on the same event, i.e. in the same shard, where input order
-/// already matches. Re-applies the race_pair_key dedup across shards as
-/// a safety net for caller-assembled lists (disjoint variable shards
-/// never need it).
-[[nodiscard]] std::vector<RaceReport> merge_shard_reports(
-    std::vector<std::vector<RaceReport>> shards);
+[[nodiscard]] std::string to_string(Conflict conflict);  ///< "write-read conflict", ...
+
+/// An AccessSite as ids: what the detector keeps in its shadow state and
+/// its race records. The lockset is null in the common lock-free case
+/// (no allocation) and shared on copy otherwise — two sites of one
+/// critical section share one lockset block.
+struct CompactSite {
+  ThreadId thread = 0;
+  AccessKind kind = AccessKind::Read;
+  NameId where = 0;
+  std::uint64_t event = 0;
+  std::shared_ptr<const std::vector<NameId>> locks;  ///< null when none held
+};
+
+/// One distinct race as the detector records it: ids only. Its
+/// RaceReport (names, explanation) is built when somebody reads it.
+struct RaceRecord {
+  NameId variable = 0;
+  CompactSite first;
+  CompactSite second;
+  Conflict conflict = Conflict::WriteWrite;
+};
+
+/// The distinct races of one run, in detection order: compact records
+/// plus the name tables that print them. Indexing builds that race's
+/// RaceReport on first access and caches it, so a consumer that reads
+/// four reports out of a hundred pays for four. Copies share records
+/// and cache; every method is safe to call from several threads.
+class RaceList {
+ public:
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = RaceReport;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const RaceReport*;
+    using reference = const RaceReport&;
+
+    const_iterator() = default;
+    const_iterator(const RaceList* list, std::size_t index) : list_(list), index_(index) {}
+    reference operator*() const { return (*list_)[index_]; }
+    pointer operator->() const { return &(*list_)[index_]; }
+    const_iterator& operator++() {
+      ++index_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator before = *this;
+      ++index_;
+      return before;
+    }
+    bool operator==(const const_iterator&) const = default;
+
+   private:
+    const RaceList* list_ = nullptr;
+    std::size_t index_ = 0;
+  };
+
+  RaceList() = default;
+  /// Records whose ids all resolve in `names`.
+  RaceList(std::shared_ptr<const NameTables> names, std::vector<RaceRecord> records);
+  /// Reports that are already built (a sink without compact records).
+  explicit RaceList(std::vector<RaceReport> reports);
+
+  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] bool empty() const { return size() == 0; }
+  /// The i-th report, built on first access. The reference stays valid
+  /// for as long as any copy of this list lives.
+  [[nodiscard]] const RaceReport& operator[](std::size_t i) const;
+  [[nodiscard]] const RaceReport& front() const { return (*this)[0]; }
+  [[nodiscard]] const_iterator begin() const { return {this, 0}; }
+  [[nodiscard]] const_iterator end() const { return {this, size()}; }
+
+  /// How many reports have been built so far.
+  [[nodiscard]] std::size_t materialized() const;
+
+  /// Merge per-shard lists into the order the inline detector would
+  /// have produced. Because a race is keyed by the *second* access — the
+  /// one that completed it — and every detector stamps that access with
+  /// its detector-global event number (which a sharded run overrides to
+  /// the router's global numbering via set_event_clock), a stable sort
+  /// on `second.event` reconstructs detection order exactly: two races
+  /// never share a stamp unless they fired on the same event, i.e. in
+  /// the same shard, where input order already matches. Re-applies the
+  /// per-(variable, site pair) dedup on ids as a safety net. Every shard
+  /// must hold records over the same NameTables.
+  [[nodiscard]] static RaceList merge_shards(const std::vector<RaceList>& shards);
+
+ private:
+  struct State;
+  std::shared_ptr<State> state_;
+};
+
+/// The one summary format every verdict path prints (Detector::summary,
+/// trace::AnalysisPipeline::summary and life::TracedLifeResult::report
+/// all call it), so a sharded analysis can be compared byte-for-byte
+/// against the inline one.
+[[nodiscard]] std::string summarize_races(const RaceList& races, std::uint64_t race_count,
+                                          std::uint64_t events, std::size_t threads);
 
 /// The event interface every race-detector implementation honours. An
 /// implementation is an event sink: feed it fork/join/acquire/release/
@@ -154,7 +249,8 @@ class EventSink {
 
   /// Races found so far, in detection order, deduplicated per
   /// (variable, site pair) — see race_pair_key. `race_count()` still
-  /// counts every racy access.
+  /// counts every racy access. Builds every report; a consumer that
+  /// reads a few uses Detector::race_list instead.
   [[nodiscard]] virtual const std::vector<RaceReport>& races() const = 0;
   [[nodiscard]] virtual bool race_free() const = 0;
   [[nodiscard]] virtual std::uint64_t race_count() const = 0;
@@ -182,6 +278,11 @@ class EventSink {
 class Detector final : public EventSink {
  public:
   Detector();
+  /// Intern into `names`, shared with whoever else holds them (a
+  /// trace::TraceContext hands its own tables to its built-in detector,
+  /// so each name is interned once and ids need no translation). Ids
+  /// interned there by others are valid here.
+  explicit Detector(std::shared_ptr<NameTables> names);
 
   Detector(const Detector&) = delete;
   Detector& operator=(const Detector&) = delete;
@@ -205,6 +306,12 @@ class Detector final : public EventSink {
   [[nodiscard]] std::size_t threads() const override;
   [[nodiscard]] std::size_t shadow_bytes() const override;
   [[nodiscard]] std::string summary() const override;
+
+  /// The races found so far as compact records; no report is built
+  /// until the list is indexed.
+  [[nodiscard]] RaceList race_list() const;
+
+  [[nodiscard]] const std::shared_ptr<NameTables>& names() const { return names_; }
 
   // --- id fast path ---
   // Intern once (any thread; takes the detector lock), then fire events
@@ -233,19 +340,6 @@ class Detector final : public EventSink {
   void set_event_clock(std::uint64_t seen);
 
  private:
-  /// Compact access site: everything AccessSite carries, as ids. Only
-  /// materialized into an AccessSite (strings) when a race is reported.
-  /// The lockset is null in the common lock-free case (no allocation,
-  /// 16 bytes inline) and shared on copy otherwise — two sites of one
-  /// critical section share one lockset block.
-  struct CompactSite {
-    ThreadId thread = 0;
-    AccessKind kind = AccessKind::Read;
-    NameId where = 0;
-    std::uint64_t event = 0;
-    std::shared_ptr<const std::vector<NameId>> locks;  ///< null when none held
-  };
-
   /// Inflated read state: per-thread read clocks plus the matching
   /// sites, kept sorted by thread id (reports iterate in tid order,
   /// matching the reference detector's std::map walk).
@@ -272,26 +366,39 @@ class Detector final : public EventSink {
     std::vector<NameId> held;  ///< lock ids, acquisition order
   };
 
+  /// Dedup identity of a race: variable id plus the unordered pair of
+  /// (thread, site id) endpoints. Exact, because ids map one-to-one
+  /// onto names.
+  struct RaceKey {
+    NameId variable;
+    std::uint64_t lo, hi;
+    bool operator==(const RaceKey&) const = default;
+  };
+  struct RaceKeyHash {
+    std::size_t operator()(const RaceKey& k) const;
+  };
+  friend class RaceList;  // merge_shards dedups on the same key
+  [[nodiscard]] static RaceKey race_key(const RaceRecord& race);
+
   ThreadState& state(ThreadId t);
-  void check_lock_id(NameId lock_id) const;
-  void check_channel_id(NameId channel_id) const;
+  /// Size a per-id table to cover `id`, which must be interned in
+  /// names_ (it may have been by a context sharing them).
+  template <typename Table>
+  void cover(Table& table, NameKind kind, NameId id);
   void check_and_record(ThreadId t, NameId var, AccessKind kind, NameId site_label);
   void report(NameId var, const CompactSite& first, const CompactSite& second,
-              const char* why);
+              Conflict conflict);
   [[nodiscard]] CompactSite make_site(ThreadId t, AccessKind kind, NameId where) const;
-  [[nodiscard]] AccessSite materialize(const CompactSite& site) const;
 
   mutable std::mutex mutex_;
   std::vector<ThreadState> threads_;
   std::vector<VectorClock> locks_;     // by lock id
   std::vector<VectorClock> channels_;  // by channel id
   std::vector<VarState> vars_;         // by variable id
-  Interner var_names_;
-  Interner lock_names_;
-  Interner channel_names_;
-  Interner site_names_;
-  std::vector<RaceReport> races_;
-  std::set<std::string> reported_;  // race_pair_key dedup
+  std::shared_ptr<NameTables> names_;
+  std::vector<RaceRecord> records_;   // distinct races, detection order
+  std::unordered_set<RaceKey, RaceKeyHash> reported_;
+  mutable std::vector<RaceReport> built_;  // races(): records_ built so far
   std::uint64_t race_count_ = 0;
   std::uint64_t events_ = 0;
 };

@@ -503,7 +503,7 @@ class Engine {
   std::uint64_t merged_ = 0;
   Batch batch_;
   std::map<std::uint64_t, ScheduleResult> reorder_;
-  std::set<std::string> seen_;
+  std::set<RacePairKey> seen_;
 
   common::BoundedQueue<Batch> work_;
   common::BoundedQueue<BatchResult> results_;

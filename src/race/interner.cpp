@@ -33,4 +33,26 @@ std::size_t Interner::bytes() const {
   return total;
 }
 
+NameId NameTables::intern(NameKind kind, std::string_view name) {
+  std::scoped_lock lock(mutex_);
+  return tables_[static_cast<std::size_t>(kind)].id(name);
+}
+
+const std::string& NameTables::name(NameKind kind, NameId id) const {
+  std::scoped_lock lock(mutex_);
+  return tables_[static_cast<std::size_t>(kind)].name(id);
+}
+
+std::size_t NameTables::size(NameKind kind) const {
+  std::scoped_lock lock(mutex_);
+  return tables_[static_cast<std::size_t>(kind)].size();
+}
+
+std::size_t NameTables::bytes() const {
+  std::scoped_lock lock(mutex_);
+  std::size_t total = 0;
+  for (const Interner& table : tables_) total += table.bytes();
+  return total;
+}
+
 }  // namespace cs31::race

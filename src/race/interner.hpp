@@ -10,9 +10,11 @@
 // ids — and therefore byte-identical reports — run after run.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -45,6 +47,32 @@ class Interner {
   // builds no temporary std::string either.
   std::unordered_map<std::string_view, NameId> ids_;
   std::deque<std::string> names_;
+};
+
+/// The four name spaces a detector interns.
+enum class NameKind : std::uint8_t { Var, Lock, Channel, Site };
+
+/// One Interner per NameKind behind one mutex, so that a capture
+/// context, the detector it feeds, and the race lists that detector
+/// hands out can share a single copy of every name instead of each
+/// interning its own. Safe from any thread.
+class NameTables {
+ public:
+  NameId intern(NameKind kind, std::string_view name);
+
+  /// The name behind an id. The reference stays valid for the tables'
+  /// lifetime: names never move once interned. Throws cs31::Error on an
+  /// unknown id.
+  [[nodiscard]] const std::string& name(NameKind kind, NameId id) const;
+
+  [[nodiscard]] std::size_t size(NameKind kind) const;
+
+  /// Interner::bytes summed over the four tables.
+  [[nodiscard]] std::size_t bytes() const;
+
+ private:
+  mutable std::mutex mutex_;
+  std::array<Interner, 4> tables_;
 };
 
 }  // namespace cs31::race

@@ -104,7 +104,7 @@ class LocksetDetector final : public EventSink {
   Interner lock_names_;
   Interner site_names_;
   std::vector<RaceReport> races_;
-  std::set<std::string> reported_;  // race_pair_key dedup
+  std::set<RacePairKey> reported_;  // race_pair_key dedup
   std::uint64_t race_count_ = 0;
   std::uint64_t events_ = 0;
 };

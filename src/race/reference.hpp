@@ -89,7 +89,7 @@ class ReferenceDetector final : public EventSink {
   std::map<std::string, VectorClock> channels_;
   std::map<std::string, VarState> vars_;
   std::vector<RaceReport> races_;
-  std::set<std::string> reported_;  // race_pair_key dedup
+  std::set<RacePairKey> reported_;  // race_pair_key dedup
   std::uint64_t race_count_ = 0;
   std::uint64_t events_ = 0;
 };

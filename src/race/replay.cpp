@@ -144,7 +144,7 @@ ReplayStats summarize(const std::vector<ReplayResult>& results) {
 
 std::vector<RaceReport> distinct_races(const std::vector<ReplayResult>& results) {
   std::vector<RaceReport> out;
-  std::set<std::string> seen;
+  std::set<RacePairKey> seen;
   for (const ReplayResult& result : results) {
     for (const RaceReport& r : result.races) {
       if (seen.insert(race_pair_key(r.variable, r.first, r.second)).second) {

@@ -41,11 +41,10 @@ std::uint32_t sample_threshold_for(double rate) {
   return static_cast<std::uint32_t>(rate * 4294967296.0);
 }
 
-/// Per-thread sampling seed: any fixed nonzero function of the context
-/// tid keeps the decision stream deterministic per thread.
-std::uint32_t sample_seed(ThreadId t) {
-  const std::uint32_t seed = (static_cast<std::uint32_t>(t) + 1u) * 2654435761u;
-  return seed == 0 ? 1u : seed;
+/// Per-thread sampling stream: any fixed function of the context tid
+/// keeps the decision stream deterministic per thread.
+common::Xorshift32 sample_rng(ThreadId t) {
+  return common::Xorshift32((static_cast<std::uint32_t>(t) + 1u) * 2654435761u);
 }
 
 }  // namespace
@@ -83,18 +82,19 @@ TraceContext::TraceContext(Options options)
     : generation_(next_generation()),
       sample_threshold_(sample_threshold_for(options.sample_access_events)),
       sampling_(options.sample_access_events < 1.0),
-      lockfree_(options.capture == CaptureMode::lockfree) {
+      lockfree_(options.capture == CaptureMode::lockfree),
+      names_(std::make_shared<race::NameTables>()) {
   if (options.own_detector) {
-    owned_detector_ = std::make_unique<race::Detector>();
+    owned_detector_ = std::make_unique<race::Detector>(names_);
     detector_ = owned_detector_.get();
     attach_sink(*detector_);
   }
   // Site id 0 is the empty label, so `site = 0` means "no label" on
   // every path without a special case.
-  (void)site_names_.id("");
+  (void)names_->intern(race::NameKind::Site, "");
   // The constructing thread is context thread 0.
   auto main = std::make_unique<ThreadBuffer>();
-  main->rng = sample_seed(0);
+  main->rng = sample_rng(0);
   {
     std::scoped_lock lock(registry_mutex_);
     bindings_[std::this_thread::get_id()] = 0;
@@ -115,6 +115,7 @@ void TraceContext::attach_sink(race::EventSink& sink) {
   SinkBinding binding;
   binding.sink = &sink;
   binding.fast = dynamic_cast<race::Detector*>(&sink);
+  binding.same_ids = binding.fast != nullptr && binding.fast->names() == names_;
   binding.tid_map.push_back(0);  // context thread 0 is sink thread 0
   sinks_.push_back(std::move(binding));
 }
@@ -141,27 +142,25 @@ const race::Detector& TraceContext::detector() const {
 }
 
 NameId TraceContext::intern_var(std::string_view name) {
-  std::scoped_lock lock(intern_mutex_);
-  return var_names_.id(name);
+  return names_->intern(race::NameKind::Var, name);
 }
 
 NameId TraceContext::intern_lock(std::string_view name) {
-  std::scoped_lock lock(intern_mutex_);
-  const NameId id = lock_names_.id(name);
-  lock_seqs_.ensure(lock_names_.size());
+  const NameId id = names_->intern(race::NameKind::Lock, name);
+  std::scoped_lock lock(seq_mutex_);
+  lock_seqs_.ensure(std::size_t{id} + 1);
   return id;
 }
 
 NameId TraceContext::intern_channel(std::string_view name) {
-  std::scoped_lock lock(intern_mutex_);
-  const NameId id = channel_names_.id(name);
-  channel_seqs_.ensure(channel_names_.size());
+  const NameId id = names_->intern(race::NameKind::Channel, name);
+  std::scoped_lock lock(seq_mutex_);
+  channel_seqs_.ensure(std::size_t{id} + 1);
   return id;
 }
 
 NameId TraceContext::intern_site(std::string_view label) {
-  std::scoped_lock lock(intern_mutex_);
-  return site_names_.id(label);
+  return names_->intern(race::NameKind::Site, label);
 }
 
 ThreadId TraceContext::self() const {
@@ -224,7 +223,7 @@ ThreadId TraceContext::fork_locked(ThreadId parent) {
     auto buf = std::make_unique<ThreadBuffer>();
     buf->epoch = stamp;  // the child's first epoch is the fork's
     buf->floor = stamp;  // and it cannot capture anything older
-    buf->rng = sample_seed(child);
+    buf->rng = sample_rng(child);
     buf->qepoch.store(reclaim_epoch_.load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
     buffers_.push_back(std::move(buf));
@@ -362,12 +361,7 @@ void TraceContext::write(NameId var, NameId site) {
 }
 
 bool TraceContext::sample_keep(ThreadBuffer& buf) {
-  std::uint32_t x = buf.rng;
-  x ^= x << 13;
-  x ^= x >> 17;
-  x ^= x << 5;
-  buf.rng = x;
-  if (x < sample_threshold_) return true;
+  if (buf.rng.next() < sample_threshold_) return true;
   ++buf.sampled_out;
   return false;
 }
@@ -626,26 +620,20 @@ void TraceContext::check_object_seqs(const std::vector<Event>& events, std::size
 void TraceContext::publish_locked(std::vector<Event>&& events) {
   EventBatch batch;
   batch.events = std::move(events);
-  {
-    // Snapshot the name tails interned since the last publish: every id
-    // an event carries was interned before the event was captured, so
-    // the batch is self-contained — pipeline threads never call back
-    // into the context.
-    std::scoped_lock lock(intern_mutex_);
-    for (; published_vars_ < var_names_.size(); ++published_vars_) {
-      batch.new_vars.push_back(var_names_.name(static_cast<NameId>(published_vars_)));
+  // Snapshot the name tails interned since the last publish: every id
+  // an event carries was interned before the event was captured, so the
+  // batch is self-contained — pipeline threads never call back into the
+  // context.
+  const auto tail = [this](race::NameKind kind, std::size_t& published,
+                           std::vector<std::string>& out) {
+    for (const std::size_t end = names_->size(kind); published < end; ++published) {
+      out.push_back(names_->name(kind, static_cast<NameId>(published)));
     }
-    for (; published_locks_ < lock_names_.size(); ++published_locks_) {
-      batch.new_locks.push_back(lock_names_.name(static_cast<NameId>(published_locks_)));
-    }
-    for (; published_channels_ < channel_names_.size(); ++published_channels_) {
-      batch.new_channels.push_back(
-          channel_names_.name(static_cast<NameId>(published_channels_)));
-    }
-    for (; published_sites_ < site_names_.size(); ++published_sites_) {
-      batch.new_sites.push_back(site_names_.name(static_cast<NameId>(published_sites_)));
-    }
-  }
+  };
+  tail(race::NameKind::Var, published_vars_, batch.new_vars);
+  tail(race::NameKind::Lock, published_locks_, batch.new_locks);
+  tail(race::NameKind::Channel, published_channels_, batch.new_channels);
+  tail(race::NameKind::Site, published_sites_, batch.new_sites);
   for (; published_waiters_ < waiter_sets_.size(); ++published_waiters_) {
     batch.new_waiter_sets.push_back(waiter_sets_[published_waiters_]);
   }
@@ -660,48 +648,46 @@ void TraceContext::dispatch(const Event& event) {
   for (SinkBinding& binding : sinks_) dispatch_to(binding, event);
 }
 
-namespace {
-
-/// Sink-side id for a context id, translating through `map` and
-/// interning into the sink on first sight.
-template <typename Intern>
-NameId translate(std::vector<NameId>& map, NameId id, Intern&& intern) {
-  constexpr NameId kUnset = static_cast<NameId>(-1);
-  if (id >= map.size()) map.resize(id + 1, kUnset);
-  if (map[id] == kUnset) map[id] = intern();
-  return map[id];
-}
-
-}  // namespace
-
 void TraceContext::dispatch_to(SinkBinding& binding, const Event& event) {
   race::EventSink& sink = *binding.sink;
   race::Detector* fast = binding.fast;
   const ThreadId t = binding.tid_map[event.thread];
 
-  const auto name_of = [this](const race::Interner& names, NameId id) {
-    std::scoped_lock lock(intern_mutex_);
-    return names.name(id);  // returns a reference; copy before unlock
+  // The sink-side id of a context id: itself when the detector shares
+  // the context's names, else interned into the sink on first sight.
+  const auto fast_id = [&](std::vector<NameId>& map, race::NameKind kind, NameId id) {
+    if (binding.same_ids) return id;
+    constexpr NameId kUnset = static_cast<NameId>(-1);
+    if (id >= map.size()) map.resize(id + 1, kUnset);
+    if (map[id] == kUnset) {
+      const std::string& name = names_->name(kind, id);
+      switch (kind) {
+        case race::NameKind::Var: map[id] = fast->intern_var(name); break;
+        case race::NameKind::Lock: map[id] = fast->intern_lock(name); break;
+        case race::NameKind::Channel: map[id] = fast->intern_channel(name); break;
+        case race::NameKind::Site: map[id] = fast->intern_site(name); break;
+      }
+    }
+    return map[id];
+  };
+  const auto name_of = [this](race::NameKind kind, NameId id) -> const std::string& {
+    return names_->name(kind, id);
   };
 
   switch (event.kind) {
     case EventKind::Read:
     case EventKind::Write: {
       if (fast != nullptr) {
-        const NameId var = translate(binding.var_map, event.id, [&] {
-          return fast->intern_var(name_of(var_names_, event.id));
-        });
-        const NameId site = translate(binding.site_map, event.site, [&] {
-          return fast->intern_site(name_of(site_names_, event.site));
-        });
+        const NameId var = fast_id(binding.var_map, race::NameKind::Var, event.id);
+        const NameId site = fast_id(binding.site_map, race::NameKind::Site, event.site);
         if (event.kind == EventKind::Read) {
           fast->read(t, var, site);
         } else {
           fast->write(t, var, site);
         }
       } else {
-        const std::string var = name_of(var_names_, event.id);
-        const std::string site = name_of(site_names_, event.site);
+        const std::string& var = name_of(race::NameKind::Var, event.id);
+        const std::string& site = name_of(race::NameKind::Site, event.site);
         if (event.kind == EventKind::Read) {
           sink.read(t, var, site);
         } else {
@@ -713,16 +699,14 @@ void TraceContext::dispatch_to(SinkBinding& binding, const Event& event) {
     case EventKind::Acquire:
     case EventKind::Release: {
       if (fast != nullptr) {
-        const NameId lock = translate(binding.lock_map, event.id, [&] {
-          return fast->intern_lock(name_of(lock_names_, event.id));
-        });
+        const NameId lock = fast_id(binding.lock_map, race::NameKind::Lock, event.id);
         if (event.kind == EventKind::Acquire) {
           fast->acquire(t, lock);
         } else {
           fast->release(t, lock);
         }
       } else {
-        const std::string lock = name_of(lock_names_, event.id);
+        const std::string& lock = name_of(race::NameKind::Lock, event.id);
         if (event.kind == EventKind::Acquire) {
           sink.acquire(t, lock);
         } else {
@@ -734,16 +718,15 @@ void TraceContext::dispatch_to(SinkBinding& binding, const Event& event) {
     case EventKind::ChannelSend:
     case EventKind::ChannelRecv: {
       if (fast != nullptr) {
-        const NameId channel = translate(binding.channel_map, event.id, [&] {
-          return fast->intern_channel(name_of(channel_names_, event.id));
-        });
+        const NameId channel =
+            fast_id(binding.channel_map, race::NameKind::Channel, event.id);
         if (event.kind == EventKind::ChannelSend) {
           fast->channel_send(t, channel);
         } else {
           fast->channel_recv(t, channel);
         }
       } else {
-        const std::string channel = name_of(channel_names_, event.id);
+        const std::string& channel = name_of(race::NameKind::Channel, event.id);
         if (event.kind == EventKind::ChannelSend) {
           sink.channel_send(t, channel);
         } else {

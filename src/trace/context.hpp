@@ -104,6 +104,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "race/detector.hpp"
 #include "trace/event.hpp"
 
@@ -199,8 +200,9 @@ class TraceContext {
   [[nodiscard]] bool has_pipeline() const { return pipeline_ != nullptr; }
 
   // --- interning -------------------------------------------------------
-  // Ids are context-owned; the drain translates them per sink. Safe
-  // from any thread, any time. Interning a lock or channel also grows
+  // Ids are context-owned; the drain translates them per sink (the
+  // built-in detector shares the context's tables, so its ids need no
+  // translation). Safe from any thread, any time. Interning a lock or channel also grows
   // its per-object sequence counter (the lock-free capture path reads
   // the counter table without locks; growth happens only here).
   [[nodiscard]] NameId intern_var(std::string_view name);
@@ -302,7 +304,7 @@ class TraceContext {
     std::vector<Event> events;
     std::uint64_t seq = 0;         ///< next per-thread sequence number
     std::uint64_t epoch = 0;       ///< last observed sync stamp
-    std::uint32_t rng = 1;         ///< sampling decision stream (per-thread, seeded by tid)
+    common::Xorshift32 rng{1};     ///< sampling decision stream (per-thread, seeded by tid)
     std::uint64_t sampled_out = 0; ///< access events dropped by sampling
     /// Smallest stamp this thread could still capture or hold
     /// undrained (guarded by stream_mutex_): its epoch as of its last
@@ -323,7 +325,7 @@ class TraceContext {
   /// Lock-free lookup table of per-object sync sequence counters, one
   /// per interned lock/channel id. Readers (the capture hot path) do
   /// two dependent loads and no locks; growth happens only under
-  /// intern_mutex_, at intern time, by publishing whole chunks — a
+  /// seq_mutex_, at intern time, by publishing whole chunks — a
   /// published chunk never moves, so a reader can never see a counter
   /// relocate mid-fetch_add.
   class SyncSeqTable {
@@ -336,7 +338,7 @@ class TraceContext {
     SyncSeqTable& operator=(const SyncSeqTable&) = delete;
     ~SyncSeqTable();
 
-    /// Make ids [0, count) addressable. Caller holds intern_mutex_.
+    /// Make ids [0, count) addressable. Caller holds seq_mutex_.
     void ensure(std::size_t count);
     /// The counter for `id`. Throws cs31::Error when `id` was never
     /// interned through this context.
@@ -351,10 +353,13 @@ class TraceContext {
 
   /// Per-sink dispatch state: id translations are built lazily from the
   /// context's interners, `fast` short-circuits to the detector's
-  /// interned-id path when the sink is a race::Detector.
+  /// interned-id path when the sink is a race::Detector, and
+  /// `same_ids` skips the translation when that detector interns into
+  /// the context's own name tables (the built-in detector does).
   struct SinkBinding {
     race::EventSink* sink = nullptr;
     race::Detector* fast = nullptr;
+    bool same_ids = false;
     std::vector<ThreadId> tid_map;  ///< context tid -> sink tid
     std::vector<NameId> var_map, lock_map, channel_map, site_map;
   };
@@ -451,7 +456,7 @@ class TraceContext {
   std::vector<std::uint64_t> next_lock_seq_, next_channel_seq_;
   std::vector<char> covered_scratch_;
   /// Table prefixes already shipped to the pipeline (guarded by
-  /// stream_mutex_; the interners themselves by intern_mutex_).
+  /// stream_mutex_; the name tables lock themselves).
   std::size_t published_vars_ = 0, published_locks_ = 0, published_channels_ = 0,
               published_sites_ = 0, published_waiters_ = 0;
 
@@ -462,8 +467,11 @@ class TraceContext {
   std::map<ThreadId, BufferStats> retired_stats_;  ///< final snapshots
   std::uint64_t buffers_reclaimed_ = 0;
 
-  mutable std::mutex intern_mutex_;
-  race::Interner var_names_, lock_names_, channel_names_, site_names_;
+  /// Every name the context interned, shared with the built-in detector
+  /// and the race lists it hands out (each name is interned once).
+  const std::shared_ptr<race::NameTables> names_;
+  /// Serializes growth of the per-object sync counter tables.
+  std::mutex seq_mutex_;
 };
 
 }  // namespace cs31::trace

@@ -13,13 +13,14 @@ namespace cs31::trace {
 // the topology: one batch queue into the router, one chunk queue per
 // shard.
 
-AnalysisPipeline::AnalysisPipeline(Options options) : options_(options) {
+AnalysisPipeline::AnalysisPipeline(Options options)
+    : options_(options), names_(std::make_shared<race::NameTables>()) {
   require(options_.shards >= 1, "analysis pipeline needs at least one shard");
   require(options_.queue_capacity >= 1, "analysis pipeline queue capacity must be >= 1");
   batches_.capacity = options_.queue_capacity;
   shards_.reserve(options_.shards);
   for (std::size_t s = 0; s < options_.shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>(options_.queue_capacity));
+    shards_.push_back(std::make_unique<Shard>(options_.queue_capacity, names_));
     shards_.back()->stats.shard = s;
   }
   for (auto& shard : shards_) {
@@ -52,18 +53,25 @@ void AnalysisPipeline::router_main() {
   EventBatch batch;
   std::vector<ShardChunk> staging(shards_.size());
   while (batches_.pop(batch)) {
-    // Table deltas go to every shard (each keeps private copies) and to
-    // the router's own metrics tables.
+    // Names go into the shared tables before any event that uses them
+    // reaches a shard; waiter sets to every shard (each keeps a private
+    // copy) and to the router's own metrics tables.
+    const auto intern_all = [this](race::NameKind kind,
+                                   const std::vector<std::string>& delta) {
+      for (const std::string& name : delta) {
+        const std::size_t expected = names_->size(kind);
+        require(names_->intern(kind, name) == expected,
+                "analysis pipeline: batch name delta out of id order");
+      }
+    };
+    intern_all(race::NameKind::Var, batch.new_vars);
+    intern_all(race::NameKind::Lock, batch.new_locks);
+    intern_all(race::NameKind::Channel, batch.new_channels);
+    intern_all(race::NameKind::Site, batch.new_sites);
     lock_names_.insert(lock_names_.end(), batch.new_locks.begin(), batch.new_locks.end());
     waiter_sets_.insert(waiter_sets_.end(), batch.new_waiter_sets.begin(),
                         batch.new_waiter_sets.end());
-    for (ShardChunk& chunk : staging) {
-      chunk.new_vars = batch.new_vars;
-      chunk.new_locks = batch.new_locks;
-      chunk.new_channels = batch.new_channels;
-      chunk.new_sites = batch.new_sites;
-      chunk.new_waiter_sets = batch.new_waiter_sets;
-    }
+    for (ShardChunk& chunk : staging) chunk.new_waiter_sets = batch.new_waiter_sets;
     for (const Event& event : batch.events) {
       const std::uint64_t index = ++next_index_;
       if (!is_sync(event.kind)) {
@@ -106,10 +114,7 @@ void AnalysisPipeline::router_main() {
     }
     for (std::size_t s = 0; s < staging.size(); ++s) {
       ShardChunk& chunk = staging[s];
-      const bool has_deltas = !chunk.new_vars.empty() || !chunk.new_locks.empty() ||
-                              !chunk.new_channels.empty() || !chunk.new_sites.empty() ||
-                              !chunk.new_waiter_sets.empty();
-      if (chunk.events.empty() && !has_deltas) continue;
+      if (chunk.events.empty() && chunk.new_waiter_sets.empty()) continue;
       shards_[s]->queue.push(std::move(chunk));
       staging[s] = ShardChunk{};
     }
@@ -118,30 +123,10 @@ void AnalysisPipeline::router_main() {
   }
 }
 
-namespace {
-
-/// Sink-side id for a context id, translating through `map` and
-/// interning into the shard's detector on first sight (the same scheme
-/// the inline SinkBinding uses).
-template <typename Intern>
-NameId translate(std::vector<NameId>& map, NameId id, Intern&& intern) {
-  constexpr NameId kUnset = static_cast<NameId>(-1);
-  if (id >= map.size()) map.resize(id + 1, kUnset);
-  if (map[id] == kUnset) map[id] = intern();
-  return map[id];
-}
-
-}  // namespace
-
 void AnalysisPipeline::shard_main(Shard& shard) {
   ShardChunk chunk;
   while (shard.queue.pop(chunk)) {
     const auto begin = std::chrono::steady_clock::now();
-    shard.vars.insert(shard.vars.end(), chunk.new_vars.begin(), chunk.new_vars.end());
-    shard.locks.insert(shard.locks.end(), chunk.new_locks.begin(), chunk.new_locks.end());
-    shard.channels.insert(shard.channels.end(), chunk.new_channels.begin(),
-                          chunk.new_channels.end());
-    shard.sites.insert(shard.sites.end(), chunk.new_sites.begin(), chunk.new_sites.end());
     shard.waiter_sets.insert(shard.waiter_sets.end(), chunk.new_waiter_sets.begin(),
                              chunk.new_waiter_sets.end());
     for (const StampedEvent& stamped : chunk.events) apply(shard, stamped);
@@ -164,16 +149,11 @@ void AnalysisPipeline::apply(Shard& shard, const StampedEvent& stamped) {
   switch (event.kind) {
     case EventKind::Read:
     case EventKind::Write: {
-      const NameId var = translate(shard.var_map, event.id,
-                                   [&] { return detector.intern_var(shard.vars[event.id]); });
-      const NameId site = translate(shard.site_map, event.site, [&] {
-        return detector.intern_site(shard.sites[event.site]);
-      });
       if (event.kind == EventKind::Read) {
-        detector.read(t, var, site);
+        detector.read(t, event.id, event.site);
         ++shard.metrics.of(event.thread).reads;
       } else {
-        detector.write(t, var, site);
+        detector.write(t, event.id, event.site);
         ++shard.metrics.of(event.thread).writes;
       }
       ++shard.metrics.events;
@@ -181,29 +161,21 @@ void AnalysisPipeline::apply(Shard& shard, const StampedEvent& stamped) {
       return;
     }
     case EventKind::Acquire:
-    case EventKind::Release: {
-      const NameId lock = translate(shard.lock_map, event.id, [&] {
-        return detector.intern_lock(shard.locks[event.id]);
-      });
+    case EventKind::Release:
       if (event.kind == EventKind::Acquire) {
-        detector.acquire(t, lock);
+        detector.acquire(t, event.id);
       } else {
-        detector.release(t, lock);
+        detector.release(t, event.id);
       }
       break;
-    }
     case EventKind::ChannelSend:
-    case EventKind::ChannelRecv: {
-      const NameId channel = translate(shard.channel_map, event.id, [&] {
-        return detector.intern_channel(shard.channels[event.id]);
-      });
+    case EventKind::ChannelRecv:
       if (event.kind == EventKind::ChannelSend) {
-        detector.channel_send(t, channel);
+        detector.channel_send(t, event.id);
       } else {
-        detector.channel_recv(t, channel);
+        detector.channel_recv(t, event.id);
       }
       break;
-    }
     case EventKind::Fork: {
       const ThreadId child = detector.fork(t);
       if (event.id >= shard.tid_map.size()) shard.tid_map.resize(event.id + 1, 0);
@@ -252,11 +224,11 @@ void AnalysisPipeline::merge_metrics_locked() {
   }
 }
 
-std::vector<race::RaceReport> AnalysisPipeline::races() const {
-  std::vector<std::vector<race::RaceReport>> per_shard;
+race::RaceList AnalysisPipeline::races() const {
+  std::vector<race::RaceList> per_shard;
   per_shard.reserve(shards_.size());
-  for (const auto& shard : shards_) per_shard.push_back(shard->detector.races());
-  return race::merge_shard_reports(std::move(per_shard));
+  for (const auto& shard : shards_) per_shard.push_back(shard->detector.race_list());
+  return race::RaceList::merge_shards(per_shard);
 }
 
 bool AnalysisPipeline::race_free() const {
@@ -275,8 +247,7 @@ std::uint64_t AnalysisPipeline::race_count() const {
 std::uint64_t AnalysisPipeline::events() const { return next_index_; }
 
 std::string AnalysisPipeline::summary() const {
-  return race::summarize_races(races(), race_count(), events(),
-                               shards_.front()->detector.threads());
+  return race::summarize_races(races(), race_count(), events(), threads());
 }
 
 std::vector<ShardStats> AnalysisPipeline::shard_stats() const {

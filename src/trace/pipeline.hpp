@@ -13,13 +13,16 @@
 //            shard and ROUTES access events by interned variable id
 //            (var % shards) to exactly one shard.
 //   shard  — N workers, each owning a private race::Detector — a
-//            disjoint slice of FastTrack shadow state. Per-variable
+//            disjoint slice of FastTrack shadow state. The detectors
+//            intern into one name table the router fills from the
+//            batches, so shard ids equal the context's ids. Per-variable
 //            VarState makes the split exact; thread/lock/channel
 //            vector clocks evolve only on the broadcast sync stream, so
 //            every shard holds the same happens-before state an inline
-//            detector would, and the shards never share a mutable byte.
-//   merge  — per-shard reports carry the router's global event numbers
-//            (Detector::set_event_clock), so race::merge_shard_reports
+//            detector would. The shards share no mutable state but the
+//            locked, append-only name table.
+//   merge  — per-shard races carry the router's global event numbers
+//            (Detector::set_event_clock), so race::RaceList::merge_shards
 //            reconstructs inline detection order exactly: reports,
 //            race_count, events, and summary() are byte-identical to
 //            inline mode for ANY shard count and ANY queue capacity.
@@ -113,12 +116,15 @@ class AnalysisPipeline {
 
   // --- results (valid while idle) --------------------------------------
 
-  /// Merged reports in inline detection order (see file comment).
-  [[nodiscard]] std::vector<race::RaceReport> races() const;
+  /// Merged races in inline detection order (see file comment); each
+  /// report is built when the list is indexed.
+  [[nodiscard]] race::RaceList races() const;
   [[nodiscard]] bool race_free() const;
   [[nodiscard]] std::uint64_t race_count() const;
   /// Total events routed — equals the inline detector's events().
   [[nodiscard]] std::uint64_t events() const;
+  /// Detector threads (every shard registers the same ones).
+  [[nodiscard]] std::size_t threads() const { return shards_.front()->detector.threads(); }
   /// Byte-identical to the inline Detector::summary() for the same run.
   [[nodiscard]] std::string summary() const;
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
@@ -134,23 +140,22 @@ class AnalysisPipeline {
   };
 
   /// What the router hands a shard: its slice of one batch, plus the
-  /// table deltas (each shard keeps private copies — duplication buys
-  /// zero sharing between analysis threads).
+  /// waiter-set delta (each shard keeps a private copy — duplication
+  /// buys zero sharing between analysis threads).
   struct ShardChunk {
     std::vector<StampedEvent> events;
-    std::vector<std::string> new_vars, new_locks, new_channels, new_sites;
     std::vector<std::vector<ThreadId>> new_waiter_sets;
   };
 
   struct Shard {
-    explicit Shard(std::size_t cap) { queue.capacity = cap; }
+    Shard(std::size_t cap, std::shared_ptr<race::NameTables> names)
+        : detector(std::move(names)) {
+      queue.capacity = cap;
+    }
     common::BoundedQueue<ShardChunk> queue;
     std::thread worker;
     race::Detector detector;
-    // Context-id translation state, mirroring the inline SinkBinding.
     std::vector<ThreadId> tid_map{0};  ///< context tid -> detector tid
-    std::vector<NameId> var_map, lock_map, channel_map, site_map;
-    std::vector<std::string> vars, locks, channels, sites;  ///< by context id
     std::vector<std::vector<ThreadId>> waiter_sets;
     MetricsDelta metrics;
     ShardStats stats;
@@ -162,6 +167,9 @@ class AnalysisPipeline {
   void merge_metrics_locked();
 
   const Options options_;
+  /// The context's names, replayed in id order from the batch deltas
+  /// (router-written, shard-read; the tables lock themselves).
+  const std::shared_ptr<race::NameTables> names_;
   common::BoundedQueue<EventBatch> batches_;
   std::thread router_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -34,8 +34,8 @@ using race::RaceReport;
 using race::ReplayOptions;
 using race::ScriptGenConfig;
 
-std::set<std::string> race_keys(const std::vector<RaceReport>& races) {
-  std::set<std::string> keys;
+std::set<race::RacePairKey> race_keys(const std::vector<RaceReport>& races) {
+  std::set<race::RacePairKey> keys;
   for (const RaceReport& r : races) {
     keys.insert(race_pair_key(r.variable, r.first, r.second));
   }

@@ -7,7 +7,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include "grader/service.hpp"
 #include "grader/submission.hpp"
 #include "grader/toolchain.hpp"
+#include "life/traced.hpp"
 
 namespace cs31::grader {
 namespace {
@@ -516,6 +520,92 @@ TEST(Reentrancy, ConcurrentFullToolchainVerdictsMatchSerial) {
   }
 }
 
+// --- life_trace race reports -------------------------------------------
+
+/// FNV-1a over a sequence of fields, each closed by a 0xff separator
+/// byte (which no body or id contains).
+struct FieldDigest {
+  std::uint64_t h = 14695981039346656037ull;
+  void add(std::string_view field) {
+    for (const char c : field) mix(static_cast<std::uint8_t>(c));
+    mix(0xff);
+  }
+  void mix(std::uint8_t byte) {
+    h ^= byte;
+    h *= 1099511628211ull;
+  }
+};
+
+// A barrier-less 4-band glider: 144 distinct races over 432 racy
+// accesses. Reports are built only when read; the goldens pin the bytes
+// every reader sees.
+constexpr const char* kGliderGrid = "8 8\n5\n0 1\n1 2\n2 0\n2 1\n2 2\n";
+
+std::string race_golden(int i) {
+  const int col = i;
+  const int first_event = 173 + i;
+  const int second_event = 197 + 2 * i;
+  return "DATA RACE on `cur[0," + std::to_string(col) +
+         "]`\n"
+         "  first:  thread 4 read at \"step_region band 3\" (event " +
+         std::to_string(first_event) +
+         ", holding {})\n"
+         "  second: thread 1 write at \"swap grids (serial thread)\" (event " +
+         std::to_string(second_event) +
+         ", holding {})\n"
+         "  why:    read-write conflict: no fork/join, lock, barrier, or channel edge "
+         "orders thread 4's read before thread 1's write; the two sides hold no lock in "
+         "common";
+}
+
+TEST(LifeTraceReports, BarrierlessReportsMatchGoldens) {
+  const life::TracedLifeResult result =
+      life::traced_life_check(life::Grid::parse(kGliderGrid), 4, 2, /*use_barrier=*/false);
+  ASSERT_EQ(result.races.size(), 144u);
+  EXPECT_EQ(result.race_count, 432u);
+  EXPECT_EQ(result.events, 648u);
+  EXPECT_EQ(result.races.materialized(), 0u) << "nothing is built before it is read";
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(result.races[i].to_string(), race_golden(i));
+  EXPECT_EQ(result.races.materialized(), 4u);
+
+  const std::string report = result.report();
+  FieldDigest digest;
+  digest.add(report);
+  EXPECT_EQ(report.size(), 48877u);
+  EXPECT_EQ(digest.h, 0x9b6c534113071d94ull);
+  EXPECT_EQ(report.substr(0, report.find('\n')),
+            "144 distinct race(s), 432 racy access(es), over 648 events:");
+}
+
+TEST(LifeTraceReports, IndexOrderDoesNotChangeTheBytes) {
+  const life::Grid grid = life::Grid::parse(kGliderGrid);
+  const life::TracedLifeResult in_order = life::traced_life_check(grid, 4, 2, false);
+  const life::TracedLifeResult shuffled = life::traced_life_check(grid, 4, 2, false);
+  const std::vector<std::size_t> order = {143, 3, 77, 0, 2, 1, 142};
+  for (const std::size_t i : order) (void)shuffled.races[i];
+  for (std::size_t i = 0; i < in_order.races.size(); ++i) {
+    EXPECT_EQ(shuffled.races[i].to_string(), in_order.races[i].to_string()) << i;
+  }
+  EXPECT_EQ(shuffled.report(), in_order.report());
+}
+
+TEST(LifeTraceReports, GraderNotesMatchGoldens) {
+  const std::string header = "threads=4\nrounds=2\nbarrier=0\nrule=torus\n";
+  const Submission s{"glider", SubmissionKind::LifeTrace, header + kGliderGrid};
+  const Verdict v = run_toolchain(s, test_limits());
+  const std::vector<std::string> notes = {
+      "race on cur[0,0]: step_region band 3 vs swap grids (serial thread)",
+      "race on cur[0,1]: step_region band 3 vs swap grids (serial thread)",
+      "race on cur[0,2]: step_region band 3 vs swap grids (serial thread)",
+      "race on cur[0,3]: step_region band 3 vs swap grids (serial thread)",
+  };
+  EXPECT_EQ(v.notes, notes);
+  EXPECT_EQ(v.status, "race_found");
+  EXPECT_EQ(v.races, 144u);
+  EXPECT_EQ(v.events, 648u);
+  EXPECT_EQ(v.result, 5);
+}
+
 // --- load generator ----------------------------------------------------
 
 TEST(LoadGen, ScenariosAreDeterministicInSeed) {
@@ -530,6 +620,29 @@ TEST(LoadGen, ScenariosAreDeterministicInSeed) {
     }
   }
   EXPECT_THROW((void)make_scenario("no-such-scenario", 4, 1), Error);
+}
+
+TEST(LoadGen, StreamIsPinned) {
+  // gradebench's workloads are make_scenario's output, so the stream is
+  // part of every benchmark's definition: id, kind and body of every
+  // submission plus the bursts, over every scenario, three seeds and
+  // three counts. The digest was computed before the generators were
+  // rewritten; a change here changes what every workload measures.
+  FieldDigest digest;
+  for (const std::string& name : scenario_names()) {
+    for (const std::uint32_t seed : {1u, 2u, 48611u}) {
+      for (const std::size_t count : {1u, 24u, 97u}) {
+        const LoadPlan plan = make_scenario(name, count, seed);
+        for (const Submission& s : plan.submissions) {
+          digest.add(s.id);
+          digest.add(to_string(s.kind));
+          digest.add(s.body);
+        }
+        for (const std::size_t burst : plan.bursts) digest.add(std::to_string(burst));
+      }
+    }
+  }
+  EXPECT_EQ(digest.h, 0x72a8d95fed5dbb1bull);
 }
 
 TEST(LoadGen, SteadyBodiesAreDistinct) {

@@ -18,8 +18,8 @@
 namespace cs31::race {
 namespace {
 
-std::set<std::string> key_set(const std::vector<RaceReport>& races) {
-  std::set<std::string> keys;
+std::set<RacePairKey> key_set(const std::vector<RaceReport>& races) {
+  std::set<RacePairKey> keys;
   for (const RaceReport& r : races) {
     keys.insert(race_pair_key(r.variable, r.first, r.second));
   }

@@ -18,6 +18,7 @@
 #include "parallel/threads.hpp"
 #include "race/detector.hpp"
 #include "race/explore.hpp"
+#include "race/reference.hpp"
 #include "race/replay.hpp"
 #include "race/vector_clock.hpp"
 #include "trace/context.hpp"
@@ -273,7 +274,7 @@ TEST(Detector, DistinctSitePairsOfTheSameThreadsAreSeparateReports) {
   d.write(0, "x", "teardown in main");
   d.write(t1, "x", "worker loop");  // race #2: teardown vs worker loop
   ASSERT_EQ(d.races().size(), 2u);
-  std::set<std::string> keys;
+  std::set<RacePairKey> keys;
   for (const RaceReport& r : d.races()) {
     keys.insert(race_pair_key(r.variable, r.first, r.second));
   }
@@ -282,6 +283,40 @@ TEST(Detector, DistinctSitePairsOfTheSameThreadsAreSeparateReports) {
   d.write(0, "x", "teardown in main");
   d.write(t1, "x", "worker loop");
   EXPECT_EQ(d.races().size(), 2u);
+}
+
+TEST(Detector, SeparatorsInSiteLabelsCannotMergeTwoRaces) {
+  // Site labels are free-form text (script operands are arbitrary
+  // tokens), so the dedup key must compare (thread, label) endpoints
+  // field by field. A key that joined them as "var|tid@where|tid@where"
+  // gave {t1 "p|2@q", t3 "r"} and {t1 "p", t2 "q|3@r"} the same string
+  // and swallowed the second race.
+  Detector fast;
+  ReferenceDetector reference;
+  for (EventSink* sink :
+       {static_cast<EventSink*>(&fast), static_cast<EventSink*>(&reference)}) {
+    const ThreadId t1 = sink->fork(0);
+    const ThreadId t2 = sink->fork(0);
+    const ThreadId t3 = sink->fork(0);
+    sink->write(t1, "v", "p|2@q");
+    sink->write(t3, "v", "r");      // race: t1 "p|2@q" vs t3 "r"
+    sink->write(t1, "v", "p");      // race: t3 "r" vs t1 "p"
+    sink->write(t2, "v", "q|3@r");  // race: t1 "p" vs t2 "q|3@r"
+    EXPECT_EQ(sink->race_count(), 3u);
+    ASSERT_EQ(sink->races().size(), 3u) << "three distinct site pairs, three reports";
+    EXPECT_EQ(sink->races()[2].first.where, "p");
+    EXPECT_EQ(sink->races()[2].second.where, "q|3@r");
+  }
+  const auto site = [](ThreadId thread, const std::string& where) {
+    AccessSite s;
+    s.thread = thread;
+    s.where = where;
+    return s;
+  };
+  const AccessSite a = site(1, "p|2@q"), b = site(3, "r");
+  const AccessSite c = site(1, "p"), d = site(2, "q|3@r");
+  EXPECT_NE(race_pair_key("v", a, b), race_pair_key("v", c, d));
+  EXPECT_EQ(race_pair_key("v", a, b), race_pair_key("v", b, a)) << "the pair is unordered";
 }
 
 TEST(Detector, ReleaseOfUnheldLockThrows) {
@@ -450,7 +485,7 @@ TEST(TracedLife, BarrierSynchronizedStepCertifiedRaceFree) {
   // computes the same generations as the serial engine.
   life::Grid initial = life::Grid::random(12, 12, 0.35, 31);
   const auto traced = life::traced_life_check(initial, 3, 4, /*use_barrier=*/true);
-  EXPECT_TRUE(traced.race_free) << traced.report;
+  EXPECT_TRUE(traced.race_free) << traced.report();
   EXPECT_TRUE(traced.races.empty());
   EXPECT_GT(traced.events, 0u);
 
@@ -594,13 +629,13 @@ TEST(TracedLife, BarrierlessRaceSetStableAcrossRounds) {
   ASSERT_FALSE(one_round.race_free);
   ASSERT_FALSE(three_rounds.race_free);
 
-  const auto keys = [](const std::vector<RaceReport>& races) {
-    std::set<std::string> out;
+  const auto keys = [](const RaceList& races) {
+    std::set<RacePairKey> out;
     for (const RaceReport& r : races) out.insert(race_pair_key(r.variable, r.first, r.second));
     return out;
   };
-  const std::set<std::string> once = keys(one_round.races);
-  const std::set<std::string> thrice = keys(three_rounds.races);
+  const std::set<RacePairKey> once = keys(one_round.races);
+  const std::set<RacePairKey> thrice = keys(three_rounds.races);
   EXPECT_EQ(keys(one_round.races).size(), one_round.races.size()) << "already deduped";
   EXPECT_TRUE(std::includes(thrice.begin(), thrice.end(), once.begin(), once.end()))
       << "more rounds can only re-expose the same (variable, site pair) races";

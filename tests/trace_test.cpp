@@ -29,8 +29,9 @@
 namespace cs31::trace {
 namespace {
 
-std::set<std::string> race_keys(const std::vector<race::RaceReport>& races) {
-  std::set<std::string> keys;
+template <typename Races>
+std::set<race::RacePairKey> race_keys(const Races& races) {
+  std::set<race::RacePairKey> keys;
   for (const auto& r : races) keys.insert(race::race_pair_key(r.variable, r.first, r.second));
   return keys;
 }
@@ -178,7 +179,7 @@ TEST(TracedParallelLifeReal, CellGranularityMatchesTheReplayCertificate) {
                         .granularity = life::TraceGranularity::Cell});
   ctx.flush();
   EXPECT_TRUE(ctx.detector().race_free());
-  EXPECT_EQ(ctx.detector().summary(), replay.report);
+  EXPECT_EQ(ctx.detector().summary(), replay.report());
   EXPECT_EQ(parallel_life.grid(), replay.grid);
 }
 
@@ -262,7 +263,7 @@ TEST(AnalysisPipelineTest, RaceReportsByteIdenticalAcrossShardCounts) {
   ASSERT_FALSE(inline_run.race_free);
   for (const std::size_t shards : {1u, 2u, 4u}) {
     const auto piped = piped_life(initial, /*use_barrier=*/false, shards);
-    EXPECT_EQ(piped.report, inline_run.report) << shards << " shards";
+    EXPECT_EQ(piped.report(), inline_run.report()) << shards << " shards";
     EXPECT_EQ(piped.races.size(), inline_run.races.size()) << shards << " shards";
     EXPECT_EQ(piped.events, inline_run.events) << shards << " shards";
   }
@@ -275,7 +276,7 @@ TEST(AnalysisPipelineTest, RaceFreeCertificateByteIdenticalAcrossShardCounts) {
   for (const std::size_t shards : {1u, 2u, 4u}) {
     const auto piped = piped_life(initial, /*use_barrier=*/true, shards);
     EXPECT_TRUE(piped.race_free) << shards << " shards";
-    EXPECT_EQ(piped.report, inline_run.report) << shards << " shards";
+    EXPECT_EQ(piped.report(), inline_run.report()) << shards << " shards";
     EXPECT_EQ(piped.grid, inline_run.grid) << shards << " shards";
   }
 }
@@ -441,7 +442,7 @@ TEST(SamplingCaptureTest, SameRateIsDeterministic) {
   const auto first = run();
   const auto second = run();
   EXPECT_GT(first.sampled_out, 0u);
-  EXPECT_EQ(first.report, second.report);
+  EXPECT_EQ(first.report(), second.report());
   EXPECT_EQ(first.events, second.events);
   EXPECT_EQ(first.sampled_out, second.sampled_out);
   EXPECT_EQ(race_keys(first.races), race_keys(second.races));
@@ -455,7 +456,7 @@ TEST(SamplingCaptureTest, RateOneIsExactlyTheUnsampledRun) {
   options.sample_rate = 1.0;
   const auto sampled = life::traced_life_check(initial, 3, 3, options);
   EXPECT_EQ(sampled.sampled_out, 0u);
-  EXPECT_EQ(sampled.report, plain.report);
+  EXPECT_EQ(sampled.report(), plain.report());
   EXPECT_EQ(sampled.events, plain.events);
 }
 
@@ -487,7 +488,7 @@ TEST(SamplingCaptureTest, SamplingComposesWithThePipeline) {
   life::TracedLifeOptions piped_options = inline_options;
   piped_options.pipeline = pipeline.get();
   const auto piped = life::traced_life_check(initial, 3, 3, piped_options);
-  EXPECT_EQ(piped.report, inline_run.report);
+  EXPECT_EQ(piped.report(), inline_run.report());
   EXPECT_EQ(piped.sampled_out, inline_run.sampled_out);
 }
 
