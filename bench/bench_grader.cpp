@@ -9,8 +9,9 @@
 //                        mode asserts it stays >= 5x.
 //   (b) duplicate storm  deadline hour: a batch that is ~97% duplicates
 //                        of a handful of bodies. Cold throughput here
-//                        already approaches warm rates, because the
-//                        collapse does most grading by cache lookup.
+//                        already approaches warm rates: every copy of
+//                        a body hashes to one worker, whose cache
+//                        grades all but the first by lookup.
 //   (c) worker scaling   cold steady throughput at 1/2/4 workers.
 //   (d) poison           hostile submissions (spins, syntax errors,
 //                        malformed configs) mixed into the batch; the

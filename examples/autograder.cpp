@@ -1,6 +1,6 @@
 // The grading service, end to end: a teaching tour of cs31::grader in
 // four acts — one submission of each kind through the toolchain, a
-// deadline-hour duplicate storm collapsing onto the verdict cache, a
+// deadline-hour duplicate storm served by the workers' verdict caches, a
 // poison batch that cannot take the worker pool down, and the
 // determinism contract (same batch, any worker count, byte-identical
 // reports).
@@ -56,8 +56,8 @@ int main() {
                 static_cast<unsigned long long>(stats.toolchain_runs));
     std::printf("cache hits           %8llu\n",
                 static_cast<unsigned long long>(stats.cache.hits));
-    std::printf("in-flight collapses  %8llu\n",
-                static_cast<unsigned long long>(stats.cache.collapsed));
+    std::printf("\nDuplicates hash to one worker, whose cache serves every copy after\n"
+                "the first — no lock, no waiting on another worker.\n");
   }
 
   act(3, "poison submissions cannot take the pool down");

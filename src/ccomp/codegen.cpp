@@ -322,13 +322,7 @@ isa::Image compile(const std::string& source) {
   return isa::assemble(compile_to_assembly(source));
 }
 
-namespace {
-
-isa::Image compile_with_entry_impl(const std::string& source,
-                                   const std::vector<std::int32_t>& args,
-                                   bool optimize_first) {
-  ProgramAst program = parse(source);
-  if (optimize_first) optimize(program);
+std::string entry_stub(const ProgramAst& program, const std::vector<std::int32_t>& args) {
   const Function* main_fn = nullptr;
   for (const Function& fn : program.functions) {
     if (fn.name == "main") main_fn = &fn;
@@ -337,16 +331,24 @@ isa::Image compile_with_entry_impl(const std::string& source,
   require(main_fn->params.size() == args.size(),
           "main() expects " + std::to_string(main_fn->params.size()) +
               " argument(s), got " + std::to_string(args.size()));
-
-  // A _start stub pushes the arguments and calls main, so main's frame
-  // looks exactly like any other callee's.
   std::ostringstream stub;
   stub << "_start:\n";
   for (auto it = args.rbegin(); it != args.rend(); ++it) {
     stub << "    pushl $" << *it << "\n";
   }
   stub << "    call main\n    hlt\n";
-  return isa::assemble(generate(program) + stub.str());
+  return stub.str();
+}
+
+namespace {
+
+isa::Image compile_with_entry_impl(const std::string& source,
+                                   const std::vector<std::int32_t>& args,
+                                   bool optimize_first) {
+  ProgramAst program = parse(source);
+  if (optimize_first) optimize(program);
+  const std::string stub = entry_stub(program, args);
+  return isa::assemble(generate(program) + stub);
 }
 
 }  // namespace

@@ -27,6 +27,13 @@ namespace cs31::cc {
 /// Compile and assemble to a loadable image.
 [[nodiscard]] isa::Image compile(const std::string& source);
 
+/// The `_start` stub that pushes `args` and calls main, so main's frame
+/// looks exactly like any other callee's; append it to `generate`'s
+/// output before assembling. Throws cs31::Error when main is missing or
+/// the argument count mismatches main's parameters.
+[[nodiscard]] std::string entry_stub(const ProgramAst& program,
+                                     const std::vector<std::int32_t>& args);
+
 /// Compile with a generated `_start` stub that pushes `args` and calls
 /// main — load this into any Machine to run the program under a
 /// debugger or with memory tracing. Throws when main is missing or the

@@ -2,8 +2,8 @@
 // push, shared by every producer/consumer stage that must cap its
 // memory no matter how far the consumer falls behind. Extracted from
 // trace::AnalysisPipeline (which pioneered it as the batch and
-// per-shard chunk queue) so cs31::grader's ingest and worker queues are
-// the same implementation, not a copy.
+// per-shard chunk queue) so cs31::grader's per-worker queues and the
+// race explorer's replay queue are the same implementation, not a copy.
 //
 // Semantics (unchanged from the pipeline original):
 //   push          blocks while the queue is full — that block IS the

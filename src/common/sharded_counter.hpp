@@ -9,10 +9,9 @@
 // thing a mutex'd counter also cannot improve on — a mutex'd reader
 // still races the *next* increment.
 //
-// Users in this kit: trace::MetricsSink's event totals (satellite of
+// User in this kit: trace::MetricsSink's event totals (satellite of
 // the lock-free capture refactor — the sink used to take its mutex on
-// every drained event) and grader::VerdictCache's hit/miss/collapse
-// stats (used to be bumped inside the cache's map lock).
+// every drained event).
 #pragma once
 
 #include <array>

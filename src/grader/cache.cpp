@@ -2,32 +2,15 @@
 
 namespace cs31::grader {
 
-Verdict VerdictCache::get_or_compute(ContentHash hash,
+Verdict VerdictCache::get_or_compute(ContentHash hash, const Submission& submission,
                                      const std::function<Verdict()>& compute) {
-  std::shared_ptr<Entry> entry;
-  {
-    std::unique_lock lock(mutex_);
-    auto [it, inserted] = entries_.try_emplace(hash);
-    if (inserted) {
-      it->second = std::make_shared<Entry>();
-      entry = it->second;
-      // Fall through to compute below, outside the lock (counted
-      // outside it, too).
-    } else {
-      entry = it->second;
-      if (entry->ready) {
-        // A ready entry never changes again, so the verdict can be
-        // read (and the hit counted) after dropping the map lock.
-        lock.unlock();
-        hits_.add();
-        return entry->verdict;
-      }
-      collapsed_.add();
-      ready_cv_.wait(lock, [&] { return entry->ready; });
-      return entry->verdict;
-    }
+  const auto it = entries_.find(hash);
+  if (it != entries_.end() && it->second.kind == submission.kind &&
+      it->second.body == submission.body) {
+    ++hits_;
+    return it->second.verdict;
   }
-  misses_.add();
+  ++misses_;
 
   Verdict verdict;
   try {
@@ -41,21 +24,16 @@ Verdict VerdictCache::get_or_compute(ContentHash hash,
     verdict.score = 0;
     verdict.notes = {"unknown exception in toolchain"};
   }
-
-  {
-    std::scoped_lock lock(mutex_);
-    entry->verdict = std::move(verdict);
-    entry->ready = true;
+  // A colliding body is graded but not stored: the entry stays with the
+  // body that claimed the hash first.
+  if (it == entries_.end()) {
+    entries_.emplace(hash, Entry{submission.kind, submission.body, verdict});
   }
-  ready_cv_.notify_all();
-  return entry->verdict;
+  return verdict;
 }
 
 VerdictCache::Stats VerdictCache::stats() const {
-  Stats stats{hits_.value(), misses_.value(), collapsed_.value(), 0};
-  std::scoped_lock lock(mutex_);
-  stats.entries = entries_.size();
-  return stats;
+  return Stats{hits_, misses_, 0, entries_.size()};
 }
 
 }  // namespace cs31::grader

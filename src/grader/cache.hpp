@@ -1,40 +1,28 @@
-// The content-hash verdict cache: hash → Verdict, with in-flight
-// collapse. A grading service's best workload is its most redundant
-// one — a deadline-hour "duplicate storm" where thousands of students
-// submit the starter code, the posted solution, or their own unchanged
-// file — and a sound cache turns all of it into one toolchain run.
+// The content-hash verdict cache: hash → Verdict. A grading service's
+// best workload is its most redundant one — a deadline-hour "duplicate
+// storm" where thousands of students submit the starter code, the
+// posted solution, or their own unchanged file — and a sound cache turns
+// all of it into one toolchain run per distinct body.
 //
 // Soundness rests on the toolchain contract (toolchain.hpp): a verdict
 // is a pure deterministic function of (kind, body), so a cached verdict
-// is indistinguishable from recomputing.
+// is indistinguishable from recomputing. The hash only finds the entry;
+// the entry keeps the kind and body it was graded from, and a lookup
+// whose bytes differ (a 64-bit FNV-1a collision, which can be built on
+// purpose) is a miss: it is graded afresh and not stored, so the entry
+// keeps serving the body it belongs to.
 //
-// In-flight collapse: the first thread to miss on a hash inserts a
-// pending entry and computes OUTSIDE the cache lock (compute is the
-// whole toolchain — seconds, potentially); later arrivals for the same
-// hash find the pending entry and wait on it instead of computing
-// again. N concurrent identical submissions cost exactly one toolchain
-// run, not min(N, workers). Distinct hashes never wait on each other.
-//
-// Accounting distinguishes the three outcomes a lookup can have:
-//   miss       this call ran the toolchain
-//   hit        a ready verdict was served immediately
-//   collapsed  waited for another thread's in-flight compute
-//
-// The outcome counters are common::ShardedCounter instances bumped
-// *outside* the map mutex: under a duplicate storm every worker hits
-// the same hash, and hammering three shared integers inside the one
-// lock that serializes lookups was measurable contention for what is
-// only statistics. The map lock now does map work only.
+// Single owner, no lock (perfbook's data ownership): GraderService
+// routes every copy of a body to the one worker that owns its hash, and
+// each worker owns a private cache and grades one job at a time. No two
+// threads ever touch one cache, so the map and its counters are plain.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
+#include <string>
 #include <unordered_map>
 
-#include "common/sharded_counter.hpp"
 #include "grader/submission.hpp"
 #include "grader/toolchain.hpp"
 
@@ -43,31 +31,30 @@ namespace cs31::grader {
 class VerdictCache {
  public:
   struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t collapsed = 0;  ///< waited on an in-flight compute
-    std::size_t entries = 0;      ///< distinct hashes resident
+    std::uint64_t hits = 0;       ///< a stored verdict was served
+    std::uint64_t misses = 0;     ///< this call ran the toolchain
+    std::uint64_t collapsed = 0;  ///< waited on another thread's compute: 0 by construction
+    std::size_t entries = 0;      ///< distinct bodies resident
   };
 
-  /// Return the verdict for `hash`, running `compute` exactly once per
-  /// distinct hash across all concurrent callers. If compute throws,
-  /// the exception is converted into a (cached) "grader_error" verdict
-  /// so waiters never deadlock on an entry that will never fill — a
-  /// grader bug poisons one hash's verdict, not the service.
-  Verdict get_or_compute(ContentHash hash, const std::function<Verdict()>& compute);
+  /// Return the verdict for `submission`, whose content hash is `hash`,
+  /// running `compute` only when no entry holds the same kind and body.
+  /// If compute throws, the exception becomes a (cached) "grader_error"
+  /// verdict — a grader bug poisons one body's verdict, not the service.
+  Verdict get_or_compute(ContentHash hash, const Submission& submission,
+                         const std::function<Verdict()>& compute);
 
   [[nodiscard]] Stats stats() const;
 
  private:
   struct Entry {
-    bool ready = false;
+    SubmissionKind kind;
+    std::string body;
     Verdict verdict;
   };
 
-  mutable std::mutex mutex_;  ///< guards entries_ only
-  std::condition_variable ready_cv_;
-  std::unordered_map<ContentHash, std::shared_ptr<Entry>> entries_;
-  common::ShardedCounter hits_, misses_, collapsed_;
+  std::unordered_map<ContentHash, Entry> entries_;
+  std::uint64_t hits_ = 0, misses_ = 0;
 };
 
 }  // namespace cs31::grader

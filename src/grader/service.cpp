@@ -9,7 +9,6 @@ namespace cs31::grader {
 GraderService::GraderService(Options options) : options_(options) {
   require(options_.workers >= 1, "grader needs at least one worker");
   require(options_.queue_capacity >= 1, "grader queue capacity must be >= 1");
-  ingest_.capacity = options_.queue_capacity;
   workers_.reserve(options_.workers);
   for (std::size_t w = 0; w < options_.workers; ++w) {
     workers_.push_back(std::make_unique<Worker>(options_.queue_capacity));
@@ -18,14 +17,11 @@ GraderService::GraderService(Options options) : options_(options) {
     Worker* w = worker.get();
     worker->thread = std::thread([this, w] { worker_main(*w); });
   }
-  router_ = std::thread([this] { router_main(); });
 }
 
 GraderService::~GraderService() {
   // Graceful drain, mirroring AnalysisPipeline: closed queues still
   // deliver what they hold, so everything submitted is graded.
-  ingest_.close();
-  if (router_.joinable()) router_.join();
   for (auto& worker : workers_) {
     worker->queue.close();
     if (worker->thread.joinable()) worker->thread.join();
@@ -43,20 +39,11 @@ void GraderService::submit(Submission submission) {
     std::scoped_lock lock(reports_mutex_);
     if (job.seq >= reports_.size()) reports_.resize(job.seq + 1);
   }
-  ingest_.push(std::move(job));
+  workers_[job.hash % workers_.size()]->queue.push(std::move(job));
 }
 
 void GraderService::submit_all(std::vector<Submission> submissions) {
   for (Submission& s : submissions) submit(std::move(s));
-}
-
-void GraderService::router_main() {
-  Job job;
-  while (ingest_.pop(job)) {
-    workers_[job.hash % workers_.size()]->queue.push(std::move(job));
-    job = Job{};
-    ingest_.done();
-  }
 }
 
 void GraderService::worker_main(Worker& worker) {
@@ -64,15 +51,13 @@ void GraderService::worker_main(Worker& worker) {
   while (worker.queue.pop(job)) {
     Verdict verdict;
     try {
-      const auto grade = [this, &job] {
-        toolchain_runs_.fetch_add(1, std::memory_order_relaxed);
+      verdict = worker.cache.get_or_compute(job.hash, job.submission, [this, &job] {
         return run_toolchain(job.submission, options_.limits);
-      };
-      verdict = options_.use_cache ? cache_.get_or_compute(job.hash, grade) : grade();
+      });
     } catch (const std::exception& e) {
       // Last-resort pool protection (the cache already converts compute
-      // exceptions; this guards the uncached path and the cache's own
-      // plumbing): the submission gets a report, the worker lives on.
+      // exceptions; this guards the cache's own plumbing): the
+      // submission gets a report, the worker lives on.
       verdict = Verdict{};
       verdict.status = "grader_error";
       verdict.score = 0;
@@ -95,15 +80,11 @@ void GraderService::finish(const Job& job, const Verdict& verdict) {
   line += verdict.to_json().substr(1);  // drop the verdict's '{'
   std::scoped_lock lock(reports_mutex_);
   reports_[job.seq] = std::move(line);
-  ++graded_;
 }
 
 void GraderService::wait_idle() {
-  // Stage order matters (same proof shape as the pipeline): once the
-  // ingest queue is drained the router has routed every job, so
-  // draining each worker queue afterwards proves every submission has
-  // its report written.
-  ingest_.wait_drained();
+  // submit() pushes before it returns, so draining every worker queue
+  // proves every earlier submission has its report written.
   for (auto& worker : workers_) worker->queue.wait_drained();
 }
 
@@ -125,21 +106,17 @@ std::vector<std::string> GraderService::report_lines() const {
 GraderService::Stats GraderService::stats() const {
   Stats stats;
   stats.submitted = next_seq_.load(std::memory_order_relaxed);
-  stats.toolchain_runs = toolchain_runs_.load(std::memory_order_relaxed);
-  stats.cache = cache_.stats();
-  {
-    std::scoped_lock lock(reports_mutex_);
-    stats.graded = graded_;
-  }
-  {
-    std::scoped_lock lock(ingest_.mutex);
-    stats.publish_waits = ingest_.waits;
-  }
   for (const auto& worker : workers_) {
     std::scoped_lock lock(worker->queue.mutex);
     stats.publish_waits += worker->queue.waits;
+    stats.graded += worker->graded;
     stats.graded_per_worker.push_back(worker->graded);
+    const VerdictCache::Stats cache = worker->cache.stats();
+    stats.cache.hits += cache.hits;
+    stats.cache.misses += cache.misses;
+    stats.cache.entries += cache.entries;
   }
+  stats.toolchain_runs = stats.cache.misses;
   return stats;
 }
 

@@ -1,34 +1,36 @@
 // The batch grading service: the course toolchain as a high-throughput
-// backend. Topology (the same bounded-MPSC/router/shard architecture
-// as trace::AnalysisPipeline, on the shared common::BoundedQueue):
+// backend, partitioned by content hash. `hash % workers` is the one
+// partitioning decision, and everything downstream of it is owned by a
+// single thread (perfbook's partitioning and data ownership):
 //
 //   submit  — stamps each submission with an arrival sequence number
-//             and its content hash, then pushes it onto one bounded
-//             ingest queue (MPSC: any number of front-end threads).
-//             A full queue BLOCKS the submitter — backpressure, so a
-//             burst can never balloon memory.
-//   route   — one router thread pops arrivals FIFO and routes each to
-//             worker `hash % workers`. Routing by content hash (not
-//             round-robin) means identical bodies always land on the
-//             same worker, so a duplicate storm serializes behind one
-//             toolchain run on one worker while every other worker
-//             keeps grading distinct work.
-//   grade   — N workers, each popping its own bounded queue, grading
-//             through the shared VerdictCache (one toolchain run per
-//             distinct hash, service-wide), and writing the finished
-//             report line into its arrival-numbered slot. A worker
-//             never dies: toolchain verdicts absorb submission defects,
-//             the cache absorbs toolchain exceptions, and a last-resort
-//             catch turns anything else into a "grader_error" report.
+//             and its content hash, reserves its report slot, and pushes
+//             it straight onto worker `hash % workers`'s bounded queue
+//             (any number of front-end threads). A full queue BLOCKS the
+//             submitter — backpressure, so a burst can never balloon
+//             memory. Routing by content hash (not round-robin) means
+//             identical bodies always land on the same worker, so a
+//             duplicate storm serializes behind one toolchain run on one
+//             worker while every other worker keeps grading distinct work.
+//   grade   — N workers, each popping its own queue, grading through its
+//             own VerdictCache, and writing the finished report line into
+//             the arrival-numbered slot. Every copy of a body reaches the
+//             worker that owns its hash, which grades one job at a time,
+//             so a private, lock-free cache still runs the toolchain once
+//             per distinct body, service-wide. A worker never dies:
+//             toolchain verdicts absorb submission defects, the cache
+//             absorbs toolchain exceptions, and a last-resort catch turns
+//             anything else into a "grader_error" report.
 //   merge   — report_stream() reads the slots in arrival order. Because
 //             a verdict is a pure function of (kind, body) and the
 //             envelope (id, kind, hash) rides with the submission, the
-//             stream is BYTE-IDENTICAL for any worker count, any queue
-//             capacity, and cache on or off — only wall-clock changes.
+//             stream is BYTE-IDENTICAL for any worker count and any queue
+//             capacity — only wall-clock changes.
 //
-// Lifecycle: submit from any threads, wait_idle(), then read reports
-// and stats (the same flush-then-read rule as the analysis pipeline).
-// The destructor drains gracefully: everything submitted is graded.
+// A service with W workers runs exactly W threads. Lifecycle: submit
+// from any threads, wait_idle(), then read reports and stats (the same
+// flush-then-read rule as the analysis pipeline). The destructor drains
+// gracefully: everything submitted is graded.
 #pragma once
 
 #include <atomic>
@@ -50,17 +52,16 @@ class GraderService {
  public:
   struct Options {
     std::size_t workers = 2;          ///< grading workers (>= 1)
-    std::size_t queue_capacity = 64;  ///< ingest + per-worker queue bound (>= 1)
-    bool use_cache = true;            ///< content-hash verdict cache
+    std::size_t queue_capacity = 64;  ///< per-worker queue bound (>= 1)
     ToolchainLimits limits;           ///< per-execution resource budget
   };
 
   struct Stats {
     std::uint64_t submitted = 0;
     std::uint64_t graded = 0;
-    std::uint64_t toolchain_runs = 0;  ///< actual compiles/executions (≤ graded when caching)
-    VerdictCache::Stats cache;
-    std::uint64_t publish_waits = 0;   ///< blocks on full ingest/worker queues
+    std::uint64_t toolchain_runs = 0;  ///< actual compiles/executions: one per cache miss
+    VerdictCache::Stats cache;         ///< summed over the workers' caches
+    std::uint64_t publish_waits = 0;   ///< submit blocks on full worker queues
     std::vector<std::uint64_t> graded_per_worker;
   };
 
@@ -71,7 +72,8 @@ class GraderService {
   GraderService(const GraderService&) = delete;
   GraderService& operator=(const GraderService&) = delete;
 
-  /// Enqueue one submission. Blocks while the ingest queue is full.
+  /// Enqueue one submission on its worker. Blocks while that worker's
+  /// queue is full.
   void submit(Submission submission);
 
   /// Convenience: submit a whole batch in order.
@@ -101,26 +103,22 @@ class GraderService {
   struct Worker {
     explicit Worker(std::size_t cap) : queue(cap) {}
     common::BoundedQueue<Job> queue;
+    // Worker-thread private until idle; the queue lock orders reads after.
+    VerdictCache cache;
+    std::uint64_t graded = 0;
     std::thread thread;
-    std::uint64_t graded = 0;  ///< worker-thread private until idle
   };
 
-  void router_main();
   void worker_main(Worker& worker);
   void finish(const Job& job, const Verdict& verdict);
 
   const Options options_;
-  VerdictCache cache_;
-  common::BoundedQueue<Job> ingest_;
-  std::thread router_;
   std::vector<std::unique_ptr<Worker>> workers_;
 
   std::atomic<std::uint64_t> next_seq_{0};
-  std::atomic<std::uint64_t> toolchain_runs_{0};
 
   mutable std::mutex reports_mutex_;
   std::vector<std::string> reports_;  ///< indexed by seq
-  std::uint64_t graded_ = 0;
 };
 
 }  // namespace cs31::grader

@@ -36,9 +36,8 @@ struct Submission {
 };
 
 /// 64-bit content hash (FNV-1a over the kind tag and the body bytes).
-/// Collision odds at course scale (even millions of distinct bodies)
-/// are negligible, and the cache only ever trades a collision for a
-/// wrong-but-deterministic verdict, never for corruption.
+/// It picks the owning worker and the cache entry; collisions can be
+/// built, so the cache compares kind and body before it serves a hit.
 using ContentHash = std::uint64_t;
 
 [[nodiscard]] ContentHash content_hash(SubmissionKind kind, const std::string& body);

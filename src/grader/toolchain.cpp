@@ -3,10 +3,11 @@
 #include <cstdio>
 #include <sstream>
 
+#include "analyze/checks_c.hpp"
 #include "analyze/checks_isa.hpp"
 #include "analyze/checks_script.hpp"
 #include "ccomp/codegen.hpp"
-#include "ccomp/driver.hpp"
+#include "ccomp/parser.hpp"
 #include "common/error.hpp"
 #include "isa/machine.hpp"
 #include "life/traced.hpp"
@@ -70,18 +71,18 @@ void execute(isa::Machine& machine, const ToolchainLimits& limits, std::size_t f
 
 Verdict grade_mini_c(const std::string& body, const ToolchainLimits& limits) {
   Verdict verdict;
-  std::vector<std::int32_t> args = parse_args_directive(body);
   isa::Image image;
   try {
-    // The pipeline's analyze stage produces the lint findings; the
-    // entry-stub compile makes the image runnable (push args, call
-    // main). Both parse the same body, so diagnostics always describe
-    // exactly what runs.
-    cc::PipelineResult compiled = cc::compile_pipeline(body);
-    for (const analyze::Diagnostic& d : compiled.diagnostics) {
-      verdict.notes.push_back(d.to_string());
-    }
-    image = cc::compile_with_entry(body, args);
+    // One parse, one codegen: lint reads the AST that is lowered, and
+    // the image that runs is that lowering plus the entry stub (push
+    // args, call main), so the diagnostics describe exactly what runs.
+    // Semantic errors from codegen come first and drop the lint notes;
+    // a missing main or an unassemblable stub keeps them.
+    const cc::ProgramAst program = cc::parse(body);
+    const std::vector<analyze::Diagnostic> diagnostics = analyze::analyze_program(program);
+    const std::string assembly = cc::generate(program);
+    for (const analyze::Diagnostic& d : diagnostics) verdict.notes.push_back(d.to_string());
+    image = isa::assemble(assembly + cc::entry_stub(program, parse_args_directive(body)));
   } catch (const Error& e) {
     verdict.status = "compile_error";
     verdict.score = 0;

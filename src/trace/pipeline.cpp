@@ -9,7 +9,7 @@
 namespace cs31::trace {
 
 // The backpressure primitive lives in common/bounded_queue.hpp now
-// (grader's ingest/worker queues share it); the pipeline only wires
+// (grader's worker queues share it); the pipeline only wires
 // the topology: one batch queue into the router, one chunk queue per
 // shard.
 
