@@ -90,8 +90,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--perf-smoke") == 0) perf_smoke = true;
   }
   json.config("perf_smoke", perf_smoke);
-  const std::size_t workers = 4;
-  json.config("explorer_workers", workers);
 
   bool equal_verdicts = true;
 
@@ -104,8 +102,7 @@ int main(int argc, char** argv) {
   for (const ReplayResult& r : exhaustive) exhaustive_events += r.events;
   const auto exhaustive_keys = key_set(cs31::race::distinct_races(exhaustive));
 
-  ExploreOptions opts;
-  opts.workers = workers;
+  const ExploreOptions opts;
   begin = std::chrono::steady_clock::now();
   const ExploreResult explored = cs31::race::explore_races(act7, opts);
   const double explored_s = seconds_since(begin);

@@ -2,8 +2,8 @@
 // push, shared by every producer/consumer stage that must cap its
 // memory no matter how far the consumer falls behind. Extracted from
 // trace::AnalysisPipeline (which pioneered it as the batch and
-// per-shard chunk queue) so cs31::grader's per-worker queues and the
-// race explorer's replay queue are the same implementation, not a copy.
+// per-shard chunk queue) so cs31::grader's per-worker queues are the
+// same implementation, not a copy.
 //
 // Semantics (unchanged from the pipeline original):
 //   push          blocks while the queue is full — that block IS the
@@ -13,8 +13,6 @@
 //                 when closed AND drained, so a closed queue still
 //                 delivers everything it holds. Marks the consumer
 //                 busy until done().
-//   try_pop       non-blocking pop: false when nothing is available
-//                 right now. Same busy-until-done() contract as pop.
 //   done          the consumer finished a popped item. wait_drained
 //                 needs this: "empty" alone would declare a queue
 //                 drained while a consumer still chews the last item.
@@ -24,9 +22,8 @@
 //   close         wakes everyone; pending items still drain.
 //
 // Any number of pushers. Consumers: `consumers_active` counts every
-// popped-but-not-done() item, so a shared pool of poppers (the race
-// explorer's replay workers all pop one queue) keeps wait_drained
-// honest — it was a single bool when the pipeline and grader owned one
+// popped-but-not-done() item, so wait_drained stays honest for any
+// number of poppers; today the pipeline and the grader each run one
 // consumer thread per queue.
 #pragma once
 
@@ -72,18 +69,6 @@ struct BoundedQueue {
   bool pop(T& out) {
     std::unique_lock lock(mutex);
     not_empty.wait(lock, [&] { return !items.empty() || closed; });
-    if (items.empty()) return false;
-    out = std::move(items.front());
-    items.pop_front();
-    ++consumers_active;
-    not_full.notify_all();
-    return true;
-  }
-
-  /// Non-blocking pop: false when nothing is available *right now*
-  /// (empty, whether or not closed). Same done() contract as pop.
-  bool try_pop(T& out) {
-    std::scoped_lock lock(mutex);
     if (items.empty()) return false;
     out = std::move(items.front());
     items.pop_front();

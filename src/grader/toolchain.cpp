@@ -224,7 +224,14 @@ std::vector<std::vector<std::string>> parse_script_threads(const std::string& bo
 Verdict grade_script(const std::string& body, const ToolchainLimits& limits) {
   Verdict verdict;
   try {
-    race::Script script = race::parse_script(parse_script_threads(body));
+    const std::vector<std::vector<std::string>> threads = parse_script_threads(body);
+    std::size_t ops = 0;
+    for (const auto& thread : threads) ops += thread.size();
+    if (ops > kMaxScriptOps) {
+      throw Error("script submission: " + std::to_string(ops) + " ops exceeds the cap of " +
+                  std::to_string(kMaxScriptOps));
+    }
+    race::Script script = race::parse_script(threads);
 
     // Static first: every diagnostic becomes a report note, and the
     // summary seeds the exploration (priority hints, independence
@@ -274,8 +281,9 @@ Verdict grade_script(const std::string& body, const ToolchainLimits& limits) {
       verdict.score = clean_score(findings);
     }
   } catch (const std::exception& e) {
-    // Malformed ops (parse_script) and unlock-without-lock (the
-    // Explorer's eager validation) are both submission defects.
+    // Oversized bodies, malformed ops (parse_script) and
+    // unlock-without-lock (the Explorer's eager validation) are all
+    // submission defects.
     verdict.status = "invalid";
     verdict.score = 0;
     verdict.notes.push_back(e.what());

@@ -45,6 +45,15 @@ struct ToolchainLimits {
   double max_seconds = 5.0;
 };
 
+/// Most ops, over all threads, a script submission may hold; a larger
+/// body is `invalid`. The explorer's walk recurses once per executed op
+/// and does work linear in the depth at every node, so without a cap a
+/// long enough body overruns max_seconds or the stack. At 512, a body
+/// whose ops are all dependent grades in ~3.5 s under the default
+/// limits (-O2, 4-vCPU Xeon), and the recursion stays near 4 MB even
+/// with AddressSanitizer's ~8 KB walk frames.
+inline constexpr std::size_t kMaxScriptOps = 512;
+
 /// What grading one submission produced. `status` is one of:
 ///   ok               compiled/assembled clean and ran to completion
 ///   ok_with_findings ran to completion, but lint found something

@@ -1,13 +1,11 @@
 #include "race/explore.hpp"
 
 #include <algorithm>
-#include <map>
+#include <deque>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <utility>
 
-#include "common/bounded_queue.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "os/interleave.hpp"
@@ -15,27 +13,15 @@
 namespace cs31::race {
 namespace {
 
-// ---------------------------------------------------------------------
-// Work items between the sequential walk and the replay workers.
-// ---------------------------------------------------------------------
-
-struct ScheduleResult {
-  std::vector<RaceReport> races;
-  std::uint64_t events = 0;
-};
-
-struct Batch {
-  std::uint64_t first_index = 0;
-  std::vector<Schedule> schedules;
-};
-
-struct BatchResult {
-  std::uint64_t first_index = 0;
-  std::vector<ScheduleResult> items;
-};
+/// How many emissions a replay result trails the walk before it is
+/// merged. This is part of the output's definition, not a tuning knob:
+/// guidance feedback folds in only at a merge, so the hint set steering
+/// emission k is exactly f(results 0..k-kSettleWindow-1), and another
+/// value emits other schedules in another order.
+constexpr std::uint64_t kSettleWindow = 32;
 
 // ---------------------------------------------------------------------
-// The engine: one run() owns the walk, the worker pool, and the merge.
+// The engine: one run() owns the walk, the replay, and the merge.
 // ---------------------------------------------------------------------
 
 class Engine {
@@ -48,16 +34,7 @@ class Engine {
         independent_vars_(std::move(independent_vars)),
         independent_mutexes_(std::move(independent_mutexes)),
         threads_(script.threads.size()),
-        state_(script),
-        work_(std::max<std::size_t>(1, options.queue_capacity)),
-        // Sized to hold every result the settle window allows in flight
-        // at once — counted in SCHEDULES, not batches, because the
-        // settle loop can flush partial (down to single-schedule)
-        // batches. A worker can therefore never block pushing a result
-        // while the walk blocks pushing work, the one cycle that could
-        // deadlock this topology.
-        results_(options.settle_window + options.queue_capacity +
-                 std::max<std::size_t>(1, options.workers) + 4) {
+        state_(script) {
     result_.interleavings_total = total;
     result_.total_saturated = total_saturated;
     last_event_of_.assign(threads_, -1);
@@ -67,31 +44,8 @@ class Engine {
   }
 
   ExploreResult run() {
-    const std::size_t worker_count = std::max<std::size_t>(1, options_.workers);
-    std::vector<std::thread> pool;
-    pool.reserve(worker_count);
-    for (std::size_t w = 0; w < worker_count; ++w) {
-      pool.emplace_back([this] { worker_main(); });
-    }
-
-    // Always close + join, even when the walk throws (a worker failure
-    // closes the result queue, which surfaces in the walk's merge as an
-    // Error) — a dangling std::thread would terminate the process.
-    std::exception_ptr walk_error;
-    try {
-      explore(std::set<std::uint32_t>{});
-      flush_batch();
-    } catch (...) {
-      walk_error = std::current_exception();
-    }
-    work_.close();
-    for (auto& t : pool) t.join();
-    {
-      std::scoped_lock lock(error_mutex_);
-      require(worker_error_.empty(), "explore worker failed: " + worker_error_);
-    }
-    if (walk_error) std::rethrow_exception(walk_error);
-    // Everything is pushed; drain the tail strictly in emission order.
+    explore(std::set<std::uint32_t>{});
+    // The walk is done; merge the tail strictly in emission order.
     while (merged_ < emitted_) merge_next();
 
     result_.schedules_replayed = emitted_;
@@ -348,11 +302,10 @@ class Engine {
     frames_.pop_back();
   }
 
-  // --- emission, batching, and the deterministic merge ---
+  // --- emission, replay, and the deterministic merge ---
 
   /// Record the current (maximal, stuck) state once per position
-  /// vector. Runs in the sequential walk, so discovery order — and the
-  /// whole deadlock list — is worker-count independent.
+  /// vector, in walk order.
   void record_deadlock() {
     ++result_.deadlocked_schedules;
     if (!deadlock_seen_.insert(state_.positions()).second) return;
@@ -376,50 +329,25 @@ class Engine {
     }
 
     // Determinism contract: before emitting schedule k, exactly the
-    // results of schedules 0..k-window-1 are merged (never more, never
-    // fewer), so the hint set steering every later decision is a pure
-    // function of the emission order.
-    while (emitted_ - merged_ > options_.settle_window) {
-      // Flush the local buffer only when the next merge target sits in
-      // it (everything older is already with the workers) — keeps
-      // batches full-sized in the steady state.
-      if (!batch_.schedules.empty() && merged_ >= batch_.first_index) flush_batch();
-      merge_next();
-    }
+    // results of schedules 0..k-kSettleWindow-1 are merged (never more,
+    // never fewer), so the hint set steering every later decision is a
+    // pure function of the emission order.
+    while (emitted_ - merged_ > kSettleWindow) merge_next();
 
     Schedule schedule;
     schedule.reserve(executed_.size());
     for (const Event& ev : executed_) schedule.push_back(ev.tid);
-    if (batch_.schedules.empty()) batch_.first_index = emitted_;
-    batch_.schedules.push_back(std::move(schedule));
+    Detector detector;
+    pending_.push_back(
+        replay(script_, schedule, detector, ReplayOptions{options_.model_blocking}));
     ++emitted_;
     events_emitted_ += executed_.size();
-    if (batch_.schedules.size() >= std::max<std::size_t>(1, options_.batch)) {
-      flush_batch();
-    }
   }
 
-  void flush_batch() {
-    if (batch_.schedules.empty()) return;
-    work_.push(std::move(batch_));
-    batch_ = Batch{};
-  }
-
-  /// Merge the next emission-ordered result, blocking on the workers if
-  /// it has not arrived yet.
+  /// Merge the oldest unmerged result (emission order).
   void merge_next() {
-    while (reorder_.count(merged_) == 0) {
-      BatchResult r;
-      const bool ok = results_.pop(r);
-      require(ok, "explore: result stream closed before all schedules merged");
-      for (std::size_t i = 0; i < r.items.size(); ++i) {
-        reorder_.emplace(r.first_index + i, std::move(r.items[i]));
-      }
-      results_.done();
-    }
-    const auto it = reorder_.find(merged_);
-    ScheduleResult res = std::move(it->second);
-    reorder_.erase(it);
+    ReplayResult res = std::move(pending_.front());
+    pending_.pop_front();
 
     result_.events_replayed += res.events;
     if (!res.races.empty()) {
@@ -442,38 +370,6 @@ class Engine {
     hint_labels_.insert(a);
     hint_labels_.insert(b);
     hint_pairs_.emplace_back(a, b);
-  }
-
-  // --- the replay workers ---
-
-  void worker_main() {
-    Batch batch;
-    while (work_.pop(batch)) {
-      try {
-        BatchResult out;
-        out.first_index = batch.first_index;
-        out.items.reserve(batch.schedules.size());
-        for (const Schedule& schedule : batch.schedules) {
-          Detector detector;
-          ReplayResult rr =
-              replay(script_, schedule, detector, ReplayOptions{options_.model_blocking});
-          out.items.push_back({std::move(rr.races), rr.events});
-        }
-        results_.push(std::move(out));
-        work_.done();
-      } catch (const std::exception& e) {
-        // Scripts are prevalidated, so this is a bug, not user error.
-        // Record it, close the result stream so the walk's merge stops
-        // waiting (its pop then fails a require), and bail.
-        {
-          std::scoped_lock lock(error_mutex_);
-          if (worker_error_.empty()) worker_error_ = e.what();
-        }
-        results_.close();
-        work_.done();
-        return;
-      }
-    }
   }
 
   const Script& script_;
@@ -501,14 +397,8 @@ class Engine {
   std::uint64_t emitted_ = 0;
   std::uint64_t events_emitted_ = 0;
   std::uint64_t merged_ = 0;
-  Batch batch_;
-  std::map<std::uint64_t, ScheduleResult> reorder_;
+  std::deque<ReplayResult> pending_;  ///< results emitted_-merged_, oldest first
   std::set<RacePairKey> seen_;
-
-  common::BoundedQueue<Batch> work_;
-  common::BoundedQueue<BatchResult> results_;
-  std::mutex error_mutex_;
-  std::string worker_error_;
 
   ExploreResult result_;
 };
@@ -534,7 +424,7 @@ Explorer::Explorer(Script script, ExploreOptions options)
           "explore: independent_vars/independent_mutexes require model_blocking "
           "(lockset-based independence is unsound without real mutual exclusion)");
   // An unlock with no program-order lock would make the detector throw
-  // mid-replay inside a worker.
+  // mid-replay.
   require_lock_discipline(script_);
 }
 

@@ -1,5 +1,5 @@
-// Detector-guided DPOR schedule exploration — the pruned, prioritized,
-// parallel replacement for exhaustively replaying os::all_interleavings.
+// Detector-guided DPOR schedule exploration — the pruned, prioritized
+// replacement for exhaustively replaying os::all_interleavings.
 //
 // The fused homework ("identify the possible outputs" × "find the data
 // race") used to replay every interleaving of the per-thread op scripts
@@ -34,18 +34,19 @@
 // schedules. New discoveries re-prioritize the remaining frontier
 // mid-run (after a fixed settle window; see the determinism contract).
 //
-// Parallel replay, deterministic output: the DPOR tree walk itself is
+// Sequential replay, deterministic output: the DPOR tree walk is
 // sequential — a subtree's exploration can add backtrack points at ANY
-// ancestor, so subtrees are not independent units of tree growth — but
-// the walk is the cheap part (position vectors + clock joins). The
-// expensive part, replaying each emitted schedule through a fresh
-// FastTrack detector, fans out in batches over a shared
-// common::BoundedQueue to N workers, and results merge strictly by
-// emission index (the PR 4/PR 6 arrival-index pattern). Guidance
-// feedback folds in only once a result is merged, and merging is
-// clamped to a fixed settle window behind emission, so the hint set at
-// every decision point — and therefore every byte of the output — is
-// identical across {1,2,4,8} workers, budgeted or not.
+// ancestor, so subtrees are not independent units of tree growth — and
+// each emitted schedule is replayed through a fresh FastTrack detector
+// on the walk's own thread, its result queued in emission order.
+// Guidance feedback folds in only once a result is merged, and the
+// merge trails emission by a fixed settle window of 32 schedules, so
+// the hint set at every decision point is a pure function of the
+// emission order. That window is part of the output's definition.
+// Replay stays on the walk's thread because handing it to other
+// threads does not pay: on small runs the handoffs cost more than the
+// replays, and large runs are bound by the walk, whose race analysis
+// does work linear in the depth at every node.
 //
 // Budgeted mode: `max_schedules` / `max_events` replace the exhaustive
 // path's hard multinomial throw. When a budget binds, the result says
@@ -63,8 +64,6 @@
 namespace cs31::race {
 
 struct ExploreOptions {
-  std::size_t workers = 1;  ///< replay worker threads (the walk stays sequential)
-
   /// Budgets; 0 = unbounded. Replaces replay_all_interleavings' throw:
   /// the explorer stops emitting when a budget binds and reports
   /// partial coverage instead.
@@ -78,15 +77,6 @@ struct ExploreOptions {
   /// Fold newly discovered races into the priority mid-run (after the
   /// settle window). Off = only the seeded hints steer.
   bool reprioritize_on_discovery = true;
-
-  std::size_t batch = 8;           ///< schedules per worker claim
-  std::size_t queue_capacity = 4;  ///< work-queue capacity, in batches
-
-  /// Emissions a replay result may trail the walk before the walk
-  /// blocks on it. Fixed (worker-count-independent) so the hint set at
-  /// emission k is always exactly f(results 0..k-window-1) — the
-  /// determinism contract.
-  std::size_t settle_window = 32;
 
   /// Model real blocking semantics (ReplayOptions::model_blocking) in
   /// the walk: a lock on a held mutex, a recv on an empty channel, and
@@ -123,7 +113,7 @@ struct ExploreResult {
   static constexpr std::uint64_t kNoRace = ~std::uint64_t{0};
 
   /// Distinct races (one per race_pair_key), first-seen in emission
-  /// order — byte-identical across worker counts, and set-identical to
+  /// order — set-identical to
   /// distinct_races(replay_all_interleavings(...)) when complete.
   std::vector<RaceReport> races;
 
@@ -142,10 +132,9 @@ struct ExploreResult {
   std::uint64_t backtrack_points = 0;   ///< race-analysis additions
 
   /// Blocking mode only (always empty / 0 otherwise): the distinct
-  /// stuck states the walk reached (deduplicated by position vector,
-  /// deterministic across worker counts — they are found by the
-  /// sequential walk, not the replay pool) and how many emitted
-  /// schedules ended stuck rather than complete.
+  /// stuck states the walk reached (deduplicated by position vector, in
+  /// walk order) and how many emitted schedules ended stuck rather than
+  /// complete.
   std::vector<DeadlockState> deadlocks;
   std::uint64_t deadlocked_schedules = 0;
 
@@ -160,9 +149,9 @@ struct ExploreResult {
 /// constructor parses and validates every op once — malformed ops,
 /// a release without a program-order acquire, or independent_vars
 /// without model_blocking (the pruning is unsound when critical
-/// sections can overlap) throw here, never from a worker mid-run. The
-/// walk emits schedules as thread sequences over the parsed Script,
-/// and the workers replay them through the typed replay core.
+/// sections can overlap) throw here, never mid-run. The walk emits
+/// schedules as thread sequences over the parsed Script and replays
+/// each through the typed replay core.
 class Explorer {
  public:
   explicit Explorer(std::vector<std::vector<std::string>> scripts,
@@ -171,8 +160,8 @@ class Explorer {
   /// Same, over an already-parsed script.
   explicit Explorer(Script script, ExploreOptions options = {});
 
-  /// Run one exploration. Deterministic: same scripts + options (modulo
-  /// `workers`, `batch`, `queue_capacity`) give byte-identical results.
+  /// Run one exploration. Deterministic: same scripts + options give
+  /// byte-identical results.
   [[nodiscard]] ExploreResult run();
 
   [[nodiscard]] const ExploreOptions& options() const { return options_; }

@@ -6,6 +6,7 @@
 // re-entrancy audit (concurrent compiles byte-identical to serial).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <iterator>
@@ -212,6 +213,47 @@ TEST(Toolchain, ScriptMalformedOpIsInvalid) {
   EXPECT_EQ(v.score, 0);
   EXPECT_EQ(v.notes,
             std::vector<std::string>{"script op 't0 spin c': unknown verb 'spin'"});
+}
+
+/// A two-thread script body of `per_thread` private writes per thread.
+std::string private_writes_body(std::size_t per_thread) {
+  std::string body;
+  for (const char* var : {"a", "b"}) {
+    for (std::size_t i = 0; i < per_thread; ++i) {
+      body += i == 0 ? "" : "; ";
+      body += "write ";
+      body += var;
+    }
+    body += '\n';
+  }
+  return body;
+}
+
+TEST(Toolchain, ScriptOpCapRejectsAHostileBodyPromptly) {
+  // 2 x 16000 ops: without the cap the explorer's walk recurses 32000
+  // deep and overflows the stack.
+  const auto begin = std::chrono::steady_clock::now();
+  const Verdict v = run_toolchain(
+      {"s", SubmissionKind::Script, private_writes_body(16000)}, test_limits());
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
+  EXPECT_EQ(v.status, "invalid") << v.to_json();
+  EXPECT_EQ(v.score, 0);
+  EXPECT_EQ(v.notes, std::vector<std::string>{
+                         "script submission: 32000 ops exceeds the cap of 512"});
+  EXPECT_LT(seconds, 1.0);
+}
+
+TEST(Toolchain, ScriptOpCapAdmitsABodyAtTheCap) {
+  const Verdict v = run_toolchain(
+      {"s", SubmissionKind::Script, private_writes_body(kMaxScriptOps / 2)}, test_limits());
+  EXPECT_EQ(v.status, "race_free") << v.to_json();
+  EXPECT_EQ(v.events, kMaxScriptOps);
+
+  const Verdict over = run_toolchain(
+      {"s", SubmissionKind::Script, private_writes_body(kMaxScriptOps / 2) + "write c\n"},
+      test_limits());
+  EXPECT_EQ(over.status, "invalid") << over.to_json();
 }
 
 TEST(Toolchain, ScriptVerdictIsDeterministic) {
