@@ -1,5 +1,6 @@
 #include "ccomp/parser.hpp"
 
+#include <algorithm>
 #include <set>
 
 #include "common/error.hpp"
@@ -51,6 +52,32 @@ class Parser {
     throw Error("line " + std::to_string(peek().line) + ": " + what);
   }
 
+  // Nesting, held to kMaxNesting. depth_ counts the statements and
+  // operands open on the parser's own stack; a Nest guards each
+  // recursive descent. A left-associative chain (1+1+...+1) deepens the
+  // tree without recursing, so every expression parse also leaves its
+  // tree height in height_, and each node built checks it.
+  int depth_ = 0;
+  int height_ = 0;
+
+  int check_nesting(int level) const {
+    if (level > kMaxNesting) {
+      fail("nesting deeper than the cap of " + std::to_string(kMaxNesting) + " levels");
+    }
+    return level;
+  }
+
+  class Nest {
+   public:
+    explicit Nest(Parser& parser) : parser_(parser) { parser_.check_nesting(++parser_.depth_); }
+    ~Nest() { --parser_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& parser_;
+  };
+
   Function parse_function() {
     Function fn;
     fn.line = peek().line;
@@ -79,6 +106,7 @@ class Parser {
   }
 
   StmtPtr parse_statement() {
+    const Nest nest(*this);
     auto stmt = std::make_unique<Stmt>();
     stmt->line = peek().line;
     switch (peek().kind) {
@@ -200,7 +228,9 @@ class Parser {
       e->line = peek().line;
       e->name = eat(TokKind::Ident).text;
       eat(TokKind::Assign);
+      const Nest nest(*this);
       e->rhs = parse_assignment();
+      height_ = check_nesting(height_ + 1);
       return e;
     }
     return parse_binary(0);
@@ -239,16 +269,25 @@ class Parser {
 
   ExprPtr parse_binary(int min_prec) {
     ExprPtr lhs = parse_unary();
+    int height = height_;
     for (;;) {
       if (peek().kind == TokKind::Slash || peek().kind == TokKind::Percent) {
         fail("'/' and '%' are not supported: the teaching ISA has no idiv "
              "(see DESIGN.md)");
       }
       const Level* level = level_for(peek().kind);
-      if (level == nullptr || level->prec < min_prec) return lhs;
+      if (level == nullptr || level->prec < min_prec) {
+        height_ = height;
+        return lhs;
+      }
       const int line = peek().line;
       ++pos_;
-      ExprPtr rhs = parse_binary(level->prec + 1);
+      ExprPtr rhs;
+      {
+        const Nest nest(*this);
+        rhs = parse_binary(level->prec + 1);
+      }
+      height = check_nesting(std::max(height, height_) + 1);
       auto e = std::make_unique<Expr>();
       e->kind = Expr::Kind::Binary;
       e->bin_op = level->op;
@@ -270,7 +309,9 @@ class Parser {
       e->un_op = t.kind == TokKind::Minus  ? UnOp::Neg
                  : t.kind == TokKind::Tilde ? UnOp::BitNot
                                             : UnOp::LogicalNot;
+      const Nest nest(*this);
       e->lhs = parse_unary();
+      height_ = check_nesting(height_ + 1);
       return e;
     }
     return parse_primary();
@@ -280,6 +321,7 @@ class Parser {
     const Token& t = peek();
     auto e = std::make_unique<Expr>();
     e->line = t.line;
+    height_ = 1;
     switch (t.kind) {
       case TokKind::IntLit:
         ++pos_;
@@ -292,10 +334,14 @@ class Parser {
           e->kind = Expr::Kind::Call;
           e->name = t.text;
           if (!eat_if(TokKind::RParen)) {
+            const Nest nest(*this);
+            int height = 0;
             do {
               e->args.push_back(parse_expression());
+              height = std::max(height, height_);
             } while (eat_if(TokKind::Comma));
             eat(TokKind::RParen);
+            height_ = check_nesting(height + 1);
           }
           return e;
         }
@@ -305,6 +351,7 @@ class Parser {
       }
       case TokKind::LParen: {
         ++pos_;
+        const Nest nest(*this);
         ExprPtr inner = parse_expression();
         eat(TokKind::RParen);
         return inner;

@@ -42,10 +42,16 @@ std::vector<std::int32_t> parse_args_directive(const std::string& body) {
   return {};
 }
 
-/// Run a loaded machine under the budget and fill the execution half of
-/// the verdict. `findings` is the lint count already in `notes`.
-void execute(isa::Machine& machine, const ToolchainLimits& limits, std::size_t findings,
-             Verdict& verdict) {
+/// Run an image under the budget and fill the execution half of the
+/// verdict; the notes already present are the lint findings. Each
+/// grading thread keeps one Machine: reset() zeroes only the pages the
+/// previous program wrote, and a reset Machine equals a new one, so no
+/// verdict depends on what the thread graded before.
+void execute(const isa::Image& image, const ToolchainLimits& limits, Verdict& verdict) {
+  const std::size_t findings = verdict.notes.size();
+  thread_local isa::Machine machine;
+  machine.reset();
+  machine.load(image);
   try {
     const auto outcome =
         machine.run_limited({limits.max_instructions, limits.max_seconds});
@@ -89,10 +95,7 @@ Verdict grade_mini_c(const std::string& body, const ToolchainLimits& limits) {
     verdict.notes.push_back(e.what());
     return verdict;
   }
-  const std::size_t findings = verdict.notes.size();
-  isa::Machine machine;
-  machine.load(image);
-  execute(machine, limits, findings, verdict);
+  execute(image, limits, verdict);
   return verdict;
 }
 
@@ -110,10 +113,7 @@ Verdict grade_assembly(const std::string& body, const ToolchainLimits& limits) {
     verdict.notes.push_back(e.what());
     return verdict;
   }
-  const std::size_t findings = verdict.notes.size();
-  isa::Machine machine;
-  machine.load(image);
-  execute(machine, limits, findings, verdict);
+  execute(image, limits, verdict);
   return verdict;
 }
 
@@ -162,6 +162,25 @@ LifeScenario parse_life_scenario(const std::string& body) {
     grid_text += '\n';
   }
   require(!grid_text.empty(), "life scenario: missing grid");
+  if (scenario.threads > kMaxLifeThreads) {
+    throw Error("life scenario: " + std::to_string(scenario.threads) +
+                " threads exceeds the cap of " + std::to_string(kMaxLifeThreads));
+  }
+  // Size the grid before Grid::parse allocates it; a header it cannot
+  // read is left to Grid::parse's own message.
+  std::istringstream dims(grid_text);
+  std::size_t rows = 0, cols = 0;
+  if (dims >> rows >> cols && rows > 0 && cols > 0) {
+    if (rows > kMaxLifeCells / cols) {
+      throw Error("life scenario: a " + std::to_string(rows) + "x" + std::to_string(cols) +
+                  " grid exceeds the cap of " + std::to_string(kMaxLifeCells) + " cells");
+    }
+    if (scenario.rounds > kMaxLifeCellRounds / (rows * cols)) {
+      throw Error("life scenario: " + std::to_string(scenario.rounds) + " rounds of " +
+                  std::to_string(rows * cols) + " cells exceeds the cap of " +
+                  std::to_string(kMaxLifeCellRounds) + " cell-rounds");
+    }
+  }
   scenario.grid = life::Grid::parse(grid_text);
   return scenario;
 }

@@ -54,6 +54,16 @@ struct ToolchainLimits {
 /// with AddressSanitizer's ~8 KB walk frames.
 inline constexpr std::size_t kMaxScriptOps = 512;
 
+/// Life scenario caps; a body past any of them is `invalid`. The traced
+/// replay costs roughly one detector check per neighbour read per cell
+/// per round, and its vector clocks grow with the thread count, so the
+/// grid, the rounds x cells product and the threads are all bounded.
+/// The worst body admitted (64 threads, no barrier, a 64x1024 grid for
+/// 2 rounds) grades in ~0.8 s (-O2, 4-vCPU Xeon).
+inline constexpr std::size_t kMaxLifeCells = 65536;
+inline constexpr std::size_t kMaxLifeCellRounds = 131072;
+inline constexpr std::size_t kMaxLifeThreads = 64;
+
 /// What grading one submission produced. `status` is one of:
 ///   ok               compiled/assembled clean and ran to completion
 ///   ok_with_findings ran to completion, but lint found something

@@ -38,6 +38,7 @@ std::size_t FastCore::drive(Machine& m, std::size_t budget, bool timed,
   st.regs = m.regs_.data();
   st.mem = m.memory_.data();
   st.mem_size = static_cast<std::uint32_t>(m.memory_.size());
+  st.dirty = m.dirty_.data();
   st.flags = &m.flags_;
   st.code_base = m.image_.base;
   st.code_end = m.image_.base + static_cast<std::uint32_t>(m.image_.bytes.size());

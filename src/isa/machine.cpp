@@ -1,5 +1,6 @@
 #include "isa/machine.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/error.hpp"
@@ -7,18 +8,40 @@
 
 namespace cs31::isa {
 
-Machine::Machine(std::uint32_t mem_bytes) : memory_(mem_bytes, 0) {
+namespace {
+constexpr std::size_t kPage = std::size_t{1} << predecode::kPageShift;
+}  // namespace
+
+Machine::Machine(std::uint32_t mem_bytes)
+    : memory_(mem_bytes, 0), dirty_((mem_bytes + kPage - 1) / kPage, 0) {
   require(mem_bytes >= 4096, "machine needs at least 4 KiB of memory");
+}
+
+void Machine::reset() {
+  for (std::size_t page = 0; page < dirty_.size(); ++page) {
+    if (dirty_[page] == 0) continue;
+    const std::size_t begin = page * kPage;
+    std::fill_n(memory_.begin() + static_cast<std::ptrdiff_t>(begin),
+                std::min(kPage, memory_.size() - begin), 0);
+    dirty_[page] = 0;
+  }
+  *this = Machine(std::move(memory_), std::move(dirty_));
+}
+
+void Machine::mark_dirty(std::uint32_t addr, std::uint32_t len) {
+  for (std::size_t page = addr / kPage; page <= (std::size_t{addr} + len - 1) / kPage; ++page) {
+    dirty_[page] = 1;
+  }
 }
 
 void Machine::load(const Image& image) {
   require(image.base + image.bytes.size() <= memory_.size(), "image does not fit in memory");
-  // Reloading the program already in memory (the maze-attempt and
-  // grader-regrade pattern: fresh run, same image) keeps the predecoded
-  // block cache warm. The cache is always consistent with the code
-  // bytes currently in memory — self-modifying stores invalidate it on
-  // the spot — so if those bytes equal the incoming image's, every
-  // cached block is still exact.
+  // Reloading the program already in memory (the maze-attempt
+  // pattern: fresh run, same image) keeps the predecoded block cache
+  // warm. The cache is always consistent with the code bytes currently
+  // in memory — self-modifying stores invalidate it on the spot — so if
+  // those bytes equal the incoming image's, every cached block is still
+  // exact.
   const bool code_unchanged =
       image_.base == image.base && image_.bytes.size() == image.bytes.size() &&
       !image_.bytes.empty() &&
@@ -27,6 +50,9 @@ void Machine::load(const Image& image) {
   if (!code_unchanged) {
     for (std::size_t i = 0; i < image.bytes.size(); ++i) {
       memory_[image_.base + i] = image_.bytes[i];
+    }
+    if (!image.bytes.empty()) {
+      mark_dirty(image.base, static_cast<std::uint32_t>(image.bytes.size()));
     }
   }
   regs_.fill(0);
@@ -70,6 +96,7 @@ void Machine::store32(std::uint32_t addr, std::uint32_t value) {
           "segmentation violation: write of 4 bytes at 0x" + std::to_string(addr));
   if (trace_memory_) mem_trace_.push_back(MemAccess{addr, true});
   for (int i = 0; i < 4; ++i) memory_[addr + i] = static_cast<std::uint8_t>(value >> (8 * i));
+  mark_dirty(addr, 4);
   // External pokes into loaded code (the debugger's `set`, test
   // fixtures staging data over an image) must drop predecoded blocks.
   if (addr < image_.base + image_.bytes.size() && addr + 4 > image_.base) {
@@ -85,6 +112,7 @@ std::uint8_t Machine::load8(std::uint32_t addr) const {
 void Machine::store8(std::uint32_t addr, std::uint8_t value) {
   require(addr < memory_.size(), "segmentation violation: write at 0x" + std::to_string(addr));
   memory_[addr] = value;
+  mark_dirty(addr, 1);
   if (addr >= image_.base && addr < image_.base + image_.bytes.size()) {
     code_cache_.invalidate();
   }

@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "isa/assembler.hpp"
@@ -31,6 +32,12 @@ class Machine {
   /// `_start`/`main` symbol when present, preferring `_start`). Resets
   /// ESP/EBP to the top of memory. Throws when the image does not fit.
   void load(const Image& image);
+
+  /// Put the machine back in the state Machine(memory_size()) builds.
+  /// Only the pages written since the last reset are zeroed, so a
+  /// Machine kept per grading thread costs what each program touched,
+  /// not a fresh memory.
+  void reset();
 
   /// Execute one instruction. Returns false if halted (hlt, or ret with
   /// an empty call stack). Throws cs31::Error on memory faults
@@ -148,8 +155,15 @@ class Machine {
   void set_logic_flags(std::uint32_t result);
   void set_add_flags(std::uint32_t a, std::uint32_t b, std::uint64_t wide);
   void set_sub_flags(std::uint32_t a, std::uint32_t b);
+  /// Mark the pages holding bytes [addr, addr + len) dirty.
+  void mark_dirty(std::uint32_t addr, std::uint32_t len);
+  /// reset()'s target: default state around memory that is already zero.
+  Machine(std::vector<std::uint8_t>&& memory, std::vector<std::uint8_t>&& dirty)
+      : memory_(std::move(memory)), dirty_(std::move(dirty)) {}
 
   std::vector<std::uint8_t> memory_;
+  /// One flag per predecode::kPageShift page: written since the last reset.
+  std::vector<std::uint8_t> dirty_;
   std::array<std::uint32_t, 8> regs_{};
   std::uint32_t eip_ = 0;
   Eflags flags_;

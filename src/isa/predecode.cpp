@@ -53,6 +53,8 @@ inline void fast_store32(ExecState& st, std::uint32_t addr, std::uint32_t value)
     throw Error("segmentation violation: write of 4 bytes at 0x" + std::to_string(addr));
   }
   for (int i = 0; i < 4; ++i) st.mem[addr + i] = static_cast<std::uint8_t>(value >> (8 * i));
+  st.dirty[addr >> kPageShift] = 1;
+  st.dirty[(addr + 3) >> kPageShift] = 1;  // a store may straddle two pages
   if (addr < st.code_end && addr + 4 > st.code_base) {
     // The store touched loaded code: finish this instruction, then the
     // runner flushes the cache and re-decodes from fresh bytes — the

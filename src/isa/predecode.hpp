@@ -48,6 +48,10 @@ struct MemSpec {
 
 struct DecodedOp;
 
+/// Machine memory is tracked for reset in pages of 1 << kPageShift
+/// bytes: every store marks the page(s) it touches in a dirty map.
+inline constexpr std::uint32_t kPageShift = 12;
+
 /// Mutable machine-state view the handlers execute against. Built by
 /// the fast core from a Machine at run entry and synced back at every
 /// exit (including exceptional ones), so faults leave the Machine in
@@ -56,6 +60,7 @@ struct ExecState {
   std::uint32_t* regs = nullptr;  ///< the 8 GPRs (never Eip; decode rejects it)
   std::uint8_t* mem = nullptr;
   std::uint32_t mem_size = 0;
+  std::uint8_t* dirty = nullptr;  ///< the Machine's dirty-page map
   Eflags* flags = nullptr;
   std::uint32_t code_base = 0;  ///< loaded image range, for invalidation
   std::uint32_t code_end = 0;

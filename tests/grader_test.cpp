@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "ccomp/codegen.hpp"
+#include "ccomp/parser.hpp"
 #include "common/error.hpp"
 #include "grader/cache.hpp"
 #include "grader/loadgen.hpp"
@@ -254,6 +255,152 @@ TEST(Toolchain, ScriptOpCapAdmitsABodyAtTheCap) {
       {"s", SubmissionKind::Script, private_writes_body(kMaxScriptOps / 2) + "write c\n"},
       test_limits());
   EXPECT_EQ(over.status, "invalid") << over.to_json();
+}
+
+// --- hostile mini-C nesting and Life sizes ------------------------------
+
+/// `int main() { return <open * n> 1 <close * n>; }`
+std::string nested_mini_c(const std::string& open, const std::string& close, std::size_t n) {
+  std::string body = "int main() { return ";
+  for (std::size_t i = 0; i < n; ++i) body += open;
+  body += "1";
+  for (std::size_t i = 0; i < n; ++i) body += close;
+  return body + "; }\n";
+}
+
+/// A header-only Life scenario over an empty rows x cols grid.
+std::string life_scenario(std::size_t threads, std::size_t rounds, std::size_t rows,
+                          std::size_t cols) {
+  return "threads=" + std::to_string(threads) + "\nrounds=" + std::to_string(rounds) + "\n" +
+         std::to_string(rows) + " " + std::to_string(cols) + "\n0\n";
+}
+
+/// run_toolchain plus the seconds it took.
+std::pair<Verdict, double> timed_grade(SubmissionKind kind, const std::string& body) {
+  const auto begin = std::chrono::steady_clock::now();
+  Verdict v = run_toolchain({"s", kind, body}, test_limits());
+  return {std::move(v),
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count()};
+}
+
+TEST(Toolchain, MiniCNestingCapRejectsDeepBodiesPromptly) {
+  // Each of these used to overflow the stack: the first two in the
+  // recursive-descent parser, the flat chain in codegen and the AST's
+  // destructor (the parser builds it without recursing).
+  std::string chain = "int main() { return 1";
+  for (int i = 0; i < 200000; ++i) chain += "+1";
+  chain += "; }\n";
+  for (const std::string& body :
+       {nested_mini_c("-", "", 200000), nested_mini_c("(", ")", 100000), chain}) {
+    const auto [v, seconds] = timed_grade(SubmissionKind::MiniC, body);
+    EXPECT_EQ(v.status, "compile_error") << v.to_json();
+    EXPECT_EQ(v.score, 0);
+    EXPECT_EQ(v.notes, std::vector<std::string>{"line 1: nesting deeper than the cap of " +
+                                                std::to_string(cc::kMaxNesting) + " levels"});
+    EXPECT_LT(seconds, 1.0);
+  }
+}
+
+TEST(Toolchain, MiniCNestingCapAdmitsABodyAtTheCap) {
+  // The return statement is one level and each unary minus one more;
+  // the flat chain's tree is one level taller than its '+' count.
+  const std::size_t cap = static_cast<std::size_t>(cc::kMaxNesting);
+  const Verdict negated =
+      run_toolchain({"s", SubmissionKind::MiniC, nested_mini_c("-", "", cap - 1)}, test_limits());
+  EXPECT_EQ(negated.status, "ok") << negated.to_json();
+  EXPECT_EQ(negated.result, (cap - 1) % 2 == 0 ? 1 : -1);
+  EXPECT_EQ(
+      run_toolchain({"s", SubmissionKind::MiniC, nested_mini_c("-", "", cap)}, test_limits())
+          .status,
+      "compile_error");
+
+  std::string chain = "int main() { return 1";
+  for (std::size_t i = 0; i + 1 < cap; ++i) chain += "+1";
+  const Verdict summed =
+      run_toolchain({"s", SubmissionKind::MiniC, chain + "; }\n"}, test_limits());
+  EXPECT_EQ(summed.status, "ok") << summed.to_json();
+  EXPECT_EQ(summed.result, static_cast<std::int32_t>(cap));
+  EXPECT_EQ(
+      run_toolchain({"s", SubmissionKind::MiniC, chain + "+1; }\n"}, test_limits()).status,
+      "compile_error");
+}
+
+TEST(Toolchain, LifeCapsRejectHostileBodiesPromptly) {
+  // Without the caps the first took ~56 s and the second ~0.9 s, growing
+  // linearly with rounds; the third's vector clocks grow with threads.
+  const std::pair<std::string, std::string> cases[] = {
+      {life_scenario(1, 1, 3000, 3000),
+       "life scenario: a 3000x3000 grid exceeds the cap of 65536 cells"},
+      {life_scenario(1, 20000, 8, 8),
+       "life scenario: 20000 rounds of 64 cells exceeds the cap of 131072 cell-rounds"},
+      {life_scenario(65, 1, 65, 1), "life scenario: 65 threads exceeds the cap of 64"},
+  };
+  for (const auto& [body, note] : cases) {
+    const auto [v, seconds] = timed_grade(SubmissionKind::LifeTrace, body);
+    EXPECT_EQ(v.status, "invalid") << v.to_json();
+    EXPECT_EQ(v.notes, std::vector<std::string>{note});
+    EXPECT_LT(seconds, 1.0);
+  }
+}
+
+TEST(Toolchain, LifeCapsAdmitBodiesAtEachCap) {
+  const std::size_t rows = kMaxLifeCells / 256;
+  const std::size_t rounds = kMaxLifeCellRounds / 64;
+  const std::pair<std::string, std::string> at_and_over[] = {
+      {life_scenario(2, 1, rows, 256), life_scenario(2, 1, rows + 1, 256)},
+      {life_scenario(2, rounds, 8, 8), life_scenario(2, rounds + 1, 8, 8)},
+      {life_scenario(kMaxLifeThreads, 1, kMaxLifeThreads, 1),
+       life_scenario(kMaxLifeThreads + 1, 1, kMaxLifeThreads + 1, 1)},
+  };
+  for (const auto& [at, over] : at_and_over) {
+    const Verdict admitted = run_toolchain({"s", SubmissionKind::LifeTrace, at}, test_limits());
+    EXPECT_EQ(admitted.status, "race_free") << at << admitted.to_json();
+    EXPECT_GT(admitted.events, 0u);
+    EXPECT_EQ(run_toolchain({"s", SubmissionKind::LifeTrace, over}, test_limits()).status,
+              "invalid")
+        << over;
+  }
+}
+
+// --- one Machine per grading thread ----------------------------------------
+
+TEST(Toolchain, ReusedMachineGradesLikeAFreshOne) {
+  // A grading thread resets and reuses one Machine, so each program
+  // here follows others that wrote far memory, the deep stack, faulted
+  // or ran out of budget; the last reads those places back. Every
+  // verdict must equal the one the same body gets on a new thread.
+  const std::vector<Submission> sequence = {
+      {"writer", SubmissionKind::Assembly,
+       "_start:\n    movl $0, %eax\n    movl $1234, 600000(%eax)\n    movl %esp, %ebx\n"
+       "    movl $5678, -40000(%ebx)\n    movl $1, %eax\n    hlt\n"},
+      {"fault", SubmissionKind::Assembly,
+       "_start:\n    movl $0, %eax\n    movl $77, 700000(%eax)\n    pushl $88\n"
+       "    movl 2000000000(%eax), %ebx\n    hlt\n"},
+      {"spin", SubmissionKind::Assembly, "_start:\n    pushl $99\n    jmp _start\n"},
+      {"mini_c", SubmissionKind::MiniC, mini_c_body(3)},
+      {"reader", SubmissionKind::Assembly,
+       "_start:\n    movl $0, %eax\n    movl 600000(%eax), %ecx\n    addl 700000(%eax), %ecx\n"
+       "    movl %esp, %ebx\n    addl -40000(%ebx), %ecx\n    addl -4(%ebx), %ecx\n"
+       "    movl %ecx, %eax\n    hlt\n"},
+  };
+  std::vector<Verdict> reused;
+  std::thread([&] {
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const Submission& s : sequence) reused.push_back(run_toolchain(s, test_limits()));
+    }
+  }).join();
+  ASSERT_EQ(reused.size(), 2 * sequence.size());
+  EXPECT_EQ(reused[1].status, "runtime_error") << reused[1].to_json();
+  EXPECT_EQ(reused[2].status, "timeout") << reused[2].to_json();
+  EXPECT_EQ(reused[4].status, "ok") << reused[4].to_json();
+  EXPECT_EQ(reused[4].result, 0);  // nothing left behind
+  for (std::size_t i = 0; i < reused.size(); ++i) {
+    Verdict fresh;
+    const Submission& s = sequence[i % sequence.size()];
+    std::thread([&] { fresh = run_toolchain(s, test_limits()); }).join();
+    EXPECT_EQ(reused[i], fresh) << s.id << ": " << reused[i].to_json() << " vs "
+                                << fresh.to_json();
+  }
 }
 
 TEST(Toolchain, ScriptVerdictIsDeterministic) {

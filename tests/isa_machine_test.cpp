@@ -672,5 +672,134 @@ TEST(TwoCores, LazyBlockDiscoveryAgreesWithTheStaticCfg) {
   }
 }
 
+
+// --- reset: a reused Machine is a new Machine ----------------------------
+//
+// reset() zeroes only the pages marked dirty, so each write path must
+// mark what it writes. Each case writes through one path, resets, and
+// compares every observable field (all of memory included) with a
+// freshly constructed Machine of the same size.
+
+void expect_like_new(const Machine& m) {
+  const Machine fresh(m.memory_size());
+  std::size_t stale = 0;
+  std::uint32_t first_stale = 0;
+  for (std::uint32_t a = 0; a < m.memory_size(); ++a) {
+    if (m.load8(a) != fresh.load8(a) && stale++ == 0) first_stale = a;
+  }
+  EXPECT_EQ(stale, 0u) << "first stale byte at " << first_stale;
+  expect_same_state(m, fresh);
+  EXPECT_EQ(m.core(), fresh.core());
+  EXPECT_TRUE(m.image().bytes.empty());
+  EXPECT_TRUE(m.memory_trace().empty());
+  const predecode::CacheStats& got = m.code_cache_stats();
+  const predecode::CacheStats& want = fresh.code_cache_stats();
+  EXPECT_EQ(got.blocks, want.blocks);
+  EXPECT_EQ(got.predecodes, want.predecodes);
+  EXPECT_EQ(got.lookups, want.lookups);
+  EXPECT_EQ(got.invalidations, want.invalidations);
+}
+
+/// Stores to a far address, across a page boundary and deep in the
+/// stack, then pushes.
+const char* const kScribbler = R"(
+_start:
+    movl $0, %eax
+    movl $1234, 600000(%eax)
+    movl $-1, 8190(%eax)
+    movl %esp, %ebx
+    movl $5678, -40000(%ebx)
+    pushl $9
+    pushl $10
+    call leaf
+    hlt
+leaf:
+    pushl %ebp
+    movl %esp, %ebp
+    leave
+    ret
+)";
+
+TEST(Reset, StorePokesIncludingAPageStraddle) {
+  Machine m;
+  m.store32(4094, 0xdeadbeefu);  // bytes 4094..4097: pages 0 and 1
+  m.store32(700000, 7);
+  m.store8(m.memory_size() - 1, 0xff);
+  m.reset();
+  expect_like_new(m);
+}
+
+TEST(Reset, FastAndSwitchCoreStoresAndPushes) {
+  for (const Machine::Core core : {Machine::Core::Predecoded, Machine::Core::Switch}) {
+    Machine m;
+    m.set_core(core);
+    m.set_trace_memory(core == Machine::Core::Switch);
+    m.load(assemble(kScribbler));
+    m.run();
+    ASSERT_EQ(m.load32(600000), 1234u);
+    m.reset();
+    expect_like_new(m);
+  }
+}
+
+TEST(Reset, SelfModifyingStore) {
+  Machine m;
+  m.load(assemble(self_modifying_source("movl $99, %ebx")));
+  m.run();
+  ASSERT_EQ(m.reg(Reg::Ebx), 99u);
+  m.reset();
+  expect_like_new(m);
+}
+
+TEST(Reset, MidRunFault) {
+  Machine m;
+  m.load(assemble("_start:\n    movl $0, %eax\n    movl $3, 500000(%eax)\n"
+                  "    pushl $4\n    movl 2000000000(%eax), %ebx\n    hlt\n"));
+  EXPECT_THROW(m.run(), Error);
+  m.reset();
+  expect_like_new(m);
+}
+
+TEST(Reset, InstructionBudgetStop) {
+  Machine m;
+  m.load(assemble("_start:\n    pushl $1\n    jmp _start\n"));
+  ASSERT_EQ(m.run_limited({1000, 0.0}).reason, Machine::StopReason::InstructionLimit);
+  m.reset();
+  expect_like_new(m);
+}
+
+TEST(Reset, LargeImageThenASmallerOne) {
+  // 600 instructions span three pages; the small program must not run
+  // into (or leave behind) any of the large image's bytes.
+  std::string large = "_start:\n";
+  for (int i = 0; i < 600; ++i) large += "    movl $" + std::to_string(i) + ", %eax\n";
+  large += "    hlt\n";
+  // 0x1000 + 4096 is the large image's 257th instruction.
+  const Image small = assemble("_start:\n    movl $0, %eax\n    movl 8192(%eax), %ecx\n    hlt\n");
+  Machine m;
+  m.load(assemble(large));
+  m.run();
+  m.reset();
+  expect_like_new(m);
+  m.load(small);
+  m.run();
+  Machine fresh;
+  fresh.load(small);
+  fresh.run();
+  expect_same_state(m, fresh);
+  EXPECT_EQ(m.reg(Reg::Ecx), 0u);
+  EXPECT_EQ(m.code_cache_stats().predecodes, fresh.code_cache_stats().predecodes);
+}
+
+TEST(Reset, MemorySizeThatIsNotAPageMultiple) {
+  Machine m(4096 + 6);
+  m.store32(4098, 0x01020304u);  // the last four bytes, in the partial page
+  m.load(assemble("_start:\n    pushl $5\n    call f\n    hlt\nf:\n    ret\n", 0));
+  m.run();
+  m.reset();
+  expect_like_new(m);
+  EXPECT_THROW(m.store32(4099, 0), Error);  // bounds unchanged by the reset
+}
+
 }  // namespace
 }  // namespace cs31::isa
