@@ -279,14 +279,16 @@ IsaCfg build_cfg(const isa::Image& image) {
     const std::uint32_t addr = base + static_cast<std::uint32_t>(i * isa::kInstrBytes);
     const std::uint32_t next = addr + isa::kInstrBytes;
     if (ins.op == Mnemonic::Jmp || is_cond_jump(ins.op)) {
-      require(in_image(ins.target),
-              "jump target outside the image at " + std::to_string(addr));
+      if (!in_image(ins.target)) {
+        throw Error("jump target outside the image at " + std::to_string(addr));
+      }
       leaders.insert(ins.target);
       jump_targets.insert(ins.target);
       if (in_image(next)) leaders.insert(next);
     } else if (ins.op == Mnemonic::Call) {
-      require(in_image(ins.target),
-              "call target outside the image at " + std::to_string(addr));
+      if (!in_image(ins.target)) {
+        throw Error("call target outside the image at " + std::to_string(addr));
+      }
       leaders.insert(ins.target);
       call_targets.insert(ins.target);
       if (in_image(next)) leaders.insert(next);

@@ -58,7 +58,7 @@ std::uint64_t parse_binary(const std::string& text) {
   require(s.size() <= 64, "binary literal longer than 64 bits");
   std::uint64_t v = 0;
   for (char c : s) {
-    require(c == '0' || c == '1', std::string("bad binary digit '") + c + "'");
+    if (c != '0' && c != '1') throw Error(std::string("bad binary digit '") + c + "'");
     v = (v << 1) | static_cast<std::uint64_t>(c - '0');
   }
   return v;
@@ -89,7 +89,7 @@ Word parse_decimal(const std::string& text, int width) {
   std::uint64_t mag = 0;
   for (; i < text.size(); ++i) {
     const char c = text[i];
-    require(c >= '0' && c <= '9', std::string("bad decimal digit '") + c + "'");
+    if (c < '0' || c > '9') throw Error(std::string("bad decimal digit '") + c + "'");
     const std::uint64_t d = static_cast<std::uint64_t>(c - '0');
     require(mag <= (~std::uint64_t{0} - d) / 10, "decimal literal overflows 64 bits");
     mag = mag * 10 + d;
@@ -97,8 +97,9 @@ Word parse_decimal(const std::string& text, int width) {
   if (neg) {
     // Magnitude may be |min| = max_signed + 1, which has no positive signed
     // encoding, so build the two's-complement pattern directly.
-    require(mag <= static_cast<std::uint64_t>(max_signed(width)) + 1,
-            "negative value out of signed range at width " + std::to_string(width));
+    if (mag > static_cast<std::uint64_t>(max_signed(width)) + 1) {
+      throw Error("negative value out of signed range at width " + std::to_string(width));
+    }
     return Word((~mag + 1) & low_mask(width), width);
   }
   return Word::from_unsigned(mag, width);

@@ -33,7 +33,7 @@ const CTypeInfo& ctype_info(CType t) {
 namespace {
 const CTypeInfo& integer_info(CType t) {
   const CTypeInfo& info = ctype_info(t);
-  require(info.is_integer, info.name + " is not an integer type");
+  if (!info.is_integer) throw Error(info.name + " is not an integer type");
   return info;
 }
 }  // namespace
@@ -54,7 +54,7 @@ std::uint64_t ctype_max(CType t) {
 Word ctype_increment(CType t, const Word& value) {
   const CTypeInfo& info = integer_info(t);
   const int w = info.size_bytes * 8;
-  require(value.width() == w, "value width does not match " + info.name);
+  if (value.width() != w) throw Error("value width does not match " + info.name);
   return Word(add(value, Word(1, w)).pattern, w);
 }
 

@@ -9,8 +9,9 @@ namespace cs31::bits {
 namespace {
 
 void check_width(int width) {
-  require(width >= 1 && width <= 64, "bit width must be in [1, 64], got " +
-                                         std::to_string(width));
+  if (width < 1 || width > 64) {
+    throw Error("bit width must be in [1, 64], got " + std::to_string(width));
+  }
 }
 
 Flags flags_for(std::uint64_t pattern, int width, bool carry, bool overflow) {
@@ -31,23 +32,26 @@ std::uint64_t low_mask(int width) {
 
 Word::Word(std::uint64_t pattern, int width) : pattern_(pattern), width_(width) {
   check_width(width);
-  require((pattern & ~low_mask(width)) == 0,
-          "pattern has bits set beyond width " + std::to_string(width));
+  if ((pattern & ~low_mask(width)) != 0) {
+    throw Error("pattern has bits set beyond width " + std::to_string(width));
+  }
 }
 
 Word Word::from_signed(std::int64_t value, int width) {
   check_width(width);
-  require(value >= min_signed(width) && value <= max_signed(width),
-          std::to_string(value) + " not representable as signed " +
-              std::to_string(width) + "-bit");
+  if (value < min_signed(width) || value > max_signed(width)) {
+    throw Error(std::to_string(value) + " not representable as signed " +
+                std::to_string(width) + "-bit");
+  }
   return Word(static_cast<std::uint64_t>(value) & low_mask(width), width);
 }
 
 Word Word::from_unsigned(std::uint64_t value, int width) {
   check_width(width);
-  require(value <= max_unsigned(width),
-          std::to_string(value) + " not representable as unsigned " +
-              std::to_string(width) + "-bit");
+  if (value > max_unsigned(width)) {
+    throw Error(std::to_string(value) + " not representable as unsigned " +
+                std::to_string(width) + "-bit");
+  }
   return Word(value, width);
 }
 
@@ -60,9 +64,10 @@ std::int64_t Word::as_signed() const {
 bool Word::msb() const { return (pattern_ >> (width_ - 1)) & 1u; }
 
 bool Word::bit(int i) const {
-  require(i >= 0 && i < width_, "bit index " + std::to_string(i) +
-                                    " out of range for width " +
-                                    std::to_string(width_));
+  if (i < 0 || i >= width_) {
+    throw Error("bit index " + std::to_string(i) + " out of range for width " +
+                std::to_string(width_));
+  }
   return (pattern_ >> i) & 1u;
 }
 

@@ -264,16 +264,18 @@ class Generator {
     // -4(%ebp), -8(%ebp), ... (function-scope, classic C89 style).
     offsets_.clear();
     for (std::size_t i = 0; i < fn.params.size(); ++i) {
-      require(!offsets_.contains(fn.params[i]),
-              "line " + std::to_string(fn.line) + ": duplicate parameter '" +
-                  fn.params[i] + "'");
+      if (offsets_.contains(fn.params[i])) {
+        throw Error("line " + std::to_string(fn.line) + ": duplicate parameter '" +
+                    fn.params[i] + "'");
+      }
       offsets_[fn.params[i]] = 8 + 4 * static_cast<int>(i);
     }
     std::vector<std::string> locals;
     for (const StmtPtr& s : fn.body) collect_locals(*s, locals);
     for (std::size_t i = 0; i < locals.size(); ++i) {
-      require(!offsets_.contains(locals[i]),
-              "in '" + fn.name + "': duplicate variable '" + locals[i] + "'");
+      if (offsets_.contains(locals[i])) {
+        throw Error("in '" + fn.name + "': duplicate variable '" + locals[i] + "'");
+      }
       offsets_[locals[i]] = -4 * static_cast<int>(i + 1);
     }
 
@@ -328,9 +330,10 @@ std::string entry_stub(const ProgramAst& program, const std::vector<std::int32_t
     if (fn.name == "main") main_fn = &fn;
   }
   require(main_fn != nullptr, "program has no main()");
-  require(main_fn->params.size() == args.size(),
-          "main() expects " + std::to_string(main_fn->params.size()) +
-              " argument(s), got " + std::to_string(args.size()));
+  if (main_fn->params.size() != args.size()) {
+    throw Error("main() expects " + std::to_string(main_fn->params.size()) +
+                " argument(s), got " + std::to_string(args.size()));
+  }
   std::ostringstream stub;
   stub << "_start:\n";
   for (auto it = args.rbegin(); it != args.rend(); ++it) {

@@ -74,8 +74,9 @@ std::vector<Token> lex(const std::string& source) {
       std::int64_t v = 0;
       while (i < n && std::isdigit(static_cast<unsigned char>(source[i]))) {
         v = v * 10 + (source[i] - '0');
-        require(v <= 2147483647,
-                "line " + std::to_string(line) + ": integer literal overflows int");
+        if (v > 2147483647) {
+          throw Error("line " + std::to_string(line) + ": integer literal overflows int");
+        }
         ++i;
       }
       Token t;

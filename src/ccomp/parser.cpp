@@ -18,9 +18,10 @@ class Parser {
     std::set<std::string> names;
     while (peek().kind != TokKind::End) {
       Function fn = parse_function();
-      require(!names.contains(fn.name),
-              "line " + std::to_string(fn.line) + ": duplicate function '" +
-                  fn.name + "'");
+      if (names.contains(fn.name)) {
+        throw Error("line " + std::to_string(fn.line) + ": duplicate function '" + fn.name +
+                    "'");
+      }
       names.insert(fn.name);
       program.functions.push_back(std::move(fn));
     }
@@ -36,8 +37,10 @@ class Parser {
 
   Token eat(TokKind kind) {
     const Token& t = peek();
-    require(t.kind == kind, "line " + std::to_string(t.line) + ": expected " +
-                                token_name(kind) + ", found " + token_name(t.kind));
+    if (t.kind != kind) {
+      throw Error("line " + std::to_string(t.line) + ": expected " + token_name(kind) +
+                  ", found " + token_name(t.kind));
+    }
     ++pos_;
     return t;
   }

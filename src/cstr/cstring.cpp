@@ -6,7 +6,7 @@ namespace cs31::cstr {
 
 namespace {
 void check(const void* p, const char* what) {
-  require(p != nullptr, std::string(what) + " received a null pointer");
+  if (p == nullptr) throw Error(std::string(what) + " received a null pointer");
 }
 }  // namespace
 

@@ -3,11 +3,19 @@
 // `movl 8(%ebp), %eax`, `leal (%eax,%ebx,4), %ecx`, labels, and `#`
 // comments. Produces a loadable image plus its symbol table, and the
 // matching disassembler view (Lab 5's `disas`).
+//
+// The assembler is a scanner over std::string_view: both passes walk the
+// source in place, operands split into a fixed array of views, and each
+// instruction is encoded straight into the image's bytes. A submission
+// that assembles allocates only its symbol names and its image; error
+// messages are formatted only when a check fails.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "isa/ia32.hpp"
@@ -19,7 +27,7 @@ namespace cs31::isa {
 struct Image {
   std::uint32_t base = 0;
   std::vector<std::uint8_t> bytes;
-  std::map<std::string, std::uint32_t> symbols;
+  std::map<std::string, std::uint32_t, std::less<>> symbols;
 
   /// Number of instructions in the image.
   [[nodiscard]] std::size_t instruction_count() const {
@@ -27,7 +35,7 @@ struct Image {
   }
 
   /// Address of a label. Throws cs31::Error when undefined.
-  [[nodiscard]] std::uint32_t symbol(const std::string& name) const;
+  [[nodiscard]] std::uint32_t symbol(std::string_view name) const;
 };
 
 /// Assemble AT&T-syntax source. Throws cs31::Error with a line number on

@@ -143,7 +143,7 @@ std::string Debugger::execute(const std::string& command) {
   const std::string& cmd = tok[0];
 
   if (const auto it = extra_commands_.find(cmd); it != extra_commands_.end()) {
-    require(tok.size() == 1, "usage: " + cmd);
+    if (tok.size() != 1) throw Error("usage: " + cmd);
     return it->second();
   }
 
@@ -239,7 +239,9 @@ void Debugger::register_command(const std::string& name,
       "break", "b", "delete", "continue", "c",     "stepi", "si",
       "info",  "print", "p",  "x",        "disas", "disassemble",
       "backtrace", "bt"};
-  require(!kReserved.contains(name), "'" + name + "' is a built-in debugger command");
+  if (kReserved.contains(name)) {
+    throw Error("'" + name + "' is a built-in debugger command");
+  }
   extra_commands_[name] = std::move(handler);
 }
 

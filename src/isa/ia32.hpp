@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cs31::isa {
@@ -40,6 +41,10 @@ struct Eflags {
 
 /// Parse "%eax" (or "eax"). Throws cs31::Error on an unknown name.
 [[nodiscard]] Reg parse_reg(const std::string& name);
+
+/// parse_reg over a view into the text, for the assembler's scanner
+/// (its own name keeps `parse_reg("%eax")` unambiguous).
+[[nodiscard]] Reg parse_reg_view(std::string_view name);
 
 /// An effective-address expression disp(base, index, scale); any of the
 /// three parts may be absent (scale defaults to 1).
@@ -105,6 +110,9 @@ struct Instruction {
 /// opcode byte, two 6-byte operand fields, padding. Jump/call targets
 /// live in the (otherwise unused) destination immediate field.
 inline constexpr std::uint32_t kInstrBytes = 16;
+
+/// Encode to the 16-byte teaching format, written to `out[0..16)`.
+void encode(const Instruction& ins, std::uint8_t* out);
 
 /// Encode to the 16-byte teaching format.
 [[nodiscard]] std::vector<std::uint8_t> encode(const Instruction& ins);

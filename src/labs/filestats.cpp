@@ -31,9 +31,10 @@ std::vector<double> parse_values(const std::string& text) {
   values.reserve(count);
   double v = 0;
   while (in >> v) values.push_back(v);
-  require(values.size() == count,
-          "stats file: expected " + std::to_string(count) + " values, found " +
-              std::to_string(values.size()));
+  if (values.size() != count) {
+    throw Error("stats file: expected " + std::to_string(count) + " values, found " +
+                std::to_string(values.size()));
+  }
   return values;
 }
 

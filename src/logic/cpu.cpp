@@ -37,7 +37,9 @@ std::uint16_t encode_jump(unsigned addr12) {
 Decoded decode(std::uint16_t word) {
   Decoded d;
   const unsigned opcode = word >> 12;
-  require(opcode <= static_cast<unsigned>(Op::Mov), "unknown opcode " + std::to_string(opcode));
+  if (opcode > static_cast<unsigned>(Op::Mov)) {
+    throw Error("unknown opcode " + std::to_string(opcode));
+  }
   d.op = static_cast<Op>(opcode);
   d.rd = (word >> 9) & 0x7u;
   d.rs = (word >> 6) & 0x7u;

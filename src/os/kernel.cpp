@@ -99,13 +99,13 @@ std::uint32_t Kernel::spawn(Program program) {
 
 Kernel::Pcb& Kernel::pcb(std::uint32_t pid) {
   const auto it = procs_.find(pid);
-  require(it != procs_.end(), "no such pid " + std::to_string(pid));
+  if (it == procs_.end()) throw Error("no such pid " + std::to_string(pid));
   return it->second;
 }
 
 const Kernel::Pcb& Kernel::pcb(std::uint32_t pid) const {
   const auto it = procs_.find(pid);
-  require(it != procs_.end(), "no such pid " + std::to_string(pid));
+  if (it == procs_.end()) throw Error("no such pid " + std::to_string(pid));
   return it->second;
 }
 

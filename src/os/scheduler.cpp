@@ -56,8 +56,8 @@ Schedule schedule(const std::vector<Job>& jobs, SchedPolicy policy, std::uint64_
   }
   std::set<std::string> names;
   for (const Job& j : jobs) {
-    require(j.burst >= 1, "job '" + j.name + "' has a zero burst");
-    require(names.insert(j.name).second, "duplicate job name '" + j.name + "'");
+    if (j.burst < 1) throw Error("job '" + j.name + "' has a zero burst");
+    if (!names.insert(j.name).second) throw Error("duplicate job name '" + j.name + "'");
   }
 
   std::vector<Running> state(jobs.size());

@@ -14,7 +14,7 @@ NameId Interner::id(std::string_view name) {
 }
 
 const std::string& Interner::name(NameId id) const {
-  require(id < names_.size(), "interner: unknown name id " + std::to_string(id));
+  if (id >= names_.size()) throw Error("interner: unknown name id " + std::to_string(id));
   return names_[id];
 }
 

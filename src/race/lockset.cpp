@@ -61,8 +61,9 @@ void LocksetDetector::release(ThreadId t, const std::string& lock) {
   const NameId id = lock_names_.id(lock);
   auto& held = held_[t];
   const auto it = std::find(held.rbegin(), held.rend(), id);
-  require(it != held.rend(),
-          "lockset: thread releases lock '" + lock + "' it does not hold");
+  if (it == held.rend()) {
+    throw Error("lockset: thread releases lock '" + lock + "' it does not hold");
+  }
   held.erase(std::next(it).base());
   ++events_;
 }

@@ -57,8 +57,10 @@ void ReferenceDetector::release(ThreadId t, const std::string& lock_name) {
   ++events_;
   ThreadState& ts = state(t);
   const auto it = std::find(ts.held.rbegin(), ts.held.rend(), lock_name);
-  require(it != ts.held.rend(), "release of lock '" + lock_name + "' not held by thread " +
-                                    std::to_string(t));
+  if (it == ts.held.rend()) {
+    throw Error("release of lock '" + lock_name + "' not held by thread " +
+                std::to_string(t));
+  }
   locks_[lock_name] = ts.vc;  // publish this critical section to the lock
   ts.vc.tick(t);
   ts.held.erase(std::next(it).base());
@@ -162,7 +164,7 @@ void ReferenceDetector::report(const std::string& var, const AccessSite& first,
 }
 
 ReferenceDetector::ThreadState& ReferenceDetector::state(ThreadId t) {
-  require(t < threads_.size(), "unknown thread id " + std::to_string(t));
+  if (t >= threads_.size()) throw Error("unknown thread id " + std::to_string(t));
   return threads_[t];
 }
 
@@ -238,7 +240,7 @@ std::size_t ReferenceDetector::shadow_bytes() const {
 
 VectorClock ReferenceDetector::clock_of(ThreadId t) const {
   std::scoped_lock lock(mutex_);
-  require(t < threads_.size(), "unknown thread id " + std::to_string(t));
+  if (t >= threads_.size()) throw Error("unknown thread id " + std::to_string(t));
   return threads_[t].vc;
 }
 

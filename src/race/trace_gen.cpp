@@ -181,11 +181,15 @@ void run_trace(const Trace& trace, EventSink& sink) {
   tid[0] = 0;  // the sink pre-registers its root thread
   for (std::size_t i = 0; i < trace.ops.size(); ++i) {
     const TraceOp& op = trace.ops[i];
-    require(op.actor < tid.size(), "trace op " + std::to_string(i) + ": bad actor");
+    if (op.actor >= tid.size()) {
+      throw Error("trace op " + std::to_string(i) + ": bad actor");
+    }
     const ThreadId actor = tid[op.actor];
     switch (op.kind) {
       case TraceOp::Kind::Fork:
-        require(op.object < tid.size(), "trace op " + std::to_string(i) + ": bad child");
+        if (op.object >= tid.size()) {
+          throw Error("trace op " + std::to_string(i) + ": bad child");
+        }
         tid[op.object] = sink.fork(actor);
         break;
       case TraceOp::Kind::Join:

@@ -87,6 +87,30 @@ TEST(Toolchain, MiniCArgsDirectiveFeedsMain) {
   EXPECT_EQ(v.result, 42);
 }
 
+TEST(Toolchain, MiniCArgsDirectiveOnALaterLine) {
+  // The first directive wins, wherever it sits; the rest of the body is
+  // ordinary source.
+  const std::string body =
+      "int main(int a, int b) {\n"
+      "  // args: 30 -12\n"
+      "  return a + b;  // args: 1 1\n"
+      "}\n";
+  const Verdict v = run_toolchain({"s", SubmissionKind::MiniC, body}, test_limits());
+  EXPECT_EQ(v.status, "ok") << v.to_json();
+  EXPECT_EQ(v.result, 18);
+}
+
+TEST(Toolchain, MiniCWithoutArgsDirectiveCallsMainWithNone) {
+  const Verdict none = run_toolchain(
+      {"s", SubmissionKind::MiniC, "int main() { return 7; }  // args\n"}, test_limits());
+  EXPECT_EQ(none.status, "ok") << none.to_json();
+  EXPECT_EQ(none.result, 7);
+  const Verdict missing = run_toolchain(
+      {"s", SubmissionKind::MiniC, "int main(int a) { return a; }\n"}, test_limits());
+  EXPECT_EQ(missing.status, "compile_error") << missing.to_json();
+  EXPECT_EQ(missing.notes, std::vector<std::string>{"main() expects 1 argument(s), got 0"});
+}
+
 TEST(Toolchain, MiniCSyntaxErrorIsAVerdict) {
   const Verdict v =
       run_toolchain({"s", SubmissionKind::MiniC, poison_bad_mini_c()}, test_limits());
@@ -359,6 +383,27 @@ TEST(Toolchain, LifeCapsAdmitBodiesAtEachCap) {
     EXPECT_EQ(run_toolchain({"s", SubmissionKind::LifeTrace, over}, test_limits()).status,
               "invalid")
         << over;
+  }
+}
+
+TEST(Toolchain, ImageLargerThanMemoryIsACompileError) {
+  // The grading Machine has 1 MiB; both bodies assemble past it. The
+  // size is checked with the compile, so the verdict is the
+  // submission's, not a grader_error escaping load().
+  std::string mini_c = "int main() {\n  int x = 0;\n";
+  for (int i = 0; i < 10000; ++i) mini_c += "  x = x + 1;\n";
+  mini_c += "  return x;\n}\n";
+  std::string assembly = "_start:\n";
+  for (int i = 0; i < 70000; ++i) assembly += "    nop\n";
+  assembly += "    hlt\n";
+  for (const Submission& s : {Submission{"c", SubmissionKind::MiniC, mini_c},
+                              Submission{"a", SubmissionKind::Assembly, assembly}}) {
+    const Verdict v = run_toolchain(s, test_limits());
+    EXPECT_EQ(v.status, "compile_error") << s.id << ": " << v.to_json();
+    EXPECT_EQ(v.score, 0);
+    EXPECT_EQ(v.instructions, 0u);
+    ASSERT_FALSE(v.notes.empty());
+    EXPECT_EQ(v.notes.back(), "image does not fit in memory");
   }
 }
 
