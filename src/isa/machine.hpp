@@ -33,6 +33,10 @@ class Machine {
   /// ESP/EBP to the top of memory. Throws when the image does not fit.
   void load(const Image& image);
 
+  /// Throw load()'s "image does not fit in memory" error when `image`
+  /// would not fit; lets a caller reject an image before loading it.
+  void require_fits(const Image& image) const;
+
   /// Put the machine back in the state Machine(memory_size()) builds.
   /// Only the pages written since the last reset are zeroed, so a
   /// Machine kept per grading thread costs what each program touched,
@@ -170,6 +174,7 @@ class Machine {
   bool halted_ = true;
   std::size_t executed_ = 0;
   Image image_;
+  std::uint32_t entry_ = 0;  ///< image_'s entry: `_start`, else `main`, else its base
   std::size_t call_depth_ = 0;
   Core core_ = Core::Predecoded;
   predecode::BlockCache code_cache_;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "analyze/cfg.hpp"
@@ -259,6 +260,41 @@ TEST(Machine, RunawayGuardThrows) {
 
 TEST(Machine, TooSmallMemoryRejected) {
   EXPECT_THROW(Machine(100), Error);
+}
+
+/// The what() of `f`'s cs31::Error, or "" when it does not throw one.
+template <typename F>
+std::string error_text(F f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Machine, RequireFitsIsTheCheckLoadRuns) {
+  Machine m(4096);
+  Image fits;
+  fits.bytes.assign(4096, 0);
+  Image too_big;
+  too_big.bytes.assign(4097, 0);
+  EXPECT_NO_THROW(m.require_fits(fits));
+  EXPECT_EQ(error_text([&] { m.require_fits(too_big); }), "image does not fit in memory");
+  EXPECT_EQ(error_text([&] { m.load(too_big); }), "image does not fit in memory");
+}
+
+TEST(Machine, StepFaultMessagesAreExact) {
+  Machine m;
+  m.load(assemble("nop\nhlt\n"));
+  const std::uint32_t entry = m.reg(Reg::Eip);
+  m.store8(entry, 0xFF);
+  EXPECT_EQ(error_text([&] { m.step(); }), "bad opcode 255");
+  const std::uint8_t bad[kInstrBytes] = {0xFF};
+  EXPECT_EQ(error_text([&] { (void)decode(bad); }), "bad opcode 255");
+  m.set_reg(Reg::Eip, entry + 2 * kInstrBytes);
+  EXPECT_EQ(error_text([&] { m.step(); }),
+            "EIP 0x" + std::to_string(entry + 2 * kInstrBytes) + " outside the loaded program");
 }
 
 // --- run_limited: the grading service's resource budgets ---------------
