@@ -1,7 +1,6 @@
 #include "life/life.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <mutex>
 #include <sstream>
 
@@ -66,23 +65,43 @@ std::size_t Grid::population() const {
   return n;
 }
 
+namespace {
+
+/// The indices one step either side of `i` in a dimension of size `n`,
+/// with `i` itself in the middle: wrapped under Torus, dropped at the
+/// edge under Bounded. Neighbours are at most one step away, so a
+/// compare does the wrap. Returns how many were written (2 or 3).
+std::size_t around(std::size_t i, std::size_t n, EdgeRule rule, std::size_t (&out)[3]) {
+  std::size_t k = 0;
+  if (i > 0) {
+    out[k++] = i - 1;
+  } else if (rule == EdgeRule::Torus) {
+    out[k++] = n - 1;
+  }
+  out[k++] = i;
+  if (i + 1 < n) {
+    out[k++] = i + 1;
+  } else if (rule == EdgeRule::Torus) {
+    out[k++] = 0;
+  }
+  return k;
+}
+
+}  // namespace
+
 int Grid::neighbors(std::size_t r, std::size_t c, EdgeRule rule) const {
   require(r < rows_ && c < cols_, "cell out of range");
-  int count = 0;
-  for (int dr = -1; dr <= 1; ++dr) {
-    for (int dc = -1; dc <= 1; ++dc) {
-      if (dr == 0 && dc == 0) continue;
-      std::int64_t nr = static_cast<std::int64_t>(r) + dr;
-      std::int64_t nc = static_cast<std::int64_t>(c) + dc;
-      if (rule == EdgeRule::Torus) {
-        nr = (nr + static_cast<std::int64_t>(rows_)) % static_cast<std::int64_t>(rows_);
-        nc = (nc + static_cast<std::int64_t>(cols_)) % static_cast<std::int64_t>(cols_);
-      } else if (nr < 0 || nc < 0 || nr >= static_cast<std::int64_t>(rows_) ||
-                 nc >= static_cast<std::int64_t>(cols_)) {
-        continue;
-      }
-      count += cells_[static_cast<std::size_t>(nr) * cols_ + static_cast<std::size_t>(nc)];
-    }
+  // Every (row, column) pair of the 3x3 window, the cell itself taken
+  // back out. On a 1- or 2-wide torus a neighbour index repeats, and the
+  // window counts it once per step that lands on it, as the modular
+  // wrap does.
+  std::size_t rows_at[3], cols_at[3];
+  const std::size_t nr = around(r, rows_, rule, rows_at);
+  const std::size_t nc = around(c, cols_, rule, cols_at);
+  int count = -static_cast<int>(cells_[r * cols_ + c]);
+  for (std::size_t i = 0; i < nr; ++i) {
+    const std::uint8_t* row = &cells_[rows_at[i] * cols_];
+    for (std::size_t j = 0; j < nc; ++j) count += row[cols_at[j]];
   }
   return count;
 }
@@ -143,52 +162,42 @@ ParallelLife::ParallelLife(Grid initial, std::size_t threads, parallel::GridSpli
 
 void ParallelLife::run(std::size_t n) { run(n, LifeTraceOptions{}); }
 
-std::string_view cell_name(CellNameBuffer& buf, CellGrid grid, std::size_t r, std::size_t c) {
-  char* const end = buf.data() + buf.size();
-  const std::string_view prefix = grid == CellGrid::Cur ? "cur" : "next";
-  char* p = std::copy(prefix.begin(), prefix.end(), buf.data());
-  *p++ = '[';
-  p = std::to_chars(p, end, r).ptr;
-  *p++ = ',';
-  p = std::to_chars(p, end, c).ptr;
-  *p++ = ']';
-  return {buf.data(), static_cast<std::size_t>(p - buf.data())};
+trace::NameId reserve_cell_names(trace::TraceContext& ctx, std::size_t rows,
+                                 std::size_t cols) {
+  return ctx.reserve_vars(2 * rows * cols, [cols](std::size_t k) {
+    const std::size_t cell = k / 2;
+    return (k % 2 == 0 ? "cur[" : "next[") + std::to_string(cell / cols) + ',' +
+           std::to_string(cell % cols) + ']';
+  });
 }
 
 namespace {
 
 /// Interned ids a traced run fires per access: one id per band line
-/// (Row granularity) or per cell (Cell granularity), for each grid,
-/// plus the site labels. Cell names come from cell_name, which the
-/// replay path in life/traced.cpp shares, so the two certificates are
-/// comparable.
+/// (Row granularity) or per cell (Cell granularity) of each grid,
+/// interleaved in one reserved block, plus the site labels. Cell names
+/// come from reserve_cell_names, which the replay path in
+/// life/traced.cpp shares, so the two certificates are comparable.
 struct LifeTraceIds {
-  std::vector<trace::NameId> cur, next;  ///< by line or by r*cols+c
+  trace::NameId grids = 0;  ///< item k (line, or cell r*cols+c) of cur; next is +1
   std::vector<trace::NameId> band_sites;
   trace::NameId swap_site = 0;
+
+  [[nodiscard]] trace::NameId cur(std::size_t k) const {
+    return static_cast<trace::NameId>(grids + 2 * k);
+  }
+  [[nodiscard]] trace::NameId next(std::size_t k) const { return cur(k) + 1; }
 };
 
 LifeTraceIds intern_life_ids(trace::TraceContext& ctx, std::size_t rows, std::size_t cols,
-                             std::size_t threads, bool cell, bool horizontal) {
+                             std::size_t threads, bool cell, std::size_t lines) {
   LifeTraceIds ids;
   if (cell) {
-    ids.cur.reserve(rows * cols);
-    ids.next.reserve(rows * cols);
-    CellNameBuffer buf;
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        ids.cur.push_back(ctx.intern_var(cell_name(buf, CellGrid::Cur, r, c)));
-        ids.next.push_back(ctx.intern_var(cell_name(buf, CellGrid::Next, r, c)));
-      }
-    }
+    ids.grids = reserve_cell_names(ctx, rows, cols);
   } else {
-    const std::size_t lines = horizontal ? rows : cols;
-    ids.cur.reserve(lines);
-    ids.next.reserve(lines);
-    for (std::size_t l = 0; l < lines; ++l) {
-      ids.cur.push_back(ctx.intern_var("cur[" + std::to_string(l) + ']'));
-      ids.next.push_back(ctx.intern_var("next[" + std::to_string(l) + ']'));
-    }
+    ids.grids = ctx.reserve_vars(2 * lines, [](std::size_t k) {
+      return (k % 2 == 0 ? "cur[" : "next[") + std::to_string(k / 2) + ']';
+    });
   }
   ids.band_sites.reserve(threads);
   for (std::size_t t = 0; t < threads; ++t) {
@@ -214,10 +223,11 @@ void ParallelLife::run(std::size_t n, const LifeTraceOptions& options) {
   const std::size_t rows = current_.rows(), cols = current_.cols();
   const bool horizontal = split_ == parallel::GridSplit::Horizontal;
   const bool cell = options.granularity == TraceGranularity::Cell;
+  const std::size_t lines = horizontal ? rows : cols;
   LifeTraceIds ids;
   if (ctx != nullptr) {
     barrier.attach_tracer(*ctx, options.report_barrier);
-    ids = intern_life_ids(*ctx, rows, cols, t, cell, horizontal);
+    ids = intern_life_ids(*ctx, rows, cols, t, cell, lines);
   }
 
   // What a worker reads each round: its band plus a one-line halo on
@@ -227,35 +237,34 @@ void ParallelLife::run(std::size_t n, const LifeTraceOptions& options) {
   const auto emit_compute = [&](std::size_t id) {
     const parallel::GridRegion& region = regions_[id];
     const parallel::Range band = horizontal ? region.rows : region.cols;
-    const std::size_t dim = horizontal ? rows : cols;
     const std::size_t span = horizontal ? cols : rows;
     const std::int64_t lo = static_cast<std::int64_t>(band.begin) - 1;
     const std::int64_t hi = static_cast<std::int64_t>(band.end);  // inclusive halo
     for (std::int64_t ll = lo; ll <= hi; ++ll) {
       std::int64_t line = ll;
       if (rule_ == EdgeRule::Torus) {
-        line = (ll + static_cast<std::int64_t>(dim)) % static_cast<std::int64_t>(dim);
-      } else if (ll < 0 || ll >= static_cast<std::int64_t>(dim)) {
+        line = (ll + static_cast<std::int64_t>(lines)) % static_cast<std::int64_t>(lines);
+      } else if (ll < 0 || ll >= static_cast<std::int64_t>(lines)) {
         continue;
       }
       const auto l = static_cast<std::size_t>(line);
       if (cell) {
         for (std::size_t s = 0; s < span; ++s) {
           const std::size_t idx = horizontal ? l * cols + s : s * cols + l;
-          ctx->read(ids.cur[idx], ids.band_sites[id]);
+          ctx->read(ids.cur(idx), ids.band_sites[id]);
         }
       } else {
-        ctx->read(ids.cur[l], ids.band_sites[id]);
+        ctx->read(ids.cur(l), ids.band_sites[id]);
       }
     }
     for (std::size_t l = band.begin; l < band.end; ++l) {
       if (cell) {
         for (std::size_t s = 0; s < span; ++s) {
           const std::size_t idx = horizontal ? l * cols + s : s * cols + l;
-          ctx->write(ids.next[idx], ids.band_sites[id]);
+          ctx->write(ids.next(idx), ids.band_sites[id]);
         }
       } else {
-        ctx->write(ids.next[l], ids.band_sites[id]);
+        ctx->write(ids.next(l), ids.band_sites[id]);
       }
     }
   };
@@ -263,18 +272,9 @@ void ParallelLife::run(std::size_t n, const LifeTraceOptions& options) {
   // The swap rebinds every cell of both grids: a write to all of them
   // by the serial thread.
   const auto emit_swap = [&] {
-    if (cell) {
-      for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t c = 0; c < cols; ++c) {
-          ctx->write(ids.cur[r * cols + c], ids.swap_site);
-          ctx->write(ids.next[r * cols + c], ids.swap_site);
-        }
-      }
-    } else {
-      for (std::size_t l = 0; l < ids.cur.size(); ++l) {
-        ctx->write(ids.cur[l], ids.swap_site);
-        ctx->write(ids.next[l], ids.swap_site);
-      }
+    for (std::size_t k = 0; k < (cell ? rows * cols : lines); ++k) {
+      ctx->write(ids.cur(k), ids.swap_site);
+      ctx->write(ids.next(k), ids.swap_site);
     }
   };
 

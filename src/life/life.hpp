@@ -5,10 +5,8 @@
 // a mutex protecting shared statistics.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "parallel/threads.hpp"
@@ -161,17 +159,13 @@ struct RegionDelta {
 RegionDelta step_region(const Grid& current, Grid& next, const parallel::GridRegion& region,
                         EdgeRule rule);
 
-/// The two grids a traced run names cells in.
-enum class CellGrid { Cur, Next };
-
-/// Room for a traced cell name: "next[r,c]" with two 20-digit indices.
-using CellNameBuffer = std::array<char, 48>;
-
-/// The traced name of cell (r, c) of `grid`, "cur[2,5]", shared by both
-/// engines so their certificates name the same cells. Written into
-/// `buf` and returned as a view of it: one buffer names every cell, and
-/// no name builds a temporary string.
-[[nodiscard]] std::string_view cell_name(CellNameBuffer& buf, CellGrid grid, std::size_t r,
-                                         std::size_t c);
+/// Reserve the traced names of both grids' cells as one block of
+/// variable ids in `ctx`, interleaved: cur[r,c] ("cur[2,5]") is
+/// base + 2·(r·cols + c) and next[r,c] the id after it. Returns base.
+/// Both engines name cells through this, so their certificates name the
+/// same cells; a name is formatted only when a report (or a string
+/// lookup) reads it.
+[[nodiscard]] trace::NameId reserve_cell_names(trace::TraceContext& ctx, std::size_t rows,
+                                               std::size_t cols);
 
 }  // namespace cs31::life

@@ -30,8 +30,7 @@ struct ReplayOps {
   race::EventSink* verdict;             ///< the sink whose result is harvested, or
   trace::AnalysisPipeline* pipeline;    ///< the pipeline it comes from instead
   std::vector<trace::ThreadId> workers;
-  std::vector<trace::NameId> cur_ids;   // row-major cell ids for grid "cur"
-  std::vector<trace::NameId> next_ids;  // and for grid "next"
+  trace::NameId cells = 0;  ///< cur[r,c] is cells + 2(r·cols + c); next[r,c] one more
   std::vector<trace::NameId> band_sites;
   trace::NameId swap_site = 0;
   std::size_t cols = 0;
@@ -39,15 +38,7 @@ struct ReplayOps {
   ReplayOps(trace::TraceContext& ctx_in, race::EventSink* verdict_in,
             trace::AnalysisPipeline* pipeline_in, std::size_t rows, std::size_t cols_in)
       : ctx(ctx_in), verdict(verdict_in), pipeline(pipeline_in), cols(cols_in) {
-    cur_ids.reserve(rows * cols);
-    next_ids.reserve(rows * cols);
-    CellNameBuffer buf;
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        cur_ids.push_back(ctx.intern_var(cell_name(buf, CellGrid::Cur, r, c)));
-        next_ids.push_back(ctx.intern_var(cell_name(buf, CellGrid::Next, r, c)));
-      }
-    }
+    cells = reserve_cell_names(ctx, rows, cols);
     swap_site = ctx.intern_site("swap grids (serial thread)");
   }
 
@@ -59,16 +50,22 @@ struct ReplayOps {
       band_sites.push_back(ctx.intern_site("step_region band " + std::to_string(t)));
     }
   }
-  void read_cur(std::size_t t, std::size_t r, std::size_t c) {
-    ctx.read_as(workers[t], cur_ids[r * cols + c], band_sites[t]);
+  /// The id of row r's first cell in grid cur (+1: in grid next).
+  [[nodiscard]] trace::NameId row_base(std::size_t r) const {
+    return static_cast<trace::NameId>(cells + 2 * r * cols);
   }
-  void write_next(std::size_t t, std::size_t r, std::size_t c) {
-    ctx.write_as(workers[t], next_ids[r * cols + c], band_sites[t]);
+  void read_cur_row(std::size_t t, std::size_t r) {
+    ctx.accesses_as(workers[t], race::AccessKind::Read, row_base(r), cols, 2, band_sites[t]);
+  }
+  void write_next_row(std::size_t t, std::size_t r) {
+    ctx.accesses_as(workers[t], race::AccessKind::Write, row_base(r) + 1, cols, 2,
+                    band_sites[t]);
   }
   void band_done() { ctx.flush(); }
-  void swap_write(std::size_t r, std::size_t c) {
-    ctx.write_as(workers[0], cur_ids[r * cols + c], swap_site);
-    ctx.write_as(workers[0], next_ids[r * cols + c], swap_site);
+  /// The swap writes cur[r,c] then next[r,c] along the row: with the
+  /// interleaved ids that is one run of 2·cols consecutive ids.
+  void swap_row(std::size_t r) {
+    ctx.accesses_as(workers[0], race::AccessKind::Write, row_base(r), 2 * cols, 1, swap_site);
   }
   void swap_done() { ctx.flush(); }
   void barrier() { ctx.barrier_cycle(workers); }
@@ -111,7 +108,7 @@ TracedLifeResult traced_life_run(ReplayOps& ops, const Grid& initial, std::size_
   // ThreadTeam in ParallelLife::run.
   ops.fork_workers(threads);
 
-  const std::size_t rows = cur.rows(), cols = cur.cols();
+  const std::size_t rows = cur.rows();
   for (std::size_t round = 0; round < rounds; ++round) {
     // Compute phase: thread t reads its band plus a one-row halo from
     // the current grid and writes its band of the next grid.
@@ -126,14 +123,10 @@ TracedLifeResult traced_life_run(ReplayOps& ops, const Grid& initial, std::size_
         } else if (rr < 0 || rr >= static_cast<std::int64_t>(rows)) {
           continue;
         }
-        for (std::size_t c = 0; c < cols; ++c) {
-          ops.read_cur(t, static_cast<std::size_t>(row), c);
-        }
+        ops.read_cur_row(t, static_cast<std::size_t>(row));
       }
       for (std::size_t r = region.rows.begin; r < region.rows.end; ++r) {
-        for (std::size_t c = 0; c < cols; ++c) {
-          ops.write_next(t, r, c);
-        }
+        ops.write_next_row(t, r);
       }
       step_region(cur, next, region, rule);
       ops.band_done();
@@ -143,11 +136,7 @@ TracedLifeResult traced_life_run(ReplayOps& ops, const Grid& initial, std::size_
 
     // Serial thread publishes the new generation: the swap rebinds every
     // cell of both grids, so it is a write to all of them.
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        ops.swap_write(r, c);
-      }
-    }
+    for (std::size_t r = 0; r < rows; ++r) ops.swap_row(r);
     ops.swap_done();
     std::swap(cur, next);
 

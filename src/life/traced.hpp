@@ -15,7 +15,7 @@
 //
 // Since the TraceContext refactor this replay is just a scripted driver
 // of the same capture machinery the real-thread engine uses
-// (ParallelLife::run with LifeTraceOptions): both paths intern the same
+// (ParallelLife::run with LifeTraceOptions): both paths reserve the same
 // names, emit the same events, and feed the same sinks — they differ
 // only in who pushes the events.
 #pragma once
@@ -73,10 +73,13 @@ struct TracedLifeOptions {
 /// false drops both barrier edges — the buggy variant the detector
 /// flags. Throws cs31::Error when threads == 0 or exceeds the rows.
 ///
-/// Every cell name and site label is interned once up front and the
-/// drain feeds the FastTrack detector through its id fast path, so the
-/// per-access cost is a buffer append plus an epoch check, not a string
-/// lookup — which is what lets this scale past toy grids
+/// The cells of both grids are reserved as one block of ids up front
+/// (reserve_cell_names: a name is formatted only if a report reads it),
+/// each row of accesses is appended with one buffer lookup
+/// (TraceContext::accesses_as), and the drain hands each run of
+/// accesses to the FastTrack detector under one lock, so the per-access
+/// cost is a buffer append plus an epoch check, not a string lookup or
+/// a mutex — which is what lets this scale past toy grids
 /// (bench_race_overhead has the numbers).
 [[nodiscard]] TracedLifeResult traced_life_check(const Grid& initial, std::size_t threads,
                                                  std::size_t rounds, bool use_barrier,

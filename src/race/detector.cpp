@@ -361,17 +361,16 @@ void Detector::check_and_record(ThreadId t, NameId var, AccessKind kind,
   }
 
   if (kind == AccessKind::Read) {
-    if (vs.shared) {
-      // Already read-shared: update this thread's slot.
-      vs.shared->vc.set(t, ts.vc.get(t));
-      auto& sites = vs.shared->sites;
+    if (!vs.readers.empty()) {
+      // Already read-shared: update this thread's entry, or add one.
       const auto it = std::lower_bound(
-          sites.begin(), sites.end(), t,
-          [](const auto& entry, ThreadId tid) { return entry.first < tid; });
-      if (it != sites.end() && it->first == t) {
-        it->second = site;
+          vs.readers.begin(), vs.readers.end(), t,
+          [](const Reader& reader, ThreadId tid) { return reader.tid < tid; });
+      if (it != vs.readers.end() && it->tid == t) {
+        it->clock = ts.vc.get(t);
+        it->site = site;
       } else {
-        sites.insert(it, {t, site});
+        vs.readers.insert(it, Reader{t, ts.vc.get(t), site});
       }
     } else if (!vs.read_epoch.valid() || vs.read_epoch.tid == t) {
       // The hot path: first reader since the write, or the same thread
@@ -379,17 +378,19 @@ void Detector::check_and_record(ThreadId t, NameId var, AccessKind kind,
       vs.read_epoch = Epoch{t, ts.vc.get(t)};
       vs.read_site = site;
     } else {
-      // A second thread is reading: inflate to the read-shared clock,
-      // keeping the previous reader's slot (see the file comment in
+      // A second thread is reading: inflate to the readers vector,
+      // keeping the previous reader's entry (see the file comment in
       // detector.hpp for why ordered cross-thread reads inflate too).
-      auto shared = std::make_unique<ReadShared>();
-      shared->vc.set(vs.read_epoch.tid, vs.read_epoch.clock);
-      shared->vc.set(t, ts.vc.get(t));
-      shared->sites.emplace_back(vs.read_epoch.tid, std::move(vs.read_site));
-      shared->sites.emplace_back(t, site);
-      std::sort(shared->sites.begin(), shared->sites.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      vs.shared = std::move(shared);
+      Reader previous{vs.read_epoch.tid, vs.read_epoch.clock, std::move(vs.read_site)};
+      Reader current{t, ts.vc.get(t), site};
+      vs.readers.reserve(2);
+      if (previous.tid < t) {
+        vs.readers.push_back(std::move(previous));
+        vs.readers.push_back(std::move(current));
+      } else {
+        vs.readers.push_back(std::move(current));
+        vs.readers.push_back(std::move(previous));
+      }
       vs.read_epoch = Epoch{};
       vs.read_site = CompactSite{};
     }
@@ -398,25 +399,25 @@ void Detector::check_and_record(ThreadId t, NameId var, AccessKind kind,
 
   // Read-check (writes only): every read since the last write must be
   // ordered before this write.
-  if (vs.shared) {
-    for (const auto& [reader, read_site] : vs.shared->sites) {
-      if (reader != t && vs.shared->vc.get(reader) > ts.vc.get(reader)) {
-        report(var, read_site, site, Conflict::ReadWrite);
-      }
+  for (const Reader& reader : vs.readers) {
+    if (reader.tid != t && reader.clock > ts.vc.get(reader.tid)) {
+      report(var, reader.site, site, Conflict::ReadWrite);
     }
-  } else if (vs.read_epoch.valid() && vs.read_epoch.tid != t &&
-             vs.read_epoch.clock > ts.vc.get(vs.read_epoch.tid)) {
+  }
+  if (vs.read_epoch.valid() && vs.read_epoch.tid != t &&
+      vs.read_epoch.clock > ts.vc.get(vs.read_epoch.tid)) {
     report(var, vs.read_site, site, Conflict::ReadWrite);
   }
 
   // Record the write and deflate: reads before this write are subsumed
   // (ordered ones can never race later accesses through it; unordered
-  // ones were just reported), so the read state resets to epoch-none.
+  // ones were just reported), so the read state resets to epoch-none
+  // and the readers' storage goes back to the allocator.
   vs.write_epoch = Epoch{t, ts.vc.get(t)};
   vs.write_site = site;
   vs.read_epoch = Epoch{};
   vs.read_site = CompactSite{};
-  vs.shared.reset();
+  std::vector<Reader>().swap(vs.readers);
 }
 
 CompactSite Detector::make_site(ThreadId t, AccessKind kind, NameId where) const {
@@ -465,12 +466,13 @@ Detector::ThreadState& Detector::state(ThreadId t) {
 template <typename Table>
 void Detector::cover(Table& table, NameKind kind, NameId id) {
   if (id < table.size()) return;
-  if (id >= names_->size(kind)) {
+  const std::size_t known = names_->size(kind);
+  if (id >= known) {
     static constexpr const char* kWhat[] = {"variable", "lock", "channel", "site"};
     throw Error(std::string("unknown ") + kWhat[static_cast<std::size_t>(kind)] + " id " +
                 std::to_string(id));
   }
-  table.resize(id + 1);
+  table.resize(known);
 }
 
 const std::vector<RaceReport>& Detector::races() const {
@@ -533,11 +535,9 @@ std::size_t Detector::shadow_bytes() const {
   for (const VarState& vs : vars_) {
     total += sizeof(VarState) - 2 * sizeof(CompactSite);
     total += site_bytes(vs.write_site) + site_bytes(vs.read_site);
-    if (vs.shared) {
-      total += sizeof(ReadShared) + clock_bytes(vs.shared->vc) - sizeof(VectorClock);
-      for (const auto& [tid, site] : vs.shared->sites) {
-        total += sizeof(tid) + site_bytes(site);
-      }
+    total += (vs.readers.capacity() - vs.readers.size()) * sizeof(Reader);
+    for (const Reader& reader : vs.readers) {
+      total += sizeof(Reader) - sizeof(CompactSite) + site_bytes(reader.site);
     }
   }
   return total + names_->bytes();

@@ -19,9 +19,10 @@
 //     and names are resolved back only when a report is materialized;
 //   - the last write is a single epoch (c@t) — unchanged from PR 1;
 //   - the read state is a single epoch while one thread is reading; it
-//     inflates to a read-shared vector clock (plus per-reader sites)
-//     when a second thread reads without an intervening write, and
-//     deflates back to epoch-nothing on every write.
+//     inflates to a readers vector — one (thread, clock, site) entry per
+//     reading thread, sorted by thread — when a second thread reads
+//     without an intervening write, and deflates back to epoch-nothing
+//     (releasing the vector) on every write.
 // One deliberate deviation from the paper: FastTrack's READ EXCLUSIVE
 // rule overwrites the read epoch when the new read is *ordered after*
 // the old one, even across threads, which forgets the older reader and
@@ -31,7 +32,15 @@
 // (singleton map <=> epoch), so the differential harness can demand
 // bit-identical reports, not just "a race was found on the same
 // variable". Repeated reads by one thread — the actual hot case — are
-// still a single epoch overwrite.
+// still a single epoch overwrite. The price is an inflation whenever a
+// second thread reads, which is not rare on every workload: each halo
+// row of a banded Life grid is read by two bands every round and then
+// rewritten by the swap, so about one access in five there inflates.
+// That is why an inflation allocates one small vector (room for two
+// readers), not a vector clock plus a separate vector of sites.
+//
+// Per access the detector takes its mutex once; a drain hands it whole
+// runs of accesses (check_accesses) so that a run costs one lock.
 #pragma once
 
 #include <compare>
@@ -323,6 +332,25 @@ class Detector final : public EventSink {
 
   void read(ThreadId t, NameId var, NameId site);
   void write(ThreadId t, NameId var, NameId site);
+
+  /// One read or write on the id fast path.
+  struct Access {
+    ThreadId thread = 0;
+    AccessKind kind = AccessKind::Read;
+    NameId var = 0;
+    NameId site = 0;
+  };
+  /// A run of accesses under one lock: exactly read()/write() on
+  /// `to_access(e)` for each element e of [first, last), in order.
+  template <typename It, typename ToAccess>
+  void check_accesses(It first, It last, ToAccess to_access) {
+    std::scoped_lock lock(mutex_);
+    for (; first != last; ++first) {
+      const Access a = to_access(*first);
+      check_and_record(a.thread, a.var, a.kind, a.site);
+    }
+  }
+
   void acquire(ThreadId t, NameId lock);
   void release(ThreadId t, NameId lock);
   void channel_send(ThreadId t, NameId channel);
@@ -340,25 +368,29 @@ class Detector final : public EventSink {
   void set_event_clock(std::uint64_t seen);
 
  private:
-  /// Inflated read state: per-thread read clocks plus the matching
-  /// sites, kept sorted by thread id (reports iterate in tid order,
-  /// matching the reference detector's std::map walk).
-  struct ReadShared {
-    VectorClock vc;
-    std::vector<std::pair<ThreadId, CompactSite>> sites;
+  /// One reading thread of a read-shared variable: its clock at the
+  /// read and where it read.
+  struct Reader {
+    ThreadId tid = 0;
+    Clock clock = 0;
+    CompactSite site;
   };
 
   /// Shadow state of one traced variable. Exactly one of these holds
   /// per variable:
-  ///   read_epoch.clock == 0, !shared  -> no reads since the last write
-  ///   read_epoch.clock != 0, !shared  -> one reading thread (epoch)
-  ///   shared != nullptr               -> read-shared (inflated)
+  ///   readers empty, read_epoch.clock == 0 -> no reads since the last write
+  ///   readers empty, read_epoch.clock != 0 -> one reading thread (epoch)
+  ///   readers.size() >= 2                  -> read-shared (inflated); the
+  ///     readers are sorted by thread id (reports iterate in tid order,
+  ///     matching the reference detector's std::map walk) and read_epoch
+  ///     and read_site are empty
+  /// A write empties the readers and releases their storage.
   struct VarState {
     Epoch write_epoch;  ///< last write as c@t; clock 0 = never written
     Epoch read_epoch;   ///< exclusive read as c@t; clock 0 = none
     CompactSite write_site;
     CompactSite read_site;
-    std::unique_ptr<ReadShared> shared;
+    std::vector<Reader> readers;
   };
 
   struct ThreadState {
@@ -382,7 +414,9 @@ class Detector final : public EventSink {
 
   ThreadState& state(ThreadId t);
   /// Size a per-id table to cover `id`, which must be interned in
-  /// names_ (it may have been by a context sharing them).
+  /// names_ (it may have been by a context sharing them). The table
+  /// grows to every id interned so far, so a context that interns a
+  /// whole grid up front costs one resize, not one per new id.
   template <typename Table>
   void cover(Table& table, NameKind kind, NameId id);
   void check_and_record(ThreadId t, NameId var, AccessKind kind, NameId site_label);

@@ -163,6 +163,10 @@ NameId TraceContext::intern_site(std::string_view label) {
   return names_->intern(race::NameKind::Site, label);
 }
 
+NameId TraceContext::reserve_vars(std::size_t count, race::NameFormat format) {
+  return names_->reserve(race::NameKind::Var, count, std::move(format));
+}
+
 ThreadId TraceContext::self() const {
   if (tls_binding.ctx == this && tls_binding.generation == generation_) {
     return tls_binding.tid;
@@ -423,15 +427,21 @@ void TraceContext::recv(const std::string& channel) { recv(intern_channel(channe
 // --- scripted capture ---------------------------------------------------
 
 void TraceContext::read_as(ThreadId t, NameId var, NameId site) {
-  ThreadBuffer& buf = buffer_of(t);
-  if (sampling_ && !sample_keep(buf)) return;
-  append_access(buf, t, EventKind::Read, var, site);
+  accesses_as(t, race::AccessKind::Read, var, 1, 1, site);
 }
 
 void TraceContext::write_as(ThreadId t, NameId var, NameId site) {
+  accesses_as(t, race::AccessKind::Write, var, 1, 1, site);
+}
+
+void TraceContext::accesses_as(ThreadId t, race::AccessKind kind, NameId first,
+                               std::size_t count, std::size_t stride, NameId site) {
   ThreadBuffer& buf = buffer_of(t);
-  if (sampling_ && !sample_keep(buf)) return;
-  append_access(buf, t, EventKind::Write, var, site);
+  const EventKind event = kind == race::AccessKind::Read ? EventKind::Read : EventKind::Write;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (sampling_ && !sample_keep(buf)) continue;
+    append_access(buf, t, event, static_cast<NameId>(first + i * stride), site);
+  }
 }
 
 void TraceContext::acquire_as(ThreadId t, NameId lock) {
@@ -560,7 +570,7 @@ void TraceContext::drain_locked(const std::vector<ThreadId>& subset, bool all) {
     }
     publish_locked(std::move(merged));
   } else {
-    for (std::size_t i = 0; i < safe; ++i) dispatch(merged[i]);
+    dispatch(merged.data(), merged.data() + safe);
     pending_.assign(merged.begin() + static_cast<std::ptrdiff_t>(safe), merged.end());
   }
 }
@@ -644,8 +654,31 @@ void TraceContext::publish_locked(std::vector<Event>&& events) {
   pipeline_->publish(std::move(batch));
 }
 
-void TraceContext::dispatch(const Event& event) {
-  for (SinkBinding& binding : sinks_) dispatch_to(binding, event);
+void TraceContext::dispatch(const Event* first, const Event* last) {
+  while (first != last) {
+    if (is_sync(first->kind)) {
+      for (SinkBinding& binding : sinks_) dispatch_to(binding, *first);
+      ++first;
+      continue;
+    }
+    // A maximal run of accesses: no fork can remap a thread inside it,
+    // so a detector on the context's own ids checks it under one lock.
+    const Event* const end =
+        std::find_if(first, last, [](const Event& e) { return is_sync(e.kind); });
+    for (SinkBinding& binding : sinks_) {
+      if (binding.same_ids) {
+        binding.fast->check_accesses(first, end, [&binding](const Event& e) {
+          return race::Detector::Access{
+              binding.tid_map[e.thread],
+              e.kind == EventKind::Read ? race::AccessKind::Read : race::AccessKind::Write,
+              e.id, e.site};
+        });
+      } else {
+        for (const Event* e = first; e != end; ++e) dispatch_to(binding, *e);
+      }
+    }
+    first = end;
+  }
 }
 
 void TraceContext::dispatch_to(SinkBinding& binding, const Event& event) {

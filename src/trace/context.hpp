@@ -35,6 +35,11 @@
 //               (fed through its interned-id fast path), the
 //               ReferenceDetector, the Eraser-style LocksetDetector,
 //               a MetricsSink, anything else honouring the interface.
+//               A detector that shares the context's name tables gets
+//               each maximal run of access events in one call
+//               (Detector::check_accesses: one detector lock per run);
+//               every other sink gets the stream event by event. Each
+//               sink sees the same events in the same order either way.
 //
 // Ordering (why lock-free capture drains byte-identically):
 //   1. Stamps are fetch_adds on one atomic, so they are unique and
@@ -210,6 +215,12 @@ class TraceContext {
   [[nodiscard]] NameId intern_channel(std::string_view name);
   [[nodiscard]] NameId intern_site(std::string_view label);
 
+  /// Reserve `count` consecutive variable ids named `format(0)` …
+  /// `format(count - 1)` and return the first (race::Interner::reserve:
+  /// on a context with no variables yet no name is formatted until it
+  /// is read).
+  [[nodiscard]] NameId reserve_vars(std::size_t count, race::NameFormat format);
+
   // --- thread lifecycle ------------------------------------------------
 
   /// The context id bound to the calling OS thread. Throws cs31::Error
@@ -257,6 +268,12 @@ class TraceContext {
   // the caller controls).
   void read_as(ThreadId t, NameId var, NameId site = 0);
   void write_as(ThreadId t, NameId var, NameId site = 0);
+  /// `count` accesses of one kind by thread `t` to the variables
+  /// `first`, `first + stride`, … at one site: read_as/write_as in a
+  /// loop, with the thread's buffer looked up once. Sampling still
+  /// decides per access.
+  void accesses_as(ThreadId t, race::AccessKind kind, NameId first, std::size_t count,
+                   std::size_t stride, NameId site = 0);
   void acquire_as(ThreadId t, NameId lock);
   void release_as(ThreadId t, NameId lock);
   void send_as(ThreadId t, NameId channel);
@@ -401,6 +418,8 @@ class TraceContext {
 
   /// Merge + dispatch the given buffers and the sync stream.
   /// `all` drains every buffer (flush/join); otherwise only `subset`.
+  /// Dispatch hands each maximal run of access events to a same-ids
+  /// detector in one call, under one detector lock (see dispatch).
   void drain_locked(const std::vector<ThreadId>& subset, bool all);
   /// Grace-period bookkeeping, called inside drain_locked's registry
   /// section: advance covered buffers' quiescence epochs, then free
@@ -412,7 +431,8 @@ class TraceContext {
   /// order — the witness that the merge reproduced the real per-object
   /// sync order. Caller holds stream_mutex_.
   void check_object_seqs(const std::vector<Event>& events, std::size_t count);
-  void dispatch(const Event& event);
+  /// Hand the events [first, last) to every sink, in order.
+  void dispatch(const Event* first, const Event* last);
   void dispatch_to(SinkBinding& binding, const Event& event);
   /// Publish `events` (consumed) plus the name/waiter-set deltas
   /// interned since the last publish to the attached pipeline (may

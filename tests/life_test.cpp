@@ -3,6 +3,7 @@
 // split directions, shared statistics, and ParaVis rendering.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <tuple>
 
 #include "common/error.hpp"
@@ -47,6 +48,56 @@ TEST(Grid, NeighborsBoundedVsTorus) {
   // Torus: (0,0) and (2,2) are diagonal neighbors across the wrap.
   EXPECT_EQ(g.neighbors(0, 0, EdgeRule::Torus), 1);
   EXPECT_EQ(g.neighbors(2, 2, EdgeRule::Torus), 1);
+}
+
+/// The modular-arithmetic neighbour count: every (dr, dc) step but
+/// (0, 0), wrapped with % under Torus, dropped off the edge when
+/// Bounded. Grid::neighbors must agree with it on every grid shape.
+int modular_neighbors(const Grid& g, std::size_t r, std::size_t c, EdgeRule rule) {
+  const auto rows = static_cast<std::int64_t>(g.rows());
+  const auto cols = static_cast<std::int64_t>(g.cols());
+  int count = 0;
+  for (int dr = -1; dr <= 1; ++dr) {
+    for (int dc = -1; dc <= 1; ++dc) {
+      if (dr == 0 && dc == 0) continue;
+      std::int64_t nr = static_cast<std::int64_t>(r) + dr;
+      std::int64_t nc = static_cast<std::int64_t>(c) + dc;
+      if (rule == EdgeRule::Torus) {
+        nr = (nr + rows) % rows;
+        nc = (nc + cols) % cols;
+      } else if (nr < 0 || nc < 0 || nr >= rows || nc >= cols) {
+        continue;
+      }
+      count += g.alive(static_cast<std::size_t>(nr), static_cast<std::size_t>(nc)) ? 1 : 0;
+    }
+  }
+  return count;
+}
+
+TEST(Grid, NeighborsMatchModularWrapOnEveryShape) {
+  // 1-row and 1-column grids are the edge cases: there a torus step
+  // lands on the cell itself, and on a 2-wide torus both steps land on
+  // the same neighbour; each landing counts.
+  for (std::size_t rows = 1; rows <= 5; ++rows) {
+    for (std::size_t cols = 1; cols <= 5; ++cols) {
+      for (const std::uint32_t seed : {3u, 11u, 29u}) {
+        const Grid g = Grid::random(rows, cols, 0.5, seed);
+        for (const EdgeRule rule : {EdgeRule::Torus, EdgeRule::Bounded}) {
+          for (std::size_t r = 0; r < rows; ++r) {
+            for (std::size_t c = 0; c < cols; ++c) {
+              EXPECT_EQ(g.neighbors(r, c, rule), modular_neighbors(g, r, c, rule))
+                  << rows << "x" << cols << " seed " << seed << " cell (" << r << ", " << c
+                  << ") torus=" << (rule == EdgeRule::Torus);
+            }
+          }
+        }
+      }
+    }
+  }
+  Grid single(1, 1);
+  single.set(0, 0, true);
+  EXPECT_EQ(single.neighbors(0, 0, EdgeRule::Torus), 8) << "every step wraps to itself";
+  EXPECT_EQ(single.neighbors(0, 0, EdgeRule::Bounded), 0);
 }
 
 TEST(Grid, OutOfRangeThrows) {
