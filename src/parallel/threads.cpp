@@ -51,6 +51,14 @@ ThreadTeam::ThreadTeam(std::size_t count, trace::TraceContext& ctx,
   // each worker binds its OS thread to its trace id before the body.
   traced_ids_.reserve(count);
   for (std::size_t t = 0; t < count; ++t) traced_ids_.push_back(ctx.on_thread_create());
+  // The parent typically blocks in join() from here; parking it lets
+  // the workers' barrier drains dispatch each cycle instead of pooling
+  // behind the idle parent's watermark. It parks before any worker
+  // starts, so no worker's first drain can race the park: which drains
+  // dispatch, and so drains(), does not depend on thread start-up
+  // timing. A parent that does capture again (e.g. as a consumer of a
+  // traced BoundedBuffer) un-parks on its first access.
+  ctx.park_self();
   workers_.reserve(count);
   for (std::size_t t = 0; t < count; ++t) {
     workers_.emplace_back([&ctx, body, t, tid = traced_ids_[t]] {
@@ -58,12 +66,6 @@ ThreadTeam::ThreadTeam(std::size_t count, trace::TraceContext& ctx,
       body(t);
     });
   }
-  // The parent typically blocks in join() from here; parking it lets
-  // the workers' barrier drains dispatch each cycle instead of pooling
-  // behind the idle parent's watermark. A parent that does capture
-  // again (e.g. as a consumer of a traced BoundedBuffer) un-parks on
-  // its first access.
-  ctx.park_self();
 }
 
 ThreadTeam::~ThreadTeam() { join(); }
