@@ -9,128 +9,41 @@
 #include <string>
 
 #include "ccomp/codegen.hpp"
+#include "ccomp_corpus.hpp"
 
 namespace cs31::cc {
 namespace {
 
-/// Deterministic RNG shared by the generator.
-struct Rng {
-  std::uint32_t state;
-  std::uint32_t next(std::uint32_t mod) {
-    state = state * 1664525u + 1013904223u;
-    return (state >> 8) % mod;
-  }
-};
-
-/// Generates an expression string and, in lock-step, its value under
-/// C's int semantics (two's complement wraparound via uint32).
-struct GenResult {
-  std::string text;
-  std::uint32_t value;  // bit pattern of the int result
-};
-
-GenResult gen_expr(Rng& rng, std::uint32_t x, int depth);
-
-GenResult gen_leaf(Rng& rng, std::uint32_t x) {
-  if (rng.next(3) == 0) return {"x", x};
-  const std::uint32_t v = rng.next(100);
-  return {std::to_string(v), v};
-}
-
-GenResult gen_expr(Rng& rng, std::uint32_t x, int depth) {
-  if (depth == 0) return gen_leaf(rng, x);
-  switch (rng.next(10)) {
-    case 0: {  // unary minus
-      const GenResult a = gen_expr(rng, x, depth - 1);
-      return {"(-" + a.text + ")", 0u - a.value};
-    }
-    case 1: {  // bit not
-      const GenResult a = gen_expr(rng, x, depth - 1);
-      return {"(~" + a.text + ")", ~a.value};
-    }
-    case 2: {  // logical not
-      const GenResult a = gen_expr(rng, x, depth - 1);
-      return {"(!" + a.text + ")", a.value == 0 ? 1u : 0u};
-    }
-    case 3: {  // shift by a small literal
-      const GenResult a = gen_expr(rng, x, depth - 1);
-      const std::uint32_t count = rng.next(9);
-      if (rng.next(2) == 0) {
-        return {"(" + a.text + " << " + std::to_string(count) + ")", a.value << count};
-      }
-      const std::int32_t shifted = static_cast<std::int32_t>(a.value) >> count;
-      return {"(" + a.text + " >> " + std::to_string(count) + ")",
-              static_cast<std::uint32_t>(shifted)};
-    }
-    default: {  // binary operator
-      const GenResult a = gen_expr(rng, x, depth - 1);
-      const GenResult b = gen_expr(rng, x, depth - 1);
-      const std::int32_t sa = static_cast<std::int32_t>(a.value);
-      const std::int32_t sb = static_cast<std::int32_t>(b.value);
-      switch (rng.next(11)) {
-        case 0: return {"(" + a.text + " + " + b.text + ")", a.value + b.value};
-        case 1: return {"(" + a.text + " - " + b.text + ")", a.value - b.value};
-        case 2: return {"(" + a.text + " * " + b.text + ")", a.value * b.value};
-        case 3: return {"(" + a.text + " & " + b.text + ")", a.value & b.value};
-        case 4: return {"(" + a.text + " | " + b.text + ")", a.value | b.value};
-        case 5: return {"(" + a.text + " ^ " + b.text + ")", a.value ^ b.value};
-        case 6: return {"(" + a.text + " < " + b.text + ")", sa < sb ? 1u : 0u};
-        case 7: return {"(" + a.text + " >= " + b.text + ")", sa >= sb ? 1u : 0u};
-        case 8: return {"(" + a.text + " == " + b.text + ")", sa == sb ? 1u : 0u};
-        case 9:
-          return {"(" + a.text + " && " + b.text + ")",
-                  (a.value != 0 && b.value != 0) ? 1u : 0u};
-        default:
-          return {"(" + a.text + " || " + b.text + ")",
-                  (a.value != 0 || b.value != 0) ? 1u : 0u};
-      }
-    }
-  }
-}
+using corpus::ExprTrial;
+using corpus::GenResult;
+using corpus::Rng;
 
 class CompilerFuzz : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(CompilerFuzz, CompiledExpressionsMatchReferenceEvaluator) {
   Rng rng{GetParam() | 1u};
-  for (int trial = 0; trial < 40; ++trial) {
-    const std::uint32_t x = rng.next(2000) - 1000;
-    const GenResult expr = gen_expr(rng, x, 3);
-    const std::string program =
-        "int main(int x) { return " + expr.text + "; }";
-    const std::int32_t got = run_mini_c(program, {static_cast<std::int32_t>(x)});
-    ASSERT_EQ(static_cast<std::uint32_t>(got), expr.value)
-        << "x=" << static_cast<std::int32_t>(x) << "\n" << program;
+  for (int trial = 0; trial < corpus::kExprTrials; ++trial) {
+    const ExprTrial t = corpus::gen_expr_trial(rng);
+    const std::int32_t got = run_mini_c(t.program, {t.x});
+    ASSERT_EQ(static_cast<std::uint32_t>(got), t.value) << "x=" << t.x << "\n" << t.program;
     // The optimizer must preserve the same semantics.
-    const std::int32_t opt = run_mini_c(program, {static_cast<std::int32_t>(x)}, true);
-    ASSERT_EQ(static_cast<std::uint32_t>(opt), expr.value)
-        << "optimizer broke: x=" << static_cast<std::int32_t>(x) << "\n" << program;
+    const std::int32_t opt = run_mini_c(t.program, {t.x}, true);
+    ASSERT_EQ(static_cast<std::uint32_t>(opt), t.value)
+        << "optimizer broke: x=" << t.x << "\n" << t.program;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CompilerFuzz,
-                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
+                         ::testing::ValuesIn(corpus::kExprSeeds));
 
 TEST(CompilerFuzz, StatementLevelDifferential) {
   // Random chains of assignments with a final accumulator, checked the
-  // same way: the reference tracks variables in the test.
-  Rng rng{0xF00D};
-  for (int trial = 0; trial < 25; ++trial) {
-    std::uint32_t a = rng.next(50), b = rng.next(50), c = rng.next(50);
-    std::string body = "int a = " + std::to_string(a) + "; int b = " +
-                       std::to_string(b) + "; int c = " + std::to_string(c) + ";\n";
-    for (int step = 0; step < 6; ++step) {
-      switch (rng.next(4)) {
-        case 0: body += "a = a + b * c;\n"; a = a + b * c; break;
-        case 1: body += "b = (b ^ a) - c;\n"; b = (b ^ a) - c; break;
-        case 2: body += "c = c + (a & 255);\n"; c = c + (a & 255u); break;
-        case 3: body += "if (a < b) { a = a + 1; } else { b = b + 1; }\n";
-          if (static_cast<std::int32_t>(a) < static_cast<std::int32_t>(b)) ++a; else ++b;
-          break;
-      }
-    }
-    const std::string program = "int main() { " + body + " return a + b + c; }";
-    const std::int32_t got = run_mini_c(program);
-    ASSERT_EQ(static_cast<std::uint32_t>(got), a + b + c) << program;
+  // same way: the generator tracks the variables.
+  Rng rng{corpus::kStatementSeed};
+  for (int trial = 0; trial < corpus::kStatementTrials; ++trial) {
+    const GenResult program = corpus::gen_statement_program(rng);
+    const std::int32_t got = run_mini_c(program.text);
+    ASSERT_EQ(static_cast<std::uint32_t>(got), program.value) << program.text;
   }
 }
 

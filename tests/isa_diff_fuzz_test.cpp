@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "ccomp/driver.hpp"
+#include "ccomp_corpus.hpp"
 #include "common/error.hpp"
 #include "isa/assembler.hpp"
 #include "isa/machine.hpp"
@@ -250,47 +251,8 @@ TEST(DiffFuzz, MazeFloorsOnBothCores) {
 // The compiled mini-C corpus (the analyze suite's clean fixture set)
 // at both optimizer levels, run to completion under an entry stub.
 TEST(DiffFuzz, CompiledMiniCAtBothOptLevels) {
-  struct Fixture {
-    std::string source;
-    std::vector<int> args;
-  };
-  const std::vector<Fixture> corpus = {
-      {"int main() { return 42; }\n", {}},
-      {"int main() { int x = 1; return x; }\n", {}},
-      {"int add(int a, int b) { return a + b; }\n"
-       "int main() { return add(40, 2); }\n",
-       {}},
-      {"int fact(int n) {\n"
-       "  if (n < 2) { return 1; }\n"
-       "  return n * fact(n - 1);\n"
-       "}\n"
-       "int main() { return fact(5); }\n",
-       {}},
-      {"int main(int a) {\n"
-       "  int s = 0;\n"
-       "  int i = 0;\n"
-       "  while (i < a) { s = s + i; i = i + 1; }\n"
-       "  return s;\n"
-       "}\n",
-       {10}},
-      {"int sign(int x) {\n"
-       "  if (x > 0) { return 1; } else { if (x < 0) { return 0 - 1; } else { return 0; } }\n"
-       "}\n"
-       "int main(int a) { return sign(a); }\n",
-       {-7}},
-      {"int popcount(int v) {\n"
-       "  int n = 0;\n"
-       "  while (v != 0) { n = n + (v & 1); v = v >> 1; }\n"
-       "  return n;\n"
-       "}\n"
-       "int main(int a) { return popcount(a); }\n",
-       {173}},
-      {"int both(int a, int b) { return a && b || !a; }\n"
-       "int main(int a, int b) { return both(a, b); }\n",
-       {1, 0}},
-  };
   std::uint64_t seed = 0xC0DE;
-  for (const Fixture& fixture : corpus) {
+  for (const cc::corpus::Program& fixture : cc::corpus::diff_fuzz_fixtures()) {
     for (const bool optimize : {false, true}) {
       cc::PipelineOptions opts;
       opts.optimize = optimize;
