@@ -27,8 +27,9 @@ PipelineResult compile_pipeline(const std::string& source, const PipelineOptions
   }
 
   if (options.optimize) optimize(ast);
-  result.assembly = generate(ast);
-  result.image = isa::assemble(result.assembly);
+  const isa::Listing listing = lower(ast);
+  result.assembly = isa::render(listing);
+  result.image = isa::assemble(listing);
   return result;
 }
 

@@ -1,7 +1,9 @@
 // The full mini-C pipeline with the static-analysis stage wired in:
 //
-//   parse  ->  analyze  ->  [optimize]  ->  generate  ->  assemble
+//   parse  ->  analyze  ->  [optimize]  ->  lower  ->  encode
 //
+// The lowered listing is encoded directly; the assembly text in the
+// result is a rendering of the same listing, not an input to the image.
 // Analysis runs over the *unoptimized* AST — the diagnostics must point
 // at what the student wrote, not at what constant folding left behind.
 // By default findings ride along in the result as warnings; strict mode
@@ -25,8 +27,8 @@ struct PipelineOptions {
 };
 
 struct PipelineResult {
-  std::string assembly;                          ///< generated AT&T text
-  isa::Image image;                              ///< assembled image
+  std::string assembly;                          ///< the listing as AT&T text
+  isa::Image image;                              ///< the listing, encoded
   std::vector<analyze::Diagnostic> diagnostics;  ///< normalized findings
 };
 

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <sstream>
 #include <string_view>
+#include <utility>
 
 #include "analyze/checks_c.hpp"
 #include "analyze/checks_isa.hpp"
@@ -49,12 +50,13 @@ isa::Machine& grading_machine() {
 }
 
 /// Run an image under the budget and fill the execution half of the
-/// verdict; the notes already present are the lint findings.
-void execute(const isa::Image& image, const ToolchainLimits& limits, Verdict& verdict) {
+/// verdict; the notes already present are the lint findings. The
+/// grading machine takes the image over: nothing else reads it.
+void execute(isa::Image image, const ToolchainLimits& limits, Verdict& verdict) {
   const std::size_t findings = verdict.notes.size();
   isa::Machine& machine = grading_machine();
   machine.reset();
-  machine.load(image);
+  machine.load(std::move(image));
   try {
     const auto outcome =
         machine.run_limited({limits.max_instructions, limits.max_seconds});
@@ -82,16 +84,18 @@ Verdict grade_mini_c(const std::string& body, const ToolchainLimits& limits) {
   Verdict verdict;
   isa::Image image;
   try {
-    // One parse, one codegen: lint reads the AST that is lowered, and
-    // the image that runs is that lowering plus the entry stub (push
-    // args, call main), so the diagnostics describe exactly what runs.
-    // Semantic errors from codegen come first and drop the lint notes;
-    // a missing main or an unassemblable stub keeps them.
+    // One parse, one lowering: lint reads the AST that is lowered, and
+    // the image that runs is that listing plus the entry stub (push
+    // args, call main), encoded directly, so the diagnostics describe
+    // exactly what runs. Semantic errors from lowering come first and
+    // drop the lint notes; a missing main or a stub whose `_start`
+    // label collides with a function's keeps them.
     const cc::ProgramAst program = cc::parse(body);
     const std::vector<analyze::Diagnostic> diagnostics = analyze::analyze_program(program);
-    const std::string assembly = cc::generate(program);
+    isa::Listing listing = cc::lower(program);
     for (const analyze::Diagnostic& d : diagnostics) verdict.notes.push_back(d.to_string());
-    image = isa::assemble(assembly + cc::entry_stub(program, parse_args_directive(body)));
+    cc::append_entry_stub(listing, program, parse_args_directive(body));
+    image = isa::assemble(listing);
     // An image too large for the grading machine is the body's fault.
     grading_machine().require_fits(image);
   } catch (const Error& e) {
@@ -100,7 +104,7 @@ Verdict grade_mini_c(const std::string& body, const ToolchainLimits& limits) {
     verdict.notes.push_back(e.what());
     return verdict;
   }
-  execute(image, limits, verdict);
+  execute(std::move(image), limits, verdict);
   return verdict;
 }
 
@@ -119,7 +123,7 @@ Verdict grade_assembly(const std::string& body, const ToolchainLimits& limits) {
     verdict.notes.push_back(e.what());
     return verdict;
   }
-  execute(image, limits, verdict);
+  execute(std::move(image), limits, verdict);
   return verdict;
 }
 

@@ -1,6 +1,7 @@
 // One submission through the course toolchain, to a verdict:
 //
-//   mini_c      parse → analyze (lint) → codegen → assemble → execute
+//   mini_c      parse → analyze (lint) → lower to an instruction listing →
+//               encode the listing directly (no assembly text) → execute
 //               on an isa::Machine under resource limits
 //   assembly    assemble → analyze::lint_image → execute under limits
 //   life_trace  parse scenario config → life::traced_life_check →

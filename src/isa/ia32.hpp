@@ -106,6 +106,11 @@ struct Instruction {
 /// addresses (the disassembler view students see in GDB).
 [[nodiscard]] std::string to_string(const Instruction& ins);
 
+/// Append the operand text of a non-jump instruction (" src, dst",
+/// " dst" or nothing) to `out`, as to_string writes it after the
+/// mnemonic.
+void append_operands(std::string& out, const Instruction& ins);
+
 /// Fixed size of every encoded instruction in the teaching encoding:
 /// opcode byte, two 6-byte operand fields, padding. Jump/call targets
 /// live in the (otherwise unused) destination immediate field.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "common/error.hpp"
 #include "isa/exec_fast.hpp"
@@ -38,7 +39,12 @@ void Machine::require_fits(const Image& image) const {
   require(image.base + image.bytes.size() <= memory_.size(), "image does not fit in memory");
 }
 
-void Machine::load(const Image& image) {
+void Machine::load(const Image& image) { load_image(image); }
+
+void Machine::load(Image&& image) { load_image(std::move(image)); }
+
+template <typename ImageRef>
+void Machine::load_image(ImageRef&& image) {
   require_fits(image);
   // Reloading the program already in memory (the maze-attempt
   // pattern: fresh run, same image) keeps the predecoded block cache
@@ -51,17 +57,16 @@ void Machine::load(const Image& image) {
       !image_.bytes.empty() &&
       std::equal(image.bytes.begin(), image.bytes.end(), memory_.begin() + image.base);
   if (!(code_unchanged && image_.symbols == image.symbols)) {
-    image_ = image;
+    image_ = std::forward<ImageRef>(image);
     entry_ = image_.base;
     if (image_.symbols.contains("_start")) entry_ = image_.symbols.at("_start");
     else if (image_.symbols.contains("main")) entry_ = image_.symbols.at("main");
   }
+  // From here on `image` may have been moved from; image_ holds it.
   if (!code_unchanged) {
-    for (std::size_t i = 0; i < image.bytes.size(); ++i) {
-      memory_[image_.base + i] = image_.bytes[i];
-    }
-    if (!image.bytes.empty()) {
-      mark_dirty(image.base, static_cast<std::uint32_t>(image.bytes.size()));
+    std::copy(image_.bytes.begin(), image_.bytes.end(), memory_.begin() + image_.base);
+    if (!image_.bytes.empty()) {
+      mark_dirty(image_.base, static_cast<std::uint32_t>(image_.bytes.size()));
     }
   }
   regs_.fill(0);

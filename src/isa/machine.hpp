@@ -31,7 +31,12 @@ class Machine {
   /// Copy an image into memory and point EIP at its base (or at the
   /// `_start`/`main` symbol when present, preferring `_start`). Resets
   /// ESP/EBP to the top of memory. Throws when the image does not fit.
+  /// The copy is skipped when the image equals the one already loaded.
   void load(const Image& image);
+
+  /// load() for a caller done with `image`: the machine takes its bytes
+  /// and symbols instead of copying them.
+  void load(Image&& image);
 
   /// Throw load()'s "image does not fit in memory" error when `image`
   /// would not fit; lets a caller reject an image before loading it.
@@ -159,6 +164,9 @@ class Machine {
   void set_logic_flags(std::uint32_t result);
   void set_add_flags(std::uint32_t a, std::uint32_t b, std::uint64_t wide);
   void set_sub_flags(std::uint32_t a, std::uint32_t b);
+  /// Both load() overloads: copies or moves `image` into image_.
+  template <typename ImageRef>
+  void load_image(ImageRef&& image);
   /// Mark the pages holding bytes [addr, addr + len) dirty.
   void mark_dirty(std::uint32_t addr, std::uint32_t len);
   /// reset()'s target: default state around memory that is already zero.

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analyze/cfg.hpp"
@@ -282,6 +283,48 @@ TEST(Machine, RequireFitsIsTheCheckLoadRuns) {
   EXPECT_NO_THROW(m.require_fits(fits));
   EXPECT_EQ(error_text([&] { m.require_fits(too_big); }), "image does not fit in memory");
   EXPECT_EQ(error_text([&] { m.load(too_big); }), "image does not fit in memory");
+}
+
+TEST(Machine, MovedInLoadEqualsCopiedLoad) {
+  // The grader moves each image into its machine; a program must run
+  // the same as when the machine copies the image, including onto a
+  // machine that last held another program or the same one.
+  const Image image = assemble(
+      "helper:\n  movl 4(%esp), %eax\n  addl $5, %eax\n  ret\n"
+      "_start:\n  pushl $37\n  call helper\n  movl %eax, 2048(%ebx)\n  hlt\n");
+  const auto digest = [](const Machine& m) {
+    std::uint64_t h = 14695981039346656037ull;
+    for (std::uint32_t addr = 0; addr < m.memory_size(); ++addr) {
+      h = (h ^ m.load8(addr)) * 1099511628211ull;
+    }
+    return h;
+  };
+  for (const char* before : {"", "nop\nhlt\n", "same"}) {
+    Machine copied(1u << 16), moved(1u << 16);
+    if (std::string(before) == "same") {
+      copied.load(image);
+      moved.load(image);
+    } else if (*before != '\0') {
+      copied.load(assemble(before));
+      moved.load(assemble(before));
+    }
+    Image taken = image;
+    copied.load(image);
+    moved.load(std::move(taken));
+    EXPECT_EQ(moved.image().bytes, image.bytes) << before;
+    EXPECT_EQ(moved.image().symbols, image.symbols) << before;
+    EXPECT_EQ(moved.reg(Reg::Eip), image.symbol("_start")) << before;
+    EXPECT_EQ(moved.reg(Reg::Eip), copied.reg(Reg::Eip)) << before;
+    EXPECT_EQ(moved.reg(Reg::Esp), copied.reg(Reg::Esp)) << before;
+    EXPECT_EQ(digest(moved), digest(copied)) << before;
+    EXPECT_EQ(moved.run(1000), copied.run(1000)) << before;
+    EXPECT_EQ(moved.reg(Reg::Eax), 42u) << before;
+    for (const Reg r : {Reg::Eax, Reg::Ecx, Reg::Edx, Reg::Ebx, Reg::Esp, Reg::Ebp, Reg::Esi,
+                        Reg::Edi, Reg::Eip}) {
+      EXPECT_EQ(moved.reg(r), copied.reg(r)) << before;
+    }
+    EXPECT_EQ(digest(moved), digest(copied)) << before;
+  }
 }
 
 TEST(Machine, StepFaultMessagesAreExact) {
