@@ -638,8 +638,9 @@ TEST(Service, ReportStreamIsPinned) {
   // catch a verdict change. The digest covers every scenario's stream
   // at three seeds; the mini-C lines pin the compile order (semantic
   // errors before the entry check, lint notes kept when main is missing
-  // or the stub fails to assemble). Both were captured from the earlier
-  // router-thread service, whose mini-C path compiled every body twice.
+  // or the stub's `_start` label collides with a function of that name).
+  // Both were captured from the earlier router-thread service, whose
+  // mini-C path compiled every body twice.
   FieldDigest digest;
   for (const std::string& name : scenario_names()) {
     for (const std::uint32_t seed : {1u, 2u, 48611u}) {
