@@ -230,6 +230,23 @@ void ParallelLife::run(std::size_t n, const LifeTraceOptions& options) {
     ids = intern_life_ids(*ctx, rows, cols, t, cell, lines);
   }
 
+  // The accesses to lines [line, line + n) of one grid, in line order
+  // and, within a line, in cell order — one capture call per run of
+  // consecutive ids.
+  const auto emit_lines = [&](race::AccessKind kind, bool next_grid, std::size_t line,
+                              std::size_t n, trace::NameId site) {
+    const auto id = [&](std::size_t k) { return next_grid ? ids.next(k) : ids.cur(k); };
+    if (!cell) {
+      ctx->accesses(kind, id(line), n, 2, site);
+    } else if (horizontal) {
+      ctx->accesses(kind, id(line * cols), n * cols, 2, site);
+    } else {
+      for (std::size_t l = line; l < line + n; ++l) {
+        ctx->accesses(kind, id(l), rows, 2 * cols, site);
+      }
+    }
+  };
+
   // What a worker reads each round: its band plus a one-line halo on
   // each side in the split dimension (wrapping under Torus), mirroring
   // the real neighbor reads step_region performs. Emitted before the
@@ -237,45 +254,35 @@ void ParallelLife::run(std::size_t n, const LifeTraceOptions& options) {
   const auto emit_compute = [&](std::size_t id) {
     const parallel::GridRegion& region = regions_[id];
     const parallel::Range band = horizontal ? region.rows : region.cols;
-    const std::size_t span = horizontal ? cols : rows;
+    const trace::NameId site = ids.band_sites[id];
+    const auto n_lines = static_cast<std::int64_t>(lines);
     const std::int64_t lo = static_cast<std::int64_t>(band.begin) - 1;
     const std::int64_t hi = static_cast<std::int64_t>(band.end);  // inclusive halo
-    for (std::int64_t ll = lo; ll <= hi; ++ll) {
-      std::int64_t line = ll;
-      if (rule_ == EdgeRule::Torus) {
-        line = (ll + static_cast<std::int64_t>(lines)) % static_cast<std::int64_t>(lines);
-      } else if (ll < 0 || ll >= static_cast<std::int64_t>(lines)) {
+    // The halo lines in order, as runs of consecutive lines: a wrapped
+    // line (Torus) starts a run of its own; an off-grid one is skipped.
+    std::int64_t ll = lo;
+    while (ll <= hi) {
+      if (rule_ != EdgeRule::Torus && (ll < 0 || ll >= n_lines)) {
+        ++ll;
         continue;
       }
-      const auto l = static_cast<std::size_t>(line);
-      if (cell) {
-        for (std::size_t s = 0; s < span; ++s) {
-          const std::size_t idx = horizontal ? l * cols + s : s * cols + l;
-          ctx->read(ids.cur(idx), ids.band_sites[id]);
-        }
-      } else {
-        ctx->read(ids.cur(l), ids.band_sites[id]);
-      }
+      const std::int64_t first = (ll + n_lines) % n_lines;
+      // An in-grid line runs on to the last in-grid halo line; a
+      // wrapped one stands alone.
+      const std::int64_t end = first == ll ? std::min(hi, n_lines - 1) + 1 : ll + 1;
+      emit_lines(race::AccessKind::Read, false, static_cast<std::size_t>(first),
+                 static_cast<std::size_t>(end - ll), site);
+      ll = end;
     }
-    for (std::size_t l = band.begin; l < band.end; ++l) {
-      if (cell) {
-        for (std::size_t s = 0; s < span; ++s) {
-          const std::size_t idx = horizontal ? l * cols + s : s * cols + l;
-          ctx->write(ids.next(idx), ids.band_sites[id]);
-        }
-      } else {
-        ctx->write(ids.next(l), ids.band_sites[id]);
-      }
-    }
+    emit_lines(race::AccessKind::Write, true, band.begin, band.size(), site);
   };
 
   // The swap rebinds every cell of both grids: a write to all of them
-  // by the serial thread.
+  // by the serial thread (cur and next ids interleave, so the whole
+  // block in id order).
   const auto emit_swap = [&] {
-    for (std::size_t k = 0; k < (cell ? rows * cols : lines); ++k) {
-      ctx->write(ids.cur(k), ids.swap_site);
-      ctx->write(ids.next(k), ids.swap_site);
-    }
+    ctx->accesses(race::AccessKind::Write, ids.cur(0), 2 * (cell ? rows * cols : lines), 1,
+                  ids.swap_site);
   };
 
   // One thread team for the whole run; rounds are separated by two

@@ -18,17 +18,24 @@ bool Barrier::wait() {
   if (tracer_ != nullptr) cycle_waiters_.push_back(tracer_->self());
   if (++arrived_ == count_) {
     // Last arriver releases the cycle.
+    const auto release = [this, &lock] {
+      cycle_waiters_.clear();
+      arrived_ = 0;
+      ++generation_;
+      cv_.notify_all();
+      lock.unlock();
+    };
     if (tracer_ != nullptr) {
       // The completed cycle orders every waiter's pre-barrier work
       // before every waiter's post-barrier work — and every other
       // waiter is blocked in this barrier right now, so their buffers
-      // are safe to drain (bounded capture memory).
-      tracer_->barrier_cycle(std::move(cycle_waiters_), report_edges_);
-      cycle_waiters_.clear();
+      // are safe to drain (bounded capture memory). The tracer takes
+      // their events, then calls `release` to wake them, and merges
+      // while they wake.
+      tracer_->barrier_cycle(cycle_waiters_, report_edges_, release);
+    } else {
+      release();
     }
-    arrived_ = 0;
-    ++generation_;
-    cv_.notify_all();
     return true;
   }
   cv_.wait(lock, [&] { return generation_ != my_generation; });

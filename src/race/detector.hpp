@@ -339,6 +339,10 @@ class Detector final : public EventSink {
     AccessKind kind = AccessKind::Read;
     NameId var = 0;
     NameId site = 0;
+    /// When nonzero, the access's event number: the event clock is
+    /// pinned to it first (set_event_clock(event - 1)), so a shard that
+    /// sees only a slice of the stream numbers it like the whole.
+    std::uint64_t event = 0;
   };
   /// A run of accesses under one lock: exactly read()/write() on
   /// `to_access(e)` for each element e of [first, last), in order.
@@ -347,6 +351,7 @@ class Detector final : public EventSink {
     std::scoped_lock lock(mutex_);
     for (; first != last; ++first) {
       const Access a = to_access(*first);
+      if (a.event != 0) events_ = a.event - 1;
       check_and_record(a.thread, a.var, a.kind, a.site);
     }
   }

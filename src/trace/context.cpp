@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <iterator>
 #include <utility>
 
 #include "common/error.hpp"
@@ -73,7 +74,7 @@ std::atomic<std::uint64_t>& TraceContext::SyncSeqTable::counter(NameId id) const
     throw Error("sync on lock/channel id " + std::to_string(id) +
                 " that was never interned through this context");
   }
-  return chunk->slots[id % kChunkSize];
+  return chunk->slots[id % kChunkSize].value;
 }
 
 // --- construction --------------------------------------------------------
@@ -105,6 +106,12 @@ TraceContext::TraceContext(Options options)
 
 TraceContext::~TraceContext() {
   if (tls_binding.ctx == this) tls_binding = TlsBinding{};
+  // Everything the drains dispatched reaches the pipeline, flushed or
+  // not.
+  if (pipeline_ != nullptr && !outbox_.empty()) {
+    std::scoped_lock lock(stream_mutex_);
+    publish_locked();
+  }
 }
 
 void TraceContext::attach_sink(race::EventSink& sink) {
@@ -193,6 +200,10 @@ TraceContext::ThreadBuffer& TraceContext::buffer_of_self() {
 
 TraceContext::ThreadBuffer& TraceContext::buffer_of(ThreadId t) {
   std::scoped_lock lock(registry_mutex_);
+  return buffer_of_locked(t);
+}
+
+TraceContext::ThreadBuffer& TraceContext::buffer_of_locked(ThreadId t) {
   if (t >= buffers_.size()) {
     throw Error("unknown trace thread id " + std::to_string(t));
   }
@@ -436,12 +447,38 @@ void TraceContext::write_as(ThreadId t, NameId var, NameId site) {
 
 void TraceContext::accesses_as(ThreadId t, race::AccessKind kind, NameId first,
                                std::size_t count, std::size_t stride, NameId site) {
-  ThreadBuffer& buf = buffer_of(t);
+  append_accesses(buffer_of(t), t, kind, first, count, stride, site, /*bound=*/false);
+}
+
+void TraceContext::accesses(race::AccessKind kind, NameId first, std::size_t count,
+                            std::size_t stride, NameId site) {
+  ThreadBuffer& buf = buffer_of_self();
+  append_accesses(buf, tls_binding.tid, kind, first, count, stride, site, /*bound=*/true);
+}
+
+void TraceContext::append_accesses(ThreadBuffer& buf, ThreadId t, race::AccessKind kind,
+                                   NameId first, std::size_t count, std::size_t stride,
+                                   NameId site, bool bound) {
   const EventKind event = kind == race::AccessKind::Read ? EventKind::Read : EventKind::Write;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (sampling_ && !sample_keep(buf)) continue;
-    append_access(buf, t, event, static_cast<NameId>(first + i * stride), site);
+  if (sampling_) {
+    for (std::size_t i = 0; i < count; ++i) {
+      if (!sample_keep(buf)) continue;
+      if (bound && tls_binding.parked) unpark(buf);
+      append_access(buf, t, event, static_cast<NameId>(first + i * stride), site);
+    }
+    return;
   }
+  if (count == 0) return;
+  if (bound && tls_binding.parked) unpark(buf);
+  std::vector<Event>& events = buf.events;
+  if (events.capacity() - events.size() < count) {
+    events.reserve(std::max(events.size() + count, 2 * events.capacity()));
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto id = static_cast<NameId>(first + i * stride);
+    events.push_back(Event{event, t, id, site, buf.epoch, buf.seq++});
+  }
+  buf.captured += count;
 }
 
 void TraceContext::acquire_as(ThreadId t, NameId lock) {
@@ -462,28 +499,40 @@ void TraceContext::recv_as(ThreadId t, NameId channel) {
 
 // --- barrier / drain -----------------------------------------------------
 
-void TraceContext::barrier_cycle(std::vector<ThreadId> waiters, bool report) {
+void TraceContext::barrier_cycle(const std::vector<ThreadId>& waiters, bool report,
+                                 const std::function<void()>& release) {
   require(!waiters.empty(), "barrier cycle needs at least one waiter");
+  std::scoped_lock lock(stream_mutex_);
   // A fixed waiter order keeps the recorded stream — and therefore the
   // certificate — independent of arrival order.
-  std::sort(waiters.begin(), waiters.end());
-  std::scoped_lock lock(stream_mutex_);
+  std::vector<ThreadId>& sorted = waiters_scratch_;
+  sorted.assign(waiters.begin(), waiters.end());
+  std::sort(sorted.begin(), sorted.end());
   if (report) {
     const std::uint64_t stamp = sync_clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-    const auto set_index = static_cast<NameId>(waiter_sets_.size());
-    for (const ThreadId w : waiters) buffer_of(w).epoch = stamp;
+    {
+      std::scoped_lock registry(registry_mutex_);
+      for (const ThreadId w : sorted) buffer_of_locked(w).epoch = stamp;
+    }
+    // Rounds of one team repeat one waiter set: reuse its entry.
+    if (waiter_sets_.empty() || waiter_sets_.back() != sorted) {
+      waiter_sets_.push_back(sorted);
+    }
+    const auto set_index = static_cast<NameId>(waiter_sets_.size() - 1);
     sync_stream_.push_back(
-        Event{EventKind::BarrierCycle, waiters.front(), set_index, 0, stamp, 0});
+        Event{EventKind::BarrierCycle, sorted.front(), set_index, 0, stamp, 0});
     ++structural_syncs_;
-    waiter_sets_.push_back(waiters);
   }
-  drain_locked(waiters, /*all=*/false);
+  const std::uint64_t horizon = collect_locked(sorted, /*all=*/false);
+  if (release) release();
+  merge_locked(horizon);
 }
 
 void TraceContext::flush() {
   {
     std::scoped_lock lock(stream_mutex_);
     drain_locked({}, /*all=*/true);
+    if (pipeline_ != nullptr && !outbox_.empty()) publish_locked();
   }
   // "Flush, then read the verdict" must keep holding with a pipeline:
   // wait (outside the stream mutex — the pipeline never needs it) until
@@ -492,33 +541,19 @@ void TraceContext::flush() {
 }
 
 void TraceContext::drain_locked(const std::vector<ThreadId>& subset, bool all) {
-  // Caller holds stream_mutex_; every covered buffer's owner is
-  // quiescent (see the header's contract), so reading and clearing
-  // their vectors is safe. Buffers outside the drain are only consulted
-  // for their floor (stream_mutex_-guarded) — never their events.
-  //
-  // Every source is already drain_order-sorted — pending_ by
-  // construction, the sync stream by stamp, and each per-thread buffer
-  // because one thread's stamps are nondecreasing in program order with
-  // seq breaking ties (and a sync precedes the accesses that run in its
-  // epoch) — so the merge is a cascade of sorted-run merges, not a
-  // sort: O(n · runs) with mostly-sequential access, and a run that
-  // lands entirely past the current tail is a plain append.
-  std::vector<Event> merged = std::move(pending_);
-  pending_.clear();
-  const auto less = [](const Event& a, const Event& b) { return drain_order(a, b); };
-  const auto merge_run = [&merged, &less](std::vector<Event>& run) {
-    if (run.empty()) return;
-    const std::size_t mid = merged.size();
-    merged.insert(merged.end(), run.begin(), run.end());
-    run.clear();
-    if (mid == 0 || !less(merged[mid], merged[mid - 1])) return;  // pure append
-    std::inplace_merge(merged.begin(),
-                       merged.begin() + static_cast<std::ptrdiff_t>(mid), merged.end(),
-                       less);
-  };
-  merge_run(sync_stream_);
+  merge_locked(collect_locked(subset, all));
+}
 
+std::uint64_t TraceContext::collect_locked(const std::vector<ThreadId>& subset, bool all) {
+  // Caller holds stream_mutex_; every covered buffer's owner is
+  // quiescent (see the header's contract), so taking their events is
+  // safe. A covered buffer's events move out whole — its vector is
+  // swapped with an emptied one from an earlier drain, which keeps its
+  // capacity — so the owner may capture again the moment this returns,
+  // while the taken runs are merged. Buffers outside the drain are only
+  // consulted for their floor (stream_mutex_-guarded) — never their
+  // events.
+  //
   // The dispatch horizon: an undrained buffer may still hold — or, if
   // its thread is running, still capture — events down to its floor, so
   // nothing at or past the lowest such floor may be dispatched yet
@@ -528,51 +563,99 @@ void TraceContext::drain_locked(const std::vector<ThreadId>& subset, bool all) {
   // prefix of the one globally ordered stream regardless of how the
   // drains were batched.
   std::uint64_t horizon = kParkedFloor;
-  {
-    std::scoped_lock lock(registry_mutex_);
-    for (const ThreadId t : subset) {
-      if (t >= buffers_.size() || buffers_[t] == nullptr) {
-        throw Error("drain of unknown or retired trace thread id " + std::to_string(t));
-      }
+  std::size_t taken = 0;
+  std::scoped_lock lock(registry_mutex_);
+  for (const ThreadId t : subset) {
+    if (t >= buffers_.size() || buffers_[t] == nullptr) {
+      throw Error("drain of unknown or retired trace thread id " + std::to_string(t));
     }
-    covered_scratch_.assign(buffers_.size(), all ? 1 : 0);
-    for (const ThreadId t : subset) covered_scratch_[t] = 1;
-    for (ThreadId t = 0; t < buffers_.size(); ++t) {
-      if (buffers_[t] == nullptr) continue;  // retired: no events, no constraint
-      ThreadBuffer& buf = *buffers_[t];
-      if (covered_scratch_[t]) {
-        buf.high_water = std::max<std::uint64_t>(buf.high_water, buf.events.size());
-        merge_run(buf.events);
-        if (buf.floor != kParkedFloor) buf.floor = buf.epoch;
-      } else {
-        horizon = std::min(horizon, buf.floor);
+  }
+  covered_scratch_.assign(buffers_.size(), all ? 1 : 0);
+  for (const ThreadId t : subset) covered_scratch_[t] = 1;
+  for (ThreadId t = 0; t < buffers_.size(); ++t) {
+    if (buffers_[t] == nullptr) continue;  // retired: no events, no constraint
+    ThreadBuffer& buf = *buffers_[t];
+    if (covered_scratch_[t]) {
+      buf.high_water = std::max<std::uint64_t>(buf.high_water, buf.events.size());
+      if (!buf.events.empty()) {
+        if (taken == taken_runs_.size()) taken_runs_.emplace_back();
+        taken_runs_[taken++].swap(buf.events);
       }
+      if (buf.floor != kParkedFloor) buf.floor = buf.epoch;
+    } else {
+      horizon = std::min(horizon, buf.floor);
     }
-    advance_and_reclaim_locked(covered_scratch_);
+  }
+  advance_and_reclaim_locked(covered_scratch_);
+  taken_count_ = taken;
+  return horizon;
+}
+
+void TraceContext::merge_locked(std::uint64_t horizon) {
+  // Caller holds stream_mutex_. Every source is already a drain_order-
+  // sorted run — pending_ by construction, the sync stream by stamp, and
+  // each taken buffer because one thread's stamps are nondecreasing in
+  // program order with seq breaking ties (and a sync precedes the
+  // accesses that run in its epoch). The runs are taken in order of
+  // their first event, so a run that lands entirely past the current
+  // tail is a plain append — a barrier drain's runs (each worker's
+  // epoch-stamped accesses, then the cycle's own sync event) all are —
+  // and an overlapping run is merged with only the tail it overlaps.
+  // The scratch vectors keep their capacity, so a steady-state drain
+  // allocates nothing.
+  std::vector<std::vector<Event>*>& runs = runs_scratch_;
+  runs.clear();
+  const auto add_run = [&runs](std::vector<Event>& run) {
+    if (!run.empty()) runs.push_back(&run);
+  };
+  add_run(pending_);
+  add_run(sync_stream_);
+  for (std::size_t i = 0; i < taken_count_; ++i) add_run(taken_runs_[i]);
+  taken_count_ = 0;
+  const auto less = [](const Event& a, const Event& b) { return drain_order(a, b); };
+  std::sort(runs.begin(), runs.end(),
+            [&less](const std::vector<Event>* a, const std::vector<Event>* b) {
+              return less(a->front(), b->front());
+            });
+  std::vector<Event>& merged = merged_scratch_;
+  merged.clear();
+  for (std::vector<Event>* run : runs) {
+    if (merged.empty()) {
+      merged.swap(*run);  // the earliest run, often a long pending_, moves in whole
+    } else if (!less(run->front(), merged.back())) {
+      merged.insert(merged.end(), run->begin(), run->end());
+    } else {
+      const auto from = std::upper_bound(merged.begin(), merged.end(), run->front(), less);
+      overlap_scratch_.assign(from, merged.end());
+      merged.erase(from, merged.end());
+      std::merge(overlap_scratch_.begin(), overlap_scratch_.end(), run->begin(), run->end(),
+                 std::back_inserter(merged), less);
+    }
+    run->clear();
   }
   if (merged.empty()) return;
-  std::size_t safe = 0;
+  // With no undrained thread left to constrain it (a barrier drain of a
+  // team whose parent is parked), everything is dispatchable.
+  std::size_t safe = horizon == kParkedFloor ? merged.size() : 0;
   while (safe < merged.size() &&
          (merged[safe].stamp < horizon ||
           (merged[safe].stamp == horizon && is_sync(merged[safe].kind)))) {
     ++safe;
   }
   if (safe == 0) {
-    pending_ = std::move(merged);
+    pending_.swap(merged);  // pending_ was drained into merged, so it is empty
     return;
   }
   ++drains_;
   check_object_seqs(merged, safe);
   if (pipeline_ != nullptr) {
-    if (safe < merged.size()) {
-      pending_.assign(merged.begin() + static_cast<std::ptrdiff_t>(safe), merged.end());
-      merged.resize(safe);
-    }
-    publish_locked(std::move(merged));
+    outbox_.insert(outbox_.end(), merged.begin(),
+                   merged.begin() + static_cast<std::ptrdiff_t>(safe));
+    if (outbox_.size() >= kPublishEvents) publish_locked();
   } else {
     dispatch(merged.data(), merged.data() + safe);
-    pending_.assign(merged.begin() + static_cast<std::ptrdiff_t>(safe), merged.end());
   }
+  pending_.assign(merged.begin() + static_cast<std::ptrdiff_t>(safe), merged.end());
 }
 
 void TraceContext::advance_and_reclaim_locked(const std::vector<char>& covered) {
@@ -627,9 +710,13 @@ void TraceContext::check_object_seqs(const std::vector<Event>& events, std::size
   }
 }
 
-void TraceContext::publish_locked(std::vector<Event>&& events) {
+void TraceContext::publish_locked() {
   EventBatch batch;
-  batch.events = std::move(events);
+  batch.events = std::move(outbox_);
+  // Room for a full batch plus the drain that tops it up, so the outbox
+  // never regrows between publishes.
+  outbox_ = pipeline_->spare_events();
+  outbox_.reserve(2 * kPublishEvents);
   // Snapshot the name tails interned since the last publish: every id
   // an event carries was interned before the event was captured, so the
   // batch is self-contained — pipeline threads never call back into the
@@ -640,6 +727,14 @@ void TraceContext::publish_locked(std::vector<Event>&& events) {
       out.push_back(names_->name(kind, static_cast<NameId>(published)));
     }
   };
+  if (published_vars_ == 0) {
+    // A reserved block travels as its formatter: its names stay
+    // unformatted until a report reads one.
+    race::NameTables::Block block = names_->reserved_block(race::NameKind::Var);
+    batch.reserved_vars = block.count;
+    batch.reserved_var_format = std::move(block.format);
+    published_vars_ = block.count;
+  }
   tail(race::NameKind::Var, published_vars_, batch.new_vars);
   tail(race::NameKind::Lock, published_locks_, batch.new_locks);
   tail(race::NameKind::Channel, published_channels_, batch.new_channels);
@@ -655,6 +750,7 @@ void TraceContext::publish_locked(std::vector<Event>&& events) {
 }
 
 void TraceContext::dispatch(const Event* first, const Event* last) {
+  if (sinks_.empty()) return;  // capture-only: the drain merges and discards
   while (first != last) {
     if (is_sync(first->kind)) {
       for (SinkBinding& binding : sinks_) dispatch_to(binding, *first);

@@ -29,7 +29,10 @@
 //               repeated race-free runs produce byte-identical
 //               certificates — in either capture mode: see "Ordering"
 //               below for why the lock-free merge reproduces the
-//               mutex-ordered stream exactly.
+//               mutex-ordered stream exactly. A drain is two steps:
+//               take the covered buffers' events (a vector swap each),
+//               then merge and dispatch; a barrier wakes its waiters in
+//               between, so they run while the last arriver merges.
 //   sinks     — every attached race::EventSink consumes the identical
 //               drained stream: the built-in FastTrack race::Detector
 //               (fed through its interned-id fast path), the
@@ -75,8 +78,9 @@
 //
 // Quiescence contract (checked by usage, not locks): a drain may only
 // cover buffers whose owning threads are blocked or finished — barrier
-// drains run while every waiter sits in the barrier (the caller holds
-// the barrier mutex), join drains run after pthread_join, flush() runs
+// drains take the waiters' events while every waiter sits in the
+// barrier (the caller holds the barrier mutex; the merge that follows
+// touches only what was taken), join drains run after pthread_join, flush() runs
 // when the caller knows all bound threads are done. Threads outside a
 // partial drain must be idle between their last drain and the next one
 // (the fork/join-structured teams in this kit satisfy that: the parent
@@ -101,6 +105,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -194,13 +199,14 @@ class TraceContext {
   [[nodiscard]] bool has_detector() const { return detector_ != nullptr; }
 
   /// Route drains through `pipeline` instead of inline sinks: a drain
-  /// publishes its dispatched prefix as one self-contained batch and
-  /// returns — analysis happens on the pipeline's threads, off the
-  /// parallel hot path (see pipeline.hpp). Requires a context with no
-  /// inline sinks (own_detector = false, nothing attached) and no
-  /// events yet; flush() then additionally waits for the pipeline to go
-  /// idle, so "flush, then read the verdict" keeps working. The
-  /// pipeline must outlive the context.
+  /// appends its dispatched prefix to an outbox and returns; once the
+  /// outbox holds kPublishEvents events it is published as one self-
+  /// contained batch — analysis happens on the pipeline's threads, off
+  /// the parallel hot path (see pipeline.hpp). Requires a context with
+  /// no inline sinks (own_detector = false, nothing attached) and no
+  /// events yet; flush() publishes what the outbox holds and then waits
+  /// for the pipeline to go idle, so "flush, then read the verdict"
+  /// keeps working. The pipeline must outlive the context.
   void attach_pipeline(AnalysisPipeline& pipeline);
   [[nodiscard]] bool has_pipeline() const { return pipeline_ != nullptr; }
 
@@ -249,6 +255,12 @@ class TraceContext {
   // --- capture: bound-thread API --------------------------------------
   void read(NameId var, NameId site = 0);
   void write(NameId var, NameId site = 0);
+  /// `count` accesses of one kind by the calling thread to the variables
+  /// `first`, `first + stride`, … at one site: read()/write() in a loop,
+  /// with the buffer resolved and grown once. Sampling still decides per
+  /// access.
+  void accesses(race::AccessKind kind, NameId first, std::size_t count, std::size_t stride,
+                NameId site = 0);
   void acquire(NameId lock);
   void release(NameId lock);
   void send(NameId channel);
@@ -286,8 +298,18 @@ class TraceContext {
   /// real barrier still ran, the detector is not told), advances every
   /// waiter's epoch, and drains the waiters' buffers plus the sync
   /// stream. All waiters must be blocked in the barrier (or scripted).
-  /// Throws cs31::Error on an empty waiter set.
-  void barrier_cycle(std::vector<ThreadId> waiters, bool report = true);
+  /// A cycle over the same waiter set as the previous one reuses its
+  /// waiter-set entry, so a long run of barrier rounds does not grow
+  /// the table. Throws cs31::Error on an empty waiter set.
+  ///
+  /// `release`, when given, runs once the cycle is recorded and the
+  /// waiters' events are taken out of their buffers, before those events
+  /// are merged and dispatched: parallel::Barrier wakes its waiters
+  /// there, so the merge and any inline analysis overlap the waiters'
+  /// wake-up instead of delaying it. From `release` on the waiters may
+  /// capture again, and the caller must not touch `waiters`.
+  void barrier_cycle(const std::vector<ThreadId>& waiters, bool report = true,
+                     const std::function<void()>& release = {});
 
   /// Drain every buffer and the sync stream. All bound threads must be
   /// quiescent. Call before reading any sink's verdict.
@@ -316,6 +338,16 @@ class TraceContext {
   /// A parked thread's floor: it promises no further captures until it
   /// un-parks, so it never holds back a drain.
   static constexpr std::uint64_t kParkedFloor = ~std::uint64_t{0};
+
+  /// Destructive-interference distance on the hosts this kit targets.
+  static constexpr std::size_t kCacheLine = 64;
+
+  /// Pipelined mode publishes a batch once this many dispatched events
+  /// have gathered (16 KiB of events): enough that a barrier-paced run
+  /// wakes the pipeline every few cycles rather than every cycle, few
+  /// enough that a batch's memory stays in a handful of recycled pages
+  /// and flush() leaves little analysis to wait for.
+  static constexpr std::size_t kPublishEvents = 512;
 
   struct ThreadBuffer {
     std::vector<Event> events;
@@ -362,8 +394,13 @@ class TraceContext {
     [[nodiscard]] std::atomic<std::uint64_t>& counter(NameId id) const;
 
    private:
+    /// One counter per cache line: threads syncing on different objects
+    /// must not contend for one line.
+    struct alignas(kCacheLine) Slot {
+      std::atomic<std::uint64_t> value{0};
+    };
     struct Chunk {
-      std::array<std::atomic<std::uint64_t>, kChunkSize> slots{};
+      std::array<Slot, kChunkSize> slots{};
     };
     std::array<std::atomic<Chunk*>, kMaxChunks> chunks_{};
   };
@@ -389,6 +426,12 @@ class TraceContext {
 
   [[nodiscard]] ThreadBuffer& buffer_of_self();
   [[nodiscard]] ThreadBuffer& buffer_of(ThreadId t);
+  /// buffer_of for a caller that already holds registry_mutex_.
+  [[nodiscard]] ThreadBuffer& buffer_of_locked(ThreadId t);
+  /// accesses()/accesses_as() on a resolved buffer; `bound` says the
+  /// buffer is the calling thread's own (which may be parked).
+  void append_accesses(ThreadBuffer& buf, ThreadId t, race::AccessKind kind, NameId first,
+                       std::size_t count, std::size_t stride, NameId site, bool bound);
   void append_access(ThreadBuffer& buf, ThreadId t, EventKind kind, NameId id,
                      NameId site);
   /// Advance `buf`'s sampling stream one step; false means drop the
@@ -420,7 +463,13 @@ class TraceContext {
   /// `all` drains every buffer (flush/join); otherwise only `subset`.
   /// Dispatch hands each maximal run of access events to a same-ids
   /// detector in one call, under one detector lock (see dispatch).
+  /// The two halves are separate so a barrier can wake its waiters in
+  /// between: collect_locked takes the covered buffers' events and
+  /// returns the dispatch horizon; merge_locked merges what was taken
+  /// with pending_ and the sync stream and dispatches up to the horizon.
   void drain_locked(const std::vector<ThreadId>& subset, bool all);
+  [[nodiscard]] std::uint64_t collect_locked(const std::vector<ThreadId>& subset, bool all);
+  void merge_locked(std::uint64_t horizon);
   /// Grace-period bookkeeping, called inside drain_locked's registry
   /// section: advance covered buffers' quiescence epochs, then free
   /// every retired buffer whose retirement epoch all live unparked
@@ -434,10 +483,10 @@ class TraceContext {
   /// Hand the events [first, last) to every sink, in order.
   void dispatch(const Event* first, const Event* last);
   void dispatch_to(SinkBinding& binding, const Event& event);
-  /// Publish `events` (consumed) plus the name/waiter-set deltas
-  /// interned since the last publish to the attached pipeline (may
-  /// block on backpressure). Caller holds stream_mutex_.
-  void publish_locked(std::vector<Event>&& events);
+  /// Publish the outbox plus the name/waiter-set deltas interned since
+  /// the last publish to the attached pipeline (may block on
+  /// backpressure). Caller holds stream_mutex_.
+  void publish_locked();
 
   const std::uint64_t generation_;  ///< thread-local cache validation
   /// Sampling threshold on the xorshift output: keep while below. ~0
@@ -452,7 +501,10 @@ class TraceContext {
   /// The one stamp source, both modes. Lock-free capture fetch_adds it
   /// directly (while holding the traced primitive); mutex_stream and
   /// the structural edges fetch_add it under stream_mutex_.
-  std::atomic<std::uint64_t> sync_clock_{0};
+  /// Alone on its cache line: every lock-free sync capture writes it,
+  /// and the fields around it are read on the same path.
+  alignas(kCacheLine) std::atomic<std::uint64_t> sync_clock_{0};
+  char sync_clock_pad_[kCacheLine - sizeof(std::atomic<std::uint64_t>)] = {};
 
   /// Per-object sequence counters (locks and channels are separate id
   /// spaces). Grown at intern time; read lock-free on the capture path.
@@ -475,6 +527,23 @@ class TraceContext {
   /// lock/channel id), and the scratch covered[] map drains reuse.
   std::vector<std::uint64_t> next_lock_seq_, next_channel_seq_;
   std::vector<char> covered_scratch_;
+  /// Drain scratch, reused so a steady-state drain allocates nothing:
+  /// the sorted runs being merged, the merge output, the overlapping
+  /// tail a non-appending run is merged with, and a barrier cycle's
+  /// sorted waiters.
+  std::vector<std::vector<Event>*> runs_scratch_;
+  /// Events collect_locked took from covered buffers (the first
+  /// taken_count_ entries), merged by the next merge_locked; emptied
+  /// entries are swapped back into buffers by later collects.
+  std::vector<std::vector<Event>> taken_runs_;
+  std::size_t taken_count_ = 0;
+  std::vector<Event> merged_scratch_, overlap_scratch_;
+  std::vector<ThreadId> waiters_scratch_;
+  /// Pipelined mode: dispatched events not yet published. Drains append
+  /// here and publish once kPublishEvents have gathered (flush publishes
+  /// the rest), so the pipeline's threads wake once per batch rather
+  /// than once per barrier cycle.
+  std::vector<Event> outbox_;
   /// Table prefixes already shipped to the pipeline (guarded by
   /// stream_mutex_; the name tables lock themselves).
   std::size_t published_vars_ = 0, published_locks_ = 0, published_channels_ = 0,

@@ -4,9 +4,32 @@
 #include <chrono>
 #include <utility>
 
+#include <pthread.h>
+#include <sched.h>
+
 #include "common/error.hpp"
 
 namespace cs31::trace {
+
+namespace {
+
+/// Put a pipeline thread in the idle scheduling class (`background`)
+/// or back in the normal one, where the platform has an idle class
+/// (Linux SCHED_IDLE). Best effort: a refused call leaves the thread's
+/// class as it was, which only costs the traced program some overlap.
+void set_background(std::thread& thread, bool background) {
+#if defined(__linux__) && defined(SCHED_IDLE)
+  sched_param param{};
+  param.sched_priority = 0;
+  (void)pthread_setschedparam(thread.native_handle(), background ? SCHED_IDLE : SCHED_OTHER,
+                              &param);
+#else
+  (void)thread;
+  (void)background;
+#endif
+}
+
+}  // namespace
 
 // The backpressure primitive lives in common/bounded_queue.hpp now
 // (grader's worker queues share it); the pipeline only wires
@@ -23,16 +46,39 @@ AnalysisPipeline::AnalysisPipeline(Options options)
     shards_.push_back(std::make_unique<Shard>(options_.queue_capacity, names_));
     shards_.back()->stats.shard = s;
   }
-  for (auto& shard : shards_) {
-    Shard* s = shard.get();
-    shard->worker = std::thread([this, s] { shard_main(*s); });
+  // One shard needs no fan-out, so the router analyzes its chunks
+  // itself: a thread and a queue hop fewer per batch.
+  if (shards_.size() > 1) {
+    for (auto& shard : shards_) {
+      Shard* s = shard.get();
+      shard->worker = std::thread([this, s] { shard_main(*s); });
+    }
   }
   router_ = std::thread([this] { router_main(); });
+  set_threads_background(true);
+}
+
+void AnalysisPipeline::set_threads_background(bool background) {
+  // While nobody waits for results, analysis is background work: the
+  // traced program's threads preempt it whenever they wake, so it runs
+  // on CPU time the program leaves idle instead of stretching its
+  // barrier rounds (the idle class still gets a small share of a busy
+  // CPU, and a full queue blocks the publisher, so it never stalls for
+  // good). A caller waiting in wait_idle() or the destructor is blocked
+  // on the pipeline, so the threads run at normal priority until then.
+  set_background(router_, background);
+  for (auto& shard : shards_) {
+    if (shard->worker.joinable()) set_background(shard->worker, background);
+  }
 }
 
 AnalysisPipeline::~AnalysisPipeline() {
   // Graceful drain: closed queues still deliver what they hold, so
   // everything published before destruction is analyzed.
+  {
+    std::scoped_lock lock(priority_mutex_);
+    set_threads_background(false);
+  }
   batches_.close();
   if (router_.joinable()) router_.join();
   for (auto& shard : shards_) {
@@ -51,7 +97,6 @@ void AnalysisPipeline::publish(EventBatch batch) { batches_.push(std::move(batch
 
 void AnalysisPipeline::router_main() {
   EventBatch batch;
-  std::vector<ShardChunk> staging(shards_.size());
   while (batches_.pop(batch)) {
     // Names go into the shared tables before any event that uses them
     // reaches a shard; waiter sets to every shard (each keeps a private
@@ -64,6 +109,12 @@ void AnalysisPipeline::router_main() {
                 "analysis pipeline: batch name delta out of id order");
       }
     };
+    if (batch.reserved_vars > 0) {
+      require(names_->size(race::NameKind::Var) == 0 &&
+                  names_->reserve(race::NameKind::Var, batch.reserved_vars,
+                                  std::move(batch.reserved_var_format)) == 0,
+              "analysis pipeline: reserved variable block after other variables");
+    }
     intern_all(race::NameKind::Var, batch.new_vars);
     intern_all(race::NameKind::Lock, batch.new_locks);
     intern_all(race::NameKind::Channel, batch.new_channels);
@@ -71,95 +122,166 @@ void AnalysisPipeline::router_main() {
     lock_names_.insert(lock_names_.end(), batch.new_locks.begin(), batch.new_locks.end());
     waiter_sets_.insert(waiter_sets_.end(), batch.new_waiter_sets.begin(),
                         batch.new_waiter_sets.end());
-    for (ShardChunk& chunk : staging) chunk.new_waiter_sets = batch.new_waiter_sets;
-    for (const Event& event : batch.events) {
-      const std::uint64_t index = ++next_index_;
-      if (!is_sync(event.kind)) {
-        // Access event: exactly one shard owns this variable's shadow
-        // state. (Shard metrics count it, so nothing is counted twice.)
-        staging[event.id % shards_.size()].events.push_back(StampedEvent{event, index});
-        continue;
-      }
-      // Sync event: broadcast — every shard advances the same
-      // happens-before state an inline detector would hold.
-      for (ShardChunk& chunk : staging) chunk.events.push_back(StampedEvent{event, index});
-      ++router_metrics_.events;
-      switch (event.kind) {
-        case EventKind::Acquire:
-          // count_acquire bumps events itself; undo the generic bump.
-          --router_metrics_.events;
-          router_metrics_.count_acquire(event.thread, event.id);
-          break;
-        case EventKind::Release:
-          ++router_metrics_.of(event.thread).releases;
-          break;
-        case EventKind::ChannelSend:
-          ++router_metrics_.of(event.thread).sends;
-          break;
-        case EventKind::ChannelRecv:
-          ++router_metrics_.of(event.thread).recvs;
-          break;
-        case EventKind::Fork:
-          (void)router_metrics_.of(event.id);  // the child gets a row
-          break;
-        case EventKind::Join:
-          break;
-        case EventKind::BarrierCycle:
-          for (const ThreadId w : waiter_sets_[event.id]) ++router_metrics_.of(w).barriers;
-          ++router_metrics_.barrier_cycles;
-          break;
-        default:
-          break;
+    // Sync events are counted once, here; each access by the shard that
+    // owns it, so nothing is counted twice.
+    if (metrics_sink_ != nullptr) {
+      for (const Event& event : batch.events) count_sync(event);
+    }
+    // Every shard shares the events; the last one done with them hands
+    // the vector back for reuse. Each shard gets the positions of its
+    // slice: sync events are broadcast — every shard advances the same
+    // happens-before state an inline detector would hold — and each
+    // access goes to the one shard that owns its variable's shadow
+    // state.
+    require(batch.events.size() <= ~std::uint32_t{0}, "analysis pipeline: batch too large");
+    const auto events = std::shared_ptr<std::vector<Event>>(
+        new std::vector<Event>(std::move(batch.events)), [this](std::vector<Event>* spent) {
+          recycle(std::move(*spent));
+          delete spent;
+        });
+    const std::size_t shards = shards_.size();
+    std::vector<std::vector<std::uint32_t>> positions(shards);
+    for (std::uint32_t i = 0; i < events->size(); ++i) {
+      const Event& event = (*events)[i];
+      if (is_sync(event.kind)) {
+        for (auto& slice : positions) slice.push_back(i);
+      } else {
+        positions[shards == 1 ? 0 : event.id % shards].push_back(i);
       }
     }
-    for (std::size_t s = 0; s < staging.size(); ++s) {
-      ShardChunk& chunk = staging[s];
-      if (chunk.events.empty() && chunk.new_waiter_sets.empty()) continue;
-      shards_[s]->queue.push(std::move(chunk));
-      staging[s] = ShardChunk{};
+    for (std::size_t s = 0; s < shards; ++s) {
+      ShardChunk chunk{events, std::move(positions[s]), next_index_ + 1,
+                       batch.new_waiter_sets};
+      if (shards == 1) {
+        analyze(*shards_[s], chunk);
+      } else {
+        shards_[s]->queue.push(std::move(chunk));
+      }
     }
+    next_index_ += events->size();
     batch = EventBatch{};
     batches_.done();
+  }
+}
+
+void AnalysisPipeline::recycle(std::vector<Event>&& events) {
+  events.clear();
+  std::scoped_lock lock(spare_mutex_);
+  if (spare_.size() < options_.queue_capacity) spare_.push_back(std::move(events));
+}
+
+std::vector<Event> AnalysisPipeline::spare_events() {
+  std::scoped_lock lock(spare_mutex_);
+  if (spare_.empty()) return {};
+  std::vector<Event> events = std::move(spare_.back());
+  spare_.pop_back();
+  return events;
+}
+
+void AnalysisPipeline::count_sync(const Event& event) {
+  if (!is_sync(event.kind)) return;
+  ++router_metrics_.events;
+  switch (event.kind) {
+    case EventKind::Acquire:
+      // count_acquire bumps events itself; undo the generic bump.
+      --router_metrics_.events;
+      router_metrics_.count_acquire(event.thread, event.id);
+      break;
+    case EventKind::Release:
+      ++router_metrics_.of(event.thread).releases;
+      break;
+    case EventKind::ChannelSend:
+      ++router_metrics_.of(event.thread).sends;
+      break;
+    case EventKind::ChannelRecv:
+      ++router_metrics_.of(event.thread).recvs;
+      break;
+    case EventKind::Fork:
+      (void)router_metrics_.of(event.id);  // the child gets a row
+      break;
+    case EventKind::Join:
+      break;
+    case EventKind::BarrierCycle:
+      for (const ThreadId w : waiter_sets_[event.id]) ++router_metrics_.of(w).barriers;
+      ++router_metrics_.barrier_cycles;
+      break;
+    default:
+      break;
   }
 }
 
 void AnalysisPipeline::shard_main(Shard& shard) {
   ShardChunk chunk;
   while (shard.queue.pop(chunk)) {
-    const auto begin = std::chrono::steady_clock::now();
-    shard.waiter_sets.insert(shard.waiter_sets.end(), chunk.new_waiter_sets.begin(),
-                             chunk.new_waiter_sets.end());
-    for (const StampedEvent& stamped : chunk.events) apply(shard, stamped);
-    ++shard.stats.chunks;
-    shard.stats.busy_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
+    analyze(shard, chunk);
     chunk = ShardChunk{};
     shard.queue.done();
   }
 }
 
-void AnalysisPipeline::apply(Shard& shard, const StampedEvent& stamped) {
-  const Event& event = stamped.event;
+void AnalysisPipeline::analyze(Shard& shard, const ShardChunk& chunk) {
+  const auto begin = std::chrono::steady_clock::now();
+  shard.waiter_sets.insert(shard.waiter_sets.end(), chunk.new_waiter_sets.begin(),
+                           chunk.new_waiter_sets.end());
+  const std::vector<Event>& events = *chunk.events;
+  const std::uint32_t* position = chunk.positions.data();
+  const std::uint32_t* const end = position + chunk.positions.size();
+  while (position != end) {
+    if (is_sync(events[*position].kind)) {
+      apply(shard, events[*position], chunk.first_index + *position);
+      ++position;
+      continue;
+    }
+    // This shard's accesses up to the next sync: one detector lock for
+    // all of them, each numbered by its place in the whole stream.
+    const std::uint32_t* run_end = position + 1;
+    while (run_end != end && !is_sync(events[*run_end].kind)) ++run_end;
+    apply_accesses(shard, events, chunk.first_index, position, run_end);
+    position = run_end;
+  }
+  ++shard.stats.chunks;
+  shard.stats.busy_seconds +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
+}
+
+void AnalysisPipeline::apply_accesses(Shard& shard, const std::vector<Event>& events,
+                                      std::uint64_t first_index, const std::uint32_t* first,
+                                      const std::uint32_t* last) {
+  // Each access carries its global number, so this shard's
+  // AccessSite.event values — and therefore its reports — match what an
+  // inline detector seeing the whole stream would record.
+  shard.detector.check_accesses(first, last, [&](std::uint32_t position) {
+    const Event& e = events[position];
+    return race::Detector::Access{
+        shard.tid_map[e.thread],
+        e.kind == EventKind::Read ? race::AccessKind::Read : race::AccessKind::Write, e.id,
+        e.site, first_index + position};
+  });
+  const auto count = static_cast<std::uint64_t>(last - first);
+  shard.stats.access_events += count;
+  if (metrics_sink_ == nullptr) return;
+  for (const std::uint32_t* position = first; position != last; ++position) {
+    const Event& e = events[*position];
+    ThreadMetrics& metrics = shard.metrics.of(e.thread);
+    if (e.kind == EventKind::Read) {
+      ++metrics.reads;
+    } else {
+      ++metrics.writes;
+    }
+  }
+  shard.metrics.events += count;
+}
+
+void AnalysisPipeline::apply(Shard& shard, const Event& event, std::uint64_t index) {
   race::Detector& detector = shard.detector;
-  // Pin the detector's event clock to the router's global numbering, so
-  // this shard's AccessSite.event values — and therefore its reports —
-  // match what an inline detector seeing the whole stream would record.
-  detector.set_event_clock(stamped.index - 1);
+  // Pin the event clock to the event's place in the whole stream, as
+  // apply_accesses does per access.
+  detector.set_event_clock(index - 1);
   const ThreadId t = shard.tid_map[event.thread];
   switch (event.kind) {
     case EventKind::Read:
-    case EventKind::Write: {
-      if (event.kind == EventKind::Read) {
-        detector.read(t, event.id, event.site);
-        ++shard.metrics.of(event.thread).reads;
-      } else {
-        detector.write(t, event.id, event.site);
-        ++shard.metrics.of(event.thread).writes;
-      }
-      ++shard.metrics.events;
-      ++shard.stats.access_events;
-      return;
-    }
+    case EventKind::Write:
+      return;  // accesses go through apply_accesses
     case EventKind::Acquire:
     case EventKind::Release:
       if (event.kind == EventKind::Acquire) {
@@ -198,11 +320,19 @@ void AnalysisPipeline::apply(Shard& shard, const StampedEvent& stamped) {
 }
 
 void AnalysisPipeline::wait_idle() {
+  {
+    std::scoped_lock lock(priority_mutex_);
+    if (idle_waiters_++ == 0) set_threads_background(false);
+  }
   // Stage order matters: once the batch queue is drained the router has
   // pushed every chunk, so draining each shard queue afterwards proves
   // every published event was analyzed.
   batches_.wait_drained();
   for (auto& shard : shards_) shard->queue.wait_drained();
+  {
+    std::scoped_lock lock(priority_mutex_);
+    if (--idle_waiters_ == 0) set_threads_background(true);
+  }
   std::scoped_lock lock(merge_mutex_);
   merge_metrics_locked();
 }

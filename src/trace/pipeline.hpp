@@ -7,11 +7,12 @@
 // returns, shrinking the barrier stall to queue-publish cost. Behind
 // the queue:
 //
-//   route  — a router thread pops batches in order, assigns each event
-//            its global index (the position it would have had in the
-//            inline dispatch sequence), BROADCASTS sync events to every
-//            shard and ROUTES access events by interned variable id
-//            (var % shards) to exactly one shard.
+//   route  — a router thread pops batches in order, numbers their events
+//            globally (each event's position in the inline dispatch
+//            sequence) and hands every shard the whole batch, read-only:
+//            sync events are BROADCAST — every shard applies them — and
+//            access events are ROUTED by interned variable id
+//            (var % shards) — exactly one shard applies each.
 //   shard  — N workers, each owning a private race::Detector — a
 //            disjoint slice of FastTrack shadow state. The detectors
 //            intern into one name table the router fills from the
@@ -20,7 +21,9 @@
 //            vector clocks evolve only on the broadcast sync stream, so
 //            every shard holds the same happens-before state an inline
 //            detector would. The shards share no mutable state but the
-//            locked, append-only name table.
+//            locked, append-only name table. A single shard has nothing
+//            to fan out to, so the router analyzes it itself: no worker
+//            thread, no chunk queue hop.
 //   merge  — per-shard races carry the router's global event numbers
 //            (Detector::set_event_clock), so race::RaceList::merge_shards
 //            reconstructs inline detection order exactly: reports,
@@ -66,6 +69,11 @@ namespace cs31::trace {
 /// grown since the last publish).
 struct EventBatch {
   std::vector<Event> events;
+  /// A lazily named variable block the context reserved (ids [0,
+  /// reserved_vars)), shipped as its formatter so publishing formats no
+  /// name; new_vars then continue after it.
+  std::size_t reserved_vars = 0;
+  race::NameFormat reserved_var_format;
   std::vector<std::string> new_vars, new_locks, new_channels, new_sites;
   std::vector<std::vector<ThreadId>> new_waiter_sets;
 };
@@ -109,6 +117,12 @@ class AnalysisPipeline {
   /// caller's job (TraceContext publishes under its stream mutex).
   void publish(EventBatch batch);
 
+  /// An emptied event vector from an analyzed batch, capacity intact,
+  /// or an empty one when none is spare. A publisher that fills it as
+  /// its next batch reuses memory that is already mapped instead of
+  /// faulting in fresh pages on the traced program's critical path.
+  [[nodiscard]] std::vector<Event> spare_events();
+
   /// Block until every published event has been routed and analyzed
   /// (and metrics deltas merged). TraceContext::flush calls this, so
   /// the read-the-verdict rule is unchanged: flush, then read.
@@ -134,16 +148,16 @@ class AnalysisPipeline {
   [[nodiscard]] std::uint64_t batch_high_water() const;
 
  private:
-  struct StampedEvent {
-    Event event;
-    std::uint64_t index = 0;  ///< 1-based global event number
-  };
-
-  /// What the router hands a shard: its slice of one batch, plus the
-  /// waiter-set delta (each shard keeps a private copy — duplication
-  /// buys zero sharing between analysis threads).
+  /// What the router hands a shard: one batch's events, shared read-
+  /// only by every shard, the positions of this shard's slice in it
+  /// (every sync event, and the accesses to the variables it owns), the
+  /// global number of the first event, and the waiter-set delta (each
+  /// shard keeps a private copy — duplication buys zero sharing between
+  /// analysis threads).
   struct ShardChunk {
-    std::vector<StampedEvent> events;
+    std::shared_ptr<std::vector<Event>> events;  ///< shards only read it
+    std::vector<std::uint32_t> positions;
+    std::uint64_t first_index = 0;  ///< 1-based global number of events->front()
     std::vector<std::vector<ThreadId>> new_waiter_sets;
   };
 
@@ -162,8 +176,25 @@ class AnalysisPipeline {
   };
 
   void router_main();
+  /// Keep an analyzed batch's event vector for spare_events().
+  void recycle(std::vector<Event>&& events);
+  /// Scheduling class of every pipeline thread (see the definition).
+  /// Caller holds priority_mutex_, or is the constructor.
+  void set_threads_background(bool background);
+  /// The router's metrics for one event (sync events only; each shard
+  /// counts the accesses it owns).
+  void count_sync(const Event& event);
   void shard_main(Shard& shard);
-  void apply(Shard& shard, const StampedEvent& stamped);
+  /// Analyze one chunk on `shard`'s detector (the shard's worker, or
+  /// the router itself when there is a single shard).
+  void analyze(Shard& shard, const ShardChunk& chunk);
+  /// One sync event, global number `index`.
+  void apply(Shard& shard, const Event& event, std::uint64_t index);
+  /// The access events of `events` at positions [first, last), all
+  /// owned by `shard`; events.front() has global number `first_index`.
+  void apply_accesses(Shard& shard, const std::vector<Event>& events,
+                      std::uint64_t first_index, const std::uint32_t* first,
+                      const std::uint32_t* last);
   void merge_metrics_locked();
 
   const Options options_;
@@ -189,6 +220,16 @@ class AnalysisPipeline {
   /// merged on read, never a hot-path lock.
   std::mutex merge_mutex_;
   MetricsSink* metrics_sink_ = nullptr;  ///< set once, before first publish
+
+  /// Analyzed batches' event vectors, at most queue_capacity of them —
+  /// no more memory than a full queue already holds.
+  std::mutex spare_mutex_;
+  std::vector<std::vector<Event>> spare_;
+
+  /// wait_idle() callers in progress; the threads run at normal
+  /// priority while there is one.
+  std::mutex priority_mutex_;
+  std::size_t idle_waiters_ = 0;
 };
 
 }  // namespace cs31::trace

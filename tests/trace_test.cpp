@@ -93,6 +93,33 @@ TEST(TraceCapture, RealThreadsCaptureThroughATracedTeam) {
   EXPECT_GT(ctx.drains(), 0u);
 }
 
+TEST(TraceCapture, BulkAccessesEqualOneByOneAccesses) {
+  // accesses() is read()/write() in a loop: the same events, in the same
+  // order, so the same race reports.
+  const auto run = [](bool bulk) {
+    TraceContext ctx;
+    const NameId first = ctx.reserve_vars(12, [](std::size_t k) {
+      return "v" + std::to_string(k);
+    });
+    const NameId site = ctx.intern_site("main writes");
+    const ThreadId child = ctx.fork_thread(0);  // unordered with main's writes
+    if (bulk) {
+      ctx.accesses(race::AccessKind::Write, first, 6, 2, site);
+    } else {
+      for (NameId i = 0; i < 6; ++i) ctx.write(first + 2 * i, site);
+    }
+    ctx.accesses_as(child, race::AccessKind::Read, first, 12, 1, ctx.intern_site("child"));
+    ctx.join_thread(0, child);
+    ctx.flush();
+    return std::pair{ctx.detector().summary(), ctx.events_captured()};
+  };
+  const auto bulk = run(true);
+  const auto one_by_one = run(false);
+  EXPECT_EQ(bulk.first, one_by_one.first);
+  EXPECT_EQ(bulk.second, one_by_one.second);
+  EXPECT_NE(bulk.first.find("v10"), std::string::npos);  // the even ids race
+}
+
 TEST(TraceCapture, MetricsSinkCountsTheEventMix) {
   TraceContext ctx(TraceContext::Options{.own_detector = false});
   MetricsSink metrics;
@@ -334,7 +361,9 @@ TEST(AnalysisPipelineTest, CapacityTwoQueueForcesBackpressureAndStaysExact) {
 
   const auto pipeline = std::make_unique<AnalysisPipeline>(
       AnalysisPipeline::Options{.shards = 2, .queue_capacity = 2});
-  for (int b = 0; b < kBatches; ++b) pipeline->publish(make_batch(b));
+  std::vector<EventBatch> batches;
+  for (int b = 0; b < kBatches; ++b) batches.push_back(make_batch(b));
+  for (EventBatch& batch : batches) pipeline->publish(std::move(batch));
   pipeline->wait_idle();
 
   EXPECT_GT(pipeline->publish_waits(), 0u)
@@ -367,6 +396,39 @@ TEST(AnalysisPipelineTest, RealThreadLifeCertificateMatchesInline) {
   EXPECT_TRUE(pipeline->race_free());
   EXPECT_EQ(pipeline->summary(), inline_ctx->detector().summary());
   EXPECT_EQ(life.grid(), inline_life.grid());
+}
+
+TEST(AnalysisPipelineTest, ManyBatchRealThreadRunsMatchInline) {
+  // A run long enough that the context publishes many batches before
+  // flush(): certificates and race reports still equal inline mode's.
+  const life::Grid initial = life::Grid::random(16, 16, 0.3, 5);
+  for (const bool report_barrier : {true, false}) {
+    const life::LifeTraceOptions options{.report_barrier = report_barrier,
+                                         .granularity = life::TraceGranularity::Cell};
+    const auto inline_ctx = std::make_unique<TraceContext>();
+    life::ParallelLife inline_life(initial, 4);
+    life::LifeTraceOptions inline_options = options;
+    inline_options.ctx = inline_ctx.get();
+    inline_life.run(6, inline_options);
+    inline_ctx->flush();
+    ASSERT_EQ(inline_ctx->detector().race_free(), report_barrier);
+
+    const auto pipeline = std::make_unique<AnalysisPipeline>(
+        AnalysisPipeline::Options{.shards = 2, .queue_capacity = 2});
+    const auto ctx = std::make_unique<TraceContext>(
+        TraceContext::Options{.own_detector = false});
+    ctx->attach_pipeline(*pipeline);
+    life::ParallelLife life(initial, 4);
+    life::LifeTraceOptions piped_options = options;
+    piped_options.ctx = ctx.get();
+    life.run(6, piped_options);
+    ctx->flush();
+
+    EXPECT_GT(pipeline->events(), 4000u);
+    EXPECT_EQ(pipeline->events(), inline_ctx->detector().events());
+    EXPECT_EQ(pipeline->summary(), inline_ctx->detector().summary())
+        << "report_barrier=" << report_barrier;
+  }
 }
 
 TEST(AnalysisPipelineTest, MergedMetricsEqualTheInlineSink) {
