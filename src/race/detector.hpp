@@ -50,6 +50,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -279,12 +280,38 @@ class EventSink {
   [[nodiscard]] virtual std::string summary() const = 0;
 };
 
+/// The id path an EventSink may offer next to its string API: intern
+/// each name once, then fire events by the ids that came back — no
+/// hashing, string building or name lookup per event. Each event means
+/// exactly what the EventSink call with the interned names means. A
+/// trace::TraceContext feeds every sink that offers this path by id,
+/// interning a name into the sink the first time one of its events
+/// carries it (so in first-dispatch order, as the string calls would).
+/// A sink that ignores a kind of name may return one id for all of
+/// them.
+class InternedSink {
+ public:
+  virtual ~InternedSink() = default;
+
+  [[nodiscard]] virtual NameId intern_var(std::string_view name) = 0;
+  [[nodiscard]] virtual NameId intern_lock(std::string_view name) = 0;
+  [[nodiscard]] virtual NameId intern_channel(std::string_view name) = 0;
+  [[nodiscard]] virtual NameId intern_site(std::string_view label) = 0;
+
+  virtual void read(ThreadId t, NameId var, NameId site) = 0;
+  virtual void write(ThreadId t, NameId var, NameId site) = 0;
+  virtual void acquire(ThreadId t, NameId lock) = 0;
+  virtual void release(ThreadId t, NameId lock) = 0;
+  virtual void channel_send(ThreadId t, NameId channel) = 0;
+  virtual void channel_recv(ThreadId t, NameId channel) = 0;
+};
+
 /// The FastTrack-compressed detector (see the file comment for the
 /// representation). Use the id-based fast path (`intern_*` once, then
 /// the NameId overloads per access) from instrumentation that fires
 /// many events per name; the string overloads intern on every call and
 /// exist for casual use and for interface parity with the reference.
-class Detector final : public EventSink {
+class Detector final : public EventSink, public InternedSink {
  public:
   Detector();
   /// Intern into `names`, shared with whoever else holds them (a
@@ -325,13 +352,13 @@ class Detector final : public EventSink {
   // --- id fast path ---
   // Intern once (any thread; takes the detector lock), then fire events
   // by id: no hashing, no string building, no allocation per access.
-  [[nodiscard]] NameId intern_var(std::string_view name);
-  [[nodiscard]] NameId intern_lock(std::string_view name);
-  [[nodiscard]] NameId intern_channel(std::string_view name);
-  [[nodiscard]] NameId intern_site(std::string_view label);
+  [[nodiscard]] NameId intern_var(std::string_view name) override;
+  [[nodiscard]] NameId intern_lock(std::string_view name) override;
+  [[nodiscard]] NameId intern_channel(std::string_view name) override;
+  [[nodiscard]] NameId intern_site(std::string_view label) override;
 
-  void read(ThreadId t, NameId var, NameId site);
-  void write(ThreadId t, NameId var, NameId site);
+  void read(ThreadId t, NameId var, NameId site) override;
+  void write(ThreadId t, NameId var, NameId site) override;
 
   /// One read or write on the id fast path.
   struct Access {
@@ -356,10 +383,10 @@ class Detector final : public EventSink {
     }
   }
 
-  void acquire(ThreadId t, NameId lock);
-  void release(ThreadId t, NameId lock);
-  void channel_send(ThreadId t, NameId channel);
-  void channel_recv(ThreadId t, NameId channel);
+  void acquire(ThreadId t, NameId lock) override;
+  void release(ThreadId t, NameId lock) override;
+  void channel_send(ThreadId t, NameId channel) override;
+  void channel_recv(ThreadId t, NameId channel) override;
 
   /// Current clock of a thread (teaching/diagnostic).
   [[nodiscard]] VectorClock clock_of(ThreadId t) const;

@@ -1,7 +1,9 @@
 #include "race/lockset.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -51,18 +53,40 @@ void LocksetDetector::join(ThreadId parent, ThreadId child) {
 void LocksetDetector::acquire(ThreadId t, const std::string& lock) {
   std::scoped_lock guard(mutex_);
   check_thread(t);
-  held_[t].push_back(lock_names_.id(lock));
-  ++events_;
+  acquire_locked(t, lock_names_.id(lock));
 }
 
 void LocksetDetector::release(ThreadId t, const std::string& lock) {
   std::scoped_lock guard(mutex_);
   check_thread(t);
-  const NameId id = lock_names_.id(lock);
+  release_locked(t, lock_names_.id(lock));
+}
+
+void LocksetDetector::acquire(ThreadId t, NameId lock) {
+  std::scoped_lock guard(mutex_);
+  check_thread(t);
+  require(lock < lock_names_.size(), "lockset: acquire of a lock id that was never interned");
+  acquire_locked(t, lock);
+}
+
+void LocksetDetector::release(ThreadId t, NameId lock) {
+  std::scoped_lock guard(mutex_);
+  check_thread(t);
+  require(lock < lock_names_.size(), "lockset: release of a lock id that was never interned");
+  release_locked(t, lock);
+}
+
+void LocksetDetector::acquire_locked(ThreadId t, NameId lock) {
+  held_[t].push_back(lock);
+  ++events_;
+}
+
+void LocksetDetector::release_locked(ThreadId t, NameId lock) {
   auto& held = held_[t];
-  const auto it = std::find(held.rbegin(), held.rend(), id);
+  const auto it = std::find(held.rbegin(), held.rend(), lock);
   if (it == held.rend()) {
-    throw Error("lockset: thread releases lock '" + lock + "' it does not hold");
+    throw Error("lockset: thread releases lock '" + lock_names_.name(lock) +
+                "' it does not hold");
   }
   held.erase(std::next(it).base());
   ++events_;
@@ -76,48 +100,81 @@ void LocksetDetector::barrier(const std::vector<ThreadId>& waiters) {
 }
 
 void LocksetDetector::channel_send(ThreadId t, const std::string& channel) {
-  std::scoped_lock lock(mutex_);
-  check_thread(t);
   (void)channel;
-  ++events_;  // deliberately no effect
+  channel_send(t, NameId{0});
 }
 
 void LocksetDetector::channel_recv(ThreadId t, const std::string& channel) {
+  (void)channel;
+  channel_recv(t, NameId{0});
+}
+
+void LocksetDetector::channel_send(ThreadId t, NameId channel) {
   std::scoped_lock lock(mutex_);
   check_thread(t);
   (void)channel;
   ++events_;  // deliberately no effect
 }
 
+void LocksetDetector::channel_recv(ThreadId t, NameId channel) {
+  std::scoped_lock lock(mutex_);
+  check_thread(t);
+  (void)channel;
+  ++events_;  // deliberately no effect
+}
+
+NameId LocksetDetector::intern_var(std::string_view name) {
+  std::scoped_lock lock(mutex_);
+  return var_names_.id(name);
+}
+
+NameId LocksetDetector::intern_lock(std::string_view name) {
+  std::scoped_lock lock(mutex_);
+  return lock_names_.id(name);
+}
+
+NameId LocksetDetector::intern_channel(std::string_view name) {
+  (void)name;
+  return 0;
+}
+
+NameId LocksetDetector::intern_site(std::string_view label) {
+  std::scoped_lock lock(mutex_);
+  return site_names_.id(label);
+}
+
 void LocksetDetector::read(ThreadId t, const std::string& var, const std::string& where) {
-  on_access(t, var, AccessKind::Read, where);
+  std::scoped_lock guard(mutex_);
+  check_thread(t);
+  on_access_locked(t, var_names_.id(var), AccessKind::Read, site_names_.id(where));
 }
 
 void LocksetDetector::write(ThreadId t, const std::string& var, const std::string& where) {
-  on_access(t, var, AccessKind::Write, where);
-}
-
-LocksetDetector::Access LocksetDetector::make_access(ThreadId t, AccessKind kind,
-                                                     NameId where) {
-  Access a;
-  a.valid = true;
-  a.thread = t;
-  a.kind = kind;
-  a.where = where;
-  a.event = events_;
-  a.locks = held_[t];
-  return a;
-}
-
-void LocksetDetector::on_access(ThreadId t, const std::string& var, AccessKind kind,
-                                const std::string& where) {
   std::scoped_lock guard(mutex_);
   check_thread(t);
+  on_access_locked(t, var_names_.id(var), AccessKind::Write, site_names_.id(where));
+}
+
+void LocksetDetector::read(ThreadId t, NameId var, NameId site) {
+  std::scoped_lock guard(mutex_);
+  check_thread(t);
+  on_access_locked(t, var, AccessKind::Read, site);
+}
+
+void LocksetDetector::write(ThreadId t, NameId var, NameId site) {
+  std::scoped_lock guard(mutex_);
+  check_thread(t);
+  on_access_locked(t, var, AccessKind::Write, site);
+}
+
+void LocksetDetector::on_access_locked(ThreadId t, NameId var, AccessKind kind,
+                                       NameId where) {
+  require(var < var_names_.size() && where < site_names_.size(),
+          "lockset: access names a variable or site id that was never interned");
   ++events_;
-  const NameId id = var_names_.id(var);
-  if (id >= vars_.size()) vars_.resize(id + 1);
-  VarState& v = vars_[id];
-  const Access access = make_access(t, kind, site_names_.id(where));
+  if (var >= vars_.size()) vars_.resize(var + 1);
+  VarState& v = vars_[var];
+  Access access{true, t, kind, where, events_, held_[t]};
 
   // The older endpoint of a potential report: the most recent access by
   // a *different* thread.
@@ -144,9 +201,11 @@ void LocksetDetector::on_access(ThreadId t, const std::string& var, AccessKind k
       break;
     case State::Shared:
     case State::SharedModified: {
-      std::vector<NameId> now = access.locks;
-      std::sort(now.begin(), now.end());
-      intersect(v.lockset, now);
+      if (!v.lockset.empty()) {  // an empty lockset stays empty
+        std::vector<NameId> now = access.locks;
+        std::sort(now.begin(), now.end());
+        intersect(v.lockset, now);
+      }
       if (kind == AccessKind::Write) v.state = State::SharedModified;
       break;
     }
@@ -154,11 +213,11 @@ void LocksetDetector::on_access(ThreadId t, const std::string& var, AccessKind k
 
   if (v.state == State::SharedModified && v.lockset.empty() && prev != nullptr) {
     ++race_count_;
-    report(id, *prev, access);
+    report(var, *prev, access);
   }
 
-  if (v.last.valid && v.last.thread != t) v.last_other = v.last;
-  v.last = access;
+  if (v.last.valid && v.last.thread != t) v.last_other = std::move(v.last);
+  v.last = std::move(access);
 }
 
 AccessSite LocksetDetector::materialize(const Access& access) const {
@@ -172,23 +231,34 @@ AccessSite LocksetDetector::materialize(const Access& access) const {
   return site;
 }
 
+std::size_t LocksetDetector::ReportKeyHash::operator()(const ReportKey& k) const {
+  std::uint64_t h = k.variable;
+  h = h * 0x9e3779b97f4a7c15ULL ^ k.lo;
+  h = h * 0x9e3779b97f4a7c15ULL ^ k.hi;
+  return static_cast<std::size_t>(h ^ (h >> 29));
+}
+
 void LocksetDetector::report(NameId var, const Access& first, const Access& second) {
-  const std::string& variable = var_names_.name(var);
-  AccessSite first_site = materialize(first);
-  AccessSite second_site = materialize(second);
-  if (!reported_.insert(race_pair_key(variable, first_site, second_site)).second) {
+  // Most flagged accesses repeat a pair already reported: dedup on ids
+  // and build names and text only for a new one.
+  const auto side = [](const Access& a) {
+    return (static_cast<std::uint64_t>(a.thread) << 32) | a.where;
+  };
+  const std::uint64_t a = side(first), b = side(second);
+  if (!reported_.insert(ReportKey{var, std::min(a, b), std::max(a, b)}).second) {
     return;  // one report per (variable, site pair)
   }
-  std::ostringstream why;
-  why << "locking discipline violated: the candidate lockset of `" << variable
-      << "` is empty — no single lock protected every shared access (Eraser sees "
-         "no fork/join/barrier/channel order, so consistent locking is the only "
-         "discipline it can credit)";
   RaceReport r;
-  r.variable = variable;
-  r.explanation = why.str();
-  r.first = std::move(first_site);
-  r.second = std::move(second_site);
+  r.variable = var_names_.name(var);
+  r.explanation.reserve(256);
+  r.explanation += "locking discipline violated: the candidate lockset of `";
+  r.explanation += r.variable;
+  r.explanation +=
+      "` is empty — no single lock protected every shared access (Eraser sees "
+      "no fork/join/barrier/channel order, so consistent locking is the only "
+      "discipline it can credit)";
+  r.first = materialize(first);
+  r.second = materialize(second);
   races_.push_back(std::move(r));
 }
 

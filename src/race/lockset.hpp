@@ -18,13 +18,21 @@
 // happens-before proves race-free — the classic Eraser false positive —
 // while catching inconsistent locking on every schedule, including ones
 // where HB got lucky. examples/race_detective.cpp walks the contrast.
+//
+// Per access the detector works on ids only (the InternedSink path a
+// trace::TraceContext feeds; the string calls intern first). Every
+// flagged access is deduplicated on ids — variable plus the unordered
+// pair of (thread, site) — and only a new pair is turned into a
+// RaceReport: on barrier-synchronized Life most accesses are flagged
+// and all but a few repeat a pair already reported.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
-#include <set>
 #include <string>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "race/detector.hpp"
@@ -32,7 +40,7 @@
 
 namespace cs31::race {
 
-class LocksetDetector final : public EventSink {
+class LocksetDetector final : public EventSink, public InternedSink {
  public:
   LocksetDetector();
 
@@ -53,6 +61,19 @@ class LocksetDetector final : public EventSink {
   void channel_recv(ThreadId t, const std::string& channel) override;
   void read(ThreadId t, const std::string& var, const std::string& where = "") override;
   void write(ThreadId t, const std::string& var, const std::string& where = "") override;
+
+  // --- InternedSink ---
+  // Channels carry nothing here, so every channel is id 0.
+  [[nodiscard]] NameId intern_var(std::string_view name) override;
+  [[nodiscard]] NameId intern_lock(std::string_view name) override;
+  [[nodiscard]] NameId intern_channel(std::string_view name) override;
+  [[nodiscard]] NameId intern_site(std::string_view label) override;
+  void read(ThreadId t, NameId var, NameId site) override;
+  void write(ThreadId t, NameId var, NameId site) override;
+  void acquire(ThreadId t, NameId lock) override;
+  void release(ThreadId t, NameId lock) override;
+  void channel_send(ThreadId t, NameId channel) override;
+  void channel_recv(ThreadId t, NameId channel) override;
 
   [[nodiscard]] const std::vector<RaceReport>& races() const override;
   [[nodiscard]] bool race_free() const override;
@@ -90,10 +111,23 @@ class LocksetDetector final : public EventSink {
     Access last_other;             ///< most recent access by a thread != last.thread
   };
 
-  void on_access(ThreadId t, const std::string& var, AccessKind kind,
-                 const std::string& where);
+  /// Dedup identity of a report: variable id plus the unordered pair of
+  /// (thread, site id) endpoints — race_pair_key on ids, exact because
+  /// this detector's ids map one-to-one onto names.
+  struct ReportKey {
+    NameId variable;
+    std::uint64_t lo, hi;
+    bool operator==(const ReportKey&) const = default;
+  };
+  struct ReportKeyHash {
+    std::size_t operator()(const ReportKey& k) const;
+  };
+
+  // The *_locked members expect mutex_ held.
+  void on_access_locked(ThreadId t, NameId var, AccessKind kind, NameId where);
+  void acquire_locked(ThreadId t, NameId lock);
+  void release_locked(ThreadId t, NameId lock);
   void check_thread(ThreadId t) const;
-  [[nodiscard]] Access make_access(ThreadId t, AccessKind kind, NameId where);
   [[nodiscard]] AccessSite materialize(const Access& access) const;
   void report(NameId var, const Access& first, const Access& second);
 
@@ -104,7 +138,7 @@ class LocksetDetector final : public EventSink {
   Interner lock_names_;
   Interner site_names_;
   std::vector<RaceReport> races_;
-  std::set<RacePairKey> reported_;  // race_pair_key dedup
+  std::unordered_set<ReportKey, ReportKeyHash> reported_;
   std::uint64_t race_count_ = 0;
   std::uint64_t events_ = 0;
 };

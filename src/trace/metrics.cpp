@@ -79,12 +79,28 @@ void MetricsSink::acquire(ThreadId t, const std::string& lock) {
   // concurrent); acquires are rare next to accesses, so this is off the
   // contended path by construction.
   std::scoped_lock guard(mutex_);
-  const auto id = lock_names_.id(lock);
-  if (id >= lock_acquires_.size()) lock_acquires_.resize(id + 1, 0);
-  ++lock_acquires_[id];
+  count_acquire_locked(lock_names_.id(lock));
+}
+
+void MetricsSink::acquire(ThreadId t, race::NameId lock) {
+  row(t).acquires.fetch_add(1, std::memory_order_relaxed);
+  events_.add();
+  std::scoped_lock guard(mutex_);
+  require(lock < lock_names_.size(), "metrics: acquire of a lock id that was never interned");
+  count_acquire_locked(lock);
+}
+
+void MetricsSink::count_acquire_locked(race::NameId lock) {
+  if (lock >= lock_acquires_.size()) lock_acquires_.resize(lock + 1, 0);
+  ++lock_acquires_[lock];
 }
 
 void MetricsSink::release(ThreadId t, const std::string& lock) {
+  (void)lock;
+  release(t, race::NameId{0});
+}
+
+void MetricsSink::release(ThreadId t, race::NameId lock) {
   (void)lock;
   row(t).releases.fetch_add(1, std::memory_order_relaxed);
   events_.add();
@@ -102,11 +118,21 @@ void MetricsSink::barrier(const std::vector<ThreadId>& waiters) {
 
 void MetricsSink::channel_send(ThreadId t, const std::string& channel) {
   (void)channel;
+  channel_send(t, race::NameId{0});
+}
+
+void MetricsSink::channel_recv(ThreadId t, const std::string& channel) {
+  (void)channel;
+  channel_recv(t, race::NameId{0});
+}
+
+void MetricsSink::channel_send(ThreadId t, race::NameId channel) {
+  (void)channel;
   row(t).sends.fetch_add(1, std::memory_order_relaxed);
   events_.add();
 }
 
-void MetricsSink::channel_recv(ThreadId t, const std::string& channel) {
+void MetricsSink::channel_recv(ThreadId t, race::NameId channel) {
   (void)channel;
   row(t).recvs.fetch_add(1, std::memory_order_relaxed);
   events_.add();
@@ -115,15 +141,47 @@ void MetricsSink::channel_recv(ThreadId t, const std::string& channel) {
 void MetricsSink::read(ThreadId t, const std::string& var, const std::string& where) {
   (void)var;
   (void)where;
-  row(t).reads.fetch_add(1, std::memory_order_relaxed);
-  events_.add();
+  read(t, race::NameId{0}, race::NameId{0});
 }
 
 void MetricsSink::write(ThreadId t, const std::string& var, const std::string& where) {
   (void)var;
   (void)where;
+  write(t, race::NameId{0}, race::NameId{0});
+}
+
+void MetricsSink::read(ThreadId t, race::NameId var, race::NameId site) {
+  (void)var;
+  (void)site;
+  row(t).reads.fetch_add(1, std::memory_order_relaxed);
+  events_.add();
+}
+
+void MetricsSink::write(ThreadId t, race::NameId var, race::NameId site) {
+  (void)var;
+  (void)site;
   row(t).writes.fetch_add(1, std::memory_order_relaxed);
   events_.add();
+}
+
+race::NameId MetricsSink::intern_var(std::string_view name) {
+  (void)name;
+  return 0;
+}
+
+race::NameId MetricsSink::intern_lock(std::string_view name) {
+  std::scoped_lock guard(mutex_);
+  return lock_names_.id(name);
+}
+
+race::NameId MetricsSink::intern_channel(std::string_view name) {
+  (void)name;
+  return 0;
+}
+
+race::NameId MetricsSink::intern_site(std::string_view label) {
+  (void)label;
+  return 0;
 }
 
 const std::vector<race::RaceReport>& MetricsSink::races() const {

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/sharded_counter.hpp"
@@ -74,7 +75,7 @@ struct MetricsDelta {
   }
 };
 
-class MetricsSink final : public race::EventSink {
+class MetricsSink final : public race::EventSink, public race::InternedSink {
  public:
   MetricsSink();
   ~MetricsSink() override;
@@ -93,6 +94,21 @@ class MetricsSink final : public race::EventSink {
   void channel_recv(race::ThreadId t, const std::string& channel) override;
   void read(race::ThreadId t, const std::string& var, const std::string& where) override;
   void write(race::ThreadId t, const std::string& var, const std::string& where) override;
+
+  // --- InternedSink ---
+  // Only lock names are kept (lock_acquires prints them); every
+  // variable, channel and site is id 0. A lock is named by its first
+  // interning, which on a TraceContext is its first acquire.
+  [[nodiscard]] race::NameId intern_var(std::string_view name) override;
+  [[nodiscard]] race::NameId intern_lock(std::string_view name) override;
+  [[nodiscard]] race::NameId intern_channel(std::string_view name) override;
+  [[nodiscard]] race::NameId intern_site(std::string_view label) override;
+  void read(race::ThreadId t, race::NameId var, race::NameId site) override;
+  void write(race::ThreadId t, race::NameId var, race::NameId site) override;
+  void acquire(race::ThreadId t, race::NameId lock) override;
+  void release(race::ThreadId t, race::NameId lock) override;
+  void channel_send(race::ThreadId t, race::NameId channel) override;
+  void channel_recv(race::ThreadId t, race::NameId channel) override;
 
   /// A metrics sink never reports races.
   [[nodiscard]] const std::vector<race::RaceReport>& races() const override;
@@ -140,6 +156,8 @@ class MetricsSink final : public race::EventSink {
   /// Ensure rows [0, count) exist and publish the new count. Caller
   /// holds mutex_.
   void grow_locked(std::size_t count);
+  /// Count one acquire of own lock id `lock`. Caller holds mutex_.
+  void count_acquire_locked(race::NameId lock);
 
   /// Guards structure only: thread registration, the lock-name map,
   /// barrier bookkeeping, merges, and multi-value readers. Never taken
