@@ -69,9 +69,7 @@ struct ReplayOps {
   }
   void swap_done() { ctx.flush(); }
   void barrier() { ctx.barrier_cycle(workers); }
-  void join_workers() {
-    for (const trace::ThreadId w : workers) ctx.join_thread(0, w);
-  }
+  void join_workers() { ctx.join_threads(0, workers); }
   TracedLifeResult finish(Grid grid) {
     ctx.flush();  // with a pipeline attached this also waits for idle
     if (pipeline != nullptr) {

@@ -77,8 +77,9 @@ void ThreadTeam::join() {
   if (tracer_ != nullptr && !trace_joined_) {
     trace_joined_ = true;  // join edges once, matching the real joins
     // Joins are recorded in worker order by this (single) thread, so
-    // the drained stream is schedule-independent.
-    for (const trace::ThreadId tid : traced_ids_) tracer_->on_thread_join(tid);
+    // the drained stream is schedule-independent; one team join drains
+    // every worker's buffer at once.
+    tracer_->on_team_join(traced_ids_);
   }
 }
 

@@ -52,9 +52,11 @@ class ThreadTeam {
   /// (happens-before edge parent -> child, and the parent's buffer is
   /// drained so a drain is always a consistent prefix), each worker
   /// binds its OS thread to its trace id before running `body`, and
-  /// join() records Join edges (child -> parent) and drains each
-  /// child's buffer. Everything `body` captures through `ctx` is then
-  /// ordered correctly for every attached sink.
+  /// join() records the Join edges (child -> parent) in worker order
+  /// and then drains every child's buffer, with the parent's, in one
+  /// team drain (TraceContext::on_team_join). Everything `body`
+  /// captures through `ctx` is then ordered correctly for every
+  /// attached sink.
   ThreadTeam(std::size_t count, trace::TraceContext& ctx,
              const std::function<void(std::size_t)>& body);
 
