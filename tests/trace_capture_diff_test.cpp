@@ -38,6 +38,7 @@
 #include "parallel/threads.hpp"
 #include "race/detector.hpp"
 #include "race/trace_gen.hpp"
+#include "recording_sink.hpp"
 #include "trace/condvar.hpp"
 #include "trace/context.hpp"
 #include "trace/instrumented.hpp"
@@ -48,78 +49,9 @@ namespace {
 using cs31::race::Trace;
 using cs31::race::TraceGenConfig;
 using cs31::race::TraceOp;
+using cs31::test_support::RecordingSink;
 using cs31::trace::CaptureMode;
 using cs31::trace::TraceContext;
-
-/// Serializes every EventSink callback into one canonical byte stream.
-/// Two capture modes that dispatch the same events in the same order
-/// produce equal strings; any reorder, drop, or duplicate shows up as a
-/// first-diverging-line diff.
-class RecordingSink final : public cs31::race::EventSink {
- public:
-  [[nodiscard]] cs31::race::ThreadId register_thread() override {
-    const auto t = next_++;
-    line("root t" + std::to_string(t));
-    return t;
-  }
-  [[nodiscard]] cs31::race::ThreadId fork(cs31::race::ThreadId parent) override {
-    const auto child = next_++;
-    line("fork t" + std::to_string(parent) + " -> t" + std::to_string(child));
-    return child;
-  }
-  void join(cs31::race::ThreadId parent, cs31::race::ThreadId child) override {
-    line("join t" + std::to_string(parent) + " <- t" + std::to_string(child));
-  }
-  void acquire(cs31::race::ThreadId t, const std::string& lock) override {
-    line("acquire t" + std::to_string(t) + " " + lock);
-  }
-  void release(cs31::race::ThreadId t, const std::string& lock) override {
-    line("release t" + std::to_string(t) + " " + lock);
-  }
-  void barrier(const std::vector<cs31::race::ThreadId>& waiters) override {
-    std::string text = "barrier";
-    for (const auto w : waiters) text += " t" + std::to_string(w);
-    line(text);
-  }
-  void channel_send(cs31::race::ThreadId t, const std::string& channel) override {
-    line("send t" + std::to_string(t) + " " + channel);
-  }
-  void channel_recv(cs31::race::ThreadId t, const std::string& channel) override {
-    line("recv t" + std::to_string(t) + " " + channel);
-  }
-  void read(cs31::race::ThreadId t, const std::string& var,
-            const std::string& where) override {
-    line("read t" + std::to_string(t) + " " + var + " @ " + where);
-  }
-  void write(cs31::race::ThreadId t, const std::string& var,
-             const std::string& where) override {
-    line("write t" + std::to_string(t) + " " + var + " @ " + where);
-  }
-
-  [[nodiscard]] const std::vector<cs31::race::RaceReport>& races() const override {
-    return no_races_;
-  }
-  [[nodiscard]] bool race_free() const override { return true; }
-  [[nodiscard]] std::uint64_t race_count() const override { return 0; }
-  [[nodiscard]] std::uint64_t events() const override { return events_; }
-  [[nodiscard]] std::size_t threads() const override { return next_; }
-  [[nodiscard]] std::size_t shadow_bytes() const override { return stream_.size(); }
-  [[nodiscard]] std::string summary() const override { return stream_; }
-
-  [[nodiscard]] const std::string& stream() const { return stream_; }
-
- private:
-  void line(const std::string& text) {
-    stream_ += text;
-    stream_ += '\n';
-    ++events_;
-  }
-
-  std::string stream_;
-  std::uint64_t events_ = 0;
-  cs31::race::ThreadId next_ = 1;  // thread 0 pre-registered, as in Detector
-  std::vector<cs31::race::RaceReport> no_races_;
-};
 
 /// The same per-seed knobs race_diff_test sweeps — this harness runs
 /// the identical corpus, just through the capture layer instead of
