@@ -1,7 +1,6 @@
 // Ablation — heap placement policies (DESIGN.md): first fit vs best fit
 // vs next fit under allocation churn: fragmentation, failure rate, and
 // wall-clock cost of the placement scan.
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
@@ -20,7 +19,6 @@ struct Outcome {
 };
 
 Outcome churn(FitPolicy policy, std::uint32_t seed) {
-  using clock = std::chrono::steady_clock;
   Heap heap(1u << 20, policy);  // 1 MiB arena
   std::vector<std::uint32_t> live;
   std::uint32_t state = seed | 1u;
@@ -28,7 +26,7 @@ Outcome churn(FitPolicy policy, std::uint32_t seed) {
     state = state * 1664525u + 1013904223u;
     return (state >> 8) % mod;
   };
-  const auto t0 = clock::now();
+  const auto t0 = cs31::bench::Clock::now();
   for (int step = 0; step < 60000; ++step) {
     // Bimodal sizes (tiny + occasional large), 55/45 alloc/free mix —
     // the classic fragmentation-provoking workload.
@@ -44,7 +42,7 @@ Outcome churn(FitPolicy policy, std::uint32_t seed) {
     }
   }
   Outcome out;
-  out.seconds = std::chrono::duration<double>(clock::now() - t0).count();
+  out.seconds = cs31::bench::seconds_since(t0);
   const HeapStats s = heap.stats();
   out.fragmentation = s.fragmentation();
   out.failures = s.failed_allocations;

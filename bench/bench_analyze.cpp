@@ -22,7 +22,6 @@
 // pipeline), on every `lint` in the debugger, and on every script
 // submission before exploration? --json emits BENCH_analyze.json and
 // BENCH_analyze_concur.json for the harness.
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -40,10 +39,8 @@
 namespace {
 
 using namespace cs31;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
+using bench::Clock;
+using bench::seconds_since;
 
 /// A program of `count` distinct functions with the statement mix the
 /// checks actually work on: nested control flow, short-circuit
@@ -98,7 +95,7 @@ int main(int argc, char** argv) {
   const std::string source = synthesize_mini_c(kFunctions);
   const cc::ProgramAst program = cc::parse(source);
   std::size_t findings = 0;
-  const auto c_start = std::chrono::steady_clock::now();
+  const auto c_start = Clock::now();
   for (int r = 0; r < kCReps; ++r) {
     findings += analyze::analyze_program(program).size();
   }
@@ -119,7 +116,7 @@ int main(int argc, char** argv) {
   const isa::Image compiled = cc::compile(source);
   const std::size_t instr_total = maze.image().instruction_count() + compiled.instruction_count();
   std::size_t isa_findings = 0;
-  const auto isa_start = std::chrono::steady_clock::now();
+  const auto isa_start = Clock::now();
   for (int r = 0; r < kIsaReps; ++r) {
     isa_findings += analyze::lint_image(maze.image()).size();
     isa_findings += analyze::lint_image(compiled).size();
@@ -168,7 +165,7 @@ int main(int argc, char** argv) {
     corpus.push_back(race::generate_script(static_cast<std::uint64_t>(s), config));
   }
   std::size_t concur_findings = 0;
-  const auto concur_start = std::chrono::steady_clock::now();
+  const auto concur_start = Clock::now();
   for (int r = 0; r < kScriptReps; ++r) {
     for (const auto& scripts : corpus) {
       concur_findings += analyze::analyze_scripts(scripts).diagnostics.size();

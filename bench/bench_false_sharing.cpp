@@ -3,7 +3,6 @@
 // counts the invalidation ping-pong of adjacent per-thread counters vs
 // cache-line-padded ones; (b) real threads time both layouts.
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -26,9 +25,8 @@ struct Padded {
 
 template <typename Layout, typename Get>
 double time_layout(Layout& layout, Get get, unsigned threads, std::uint64_t per_thread) {
-  using clock = std::chrono::steady_clock;
   std::vector<std::thread> workers;
-  const auto t0 = clock::now();
+  const auto t0 = cs31::bench::Clock::now();
   for (unsigned t = 0; t < threads; ++t) {
     workers.emplace_back([&, t] {
       auto& counter = get(layout, t);
@@ -38,7 +36,7 @@ double time_layout(Layout& layout, Get get, unsigned threads, std::uint64_t per_
     });
   }
   for (std::thread& w : workers) w.join();
-  return std::chrono::duration<double>(clock::now() - t0).count();
+  return cs31::bench::seconds_since(t0);
 }
 
 }  // namespace

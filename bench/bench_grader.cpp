@@ -21,11 +21,8 @@
 //   --perf-smoke   smaller batches, assert the >=5x warm/cold floor and
 //                  poison completeness, nonzero exit on violation (the
 //                  tier-1 ctest entry).
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
-#include <vector>
 
 #include "bench_json.hpp"
 #include "grader/loadgen.hpp"
@@ -36,10 +33,6 @@ namespace {
 using cs31::grader::GraderService;
 using cs31::grader::LoadPlan;
 using cs31::grader::make_scenario;
-
-double seconds_since(std::chrono::steady_clock::time_point begin) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
-}
 
 GraderService::Options service_options(std::size_t workers) {
   GraderService::Options options;
@@ -53,10 +46,10 @@ GraderService::Options service_options(std::size_t workers) {
 
 /// Submit the plan, wait idle, and return submissions/second.
 double grade_batch(GraderService& service, const LoadPlan& plan) {
-  const auto begin = std::chrono::steady_clock::now();
+  const auto begin = cs31::bench::Clock::now();
   for (const auto& submission : plan.submissions) service.submit(submission);
   service.wait_idle();
-  return static_cast<double>(plan.submissions.size()) / seconds_since(begin);
+  return static_cast<double>(plan.submissions.size()) / cs31::bench::seconds_since(begin);
 }
 
 }  // namespace
@@ -67,11 +60,7 @@ int main(int argc, char** argv) {
       "batch grading service: steady/storm/poison scenarios, cold vs warm cache, "
       "worker scaling");
 
-  bool perf_smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--perf-smoke") == 0) perf_smoke = true;
-  }
-
+  const bool perf_smoke = json.perf_smoke();
   const std::size_t batch = perf_smoke ? 180 : 900;
   const std::size_t workers = 4;
   json.config("batch", batch);
@@ -79,11 +68,17 @@ int main(int argc, char** argv) {
   json.config("perf_smoke", perf_smoke);
 
   // (a) cold vs warm ------------------------------------------------------
+  // One pass each, not `measure`: only the process's first pass is cold
+  // the way this floor was set. Later fresh services grade ~1.5x faster,
+  // and on a 4-vCPU host that ran the four workers in parallel their
+  // fastest cold pass read warm/cold 4.2-4.9x, under the floor.
   const LoadPlan steady = make_scenario("steady", batch, 1);
   GraderService service(service_options(workers));
   const double cold_rate = grade_batch(service, steady);
+  const bool cold_ran_all = service.stats().toolchain_runs == batch;
   const double warm_rate = grade_batch(service, steady);  // same bytes: all hits
   const auto warm_stats = service.stats();
+  const bool warm_hit_all = warm_stats.toolchain_runs == batch;
   const double warm_over_cold = warm_rate / cold_rate;
   std::printf("(a) cold vs warm, %zu distinct submissions, %zu workers\n", batch, workers);
   std::printf("    cold  %10.0f submissions/s   (%" PRIu64 " toolchain runs)\n", cold_rate,
@@ -137,10 +132,14 @@ int main(int argc, char** argv) {
   // Floors (always reported; enforced in the smoke so tier-1 catches a
   // cache or pool regression).
   bool ok = true;
-  if (warm_over_cold < 5.0) {
-    std::fprintf(stderr, "FAIL: warm/cold %.2fx below the 5x floor\n", warm_over_cold);
+  if (!cold_ran_all || !warm_hit_all) {
+    std::fprintf(stderr, "FAIL: the cold pass hit the cache or the warm pass missed it\n");
     ok = false;
   }
+  const cs31::bench::Timing cold{{batch / cold_rate}}, warm{{batch / warm_rate}};
+  ok = json.gate(warm_over_cold >= 5.0, "warm/cold", warm_over_cold, 5.0,
+                 {{"cold", &cold}, {"warm", &warm}}) &&
+       ok;
   if (!pool_intact) {
     std::fprintf(stderr, "FAIL: poison scenario lost submissions\n");
     ok = false;

@@ -8,7 +8,6 @@
 //  (b) real std::thread wall-clock on this machine, reported with the
 //      host's core count — on a 1-core CI box this is expected to stay
 //      flat (the model is the substitution documented in DESIGN.md).
-#include <chrono>
 #include <cstdio>
 #include <thread>
 
@@ -20,11 +19,10 @@ namespace {
 
 double wall_seconds_for(const cs31::life::Grid& initial, std::size_t threads,
                         std::size_t generations) {
-  using clock = std::chrono::steady_clock;
   cs31::life::ParallelLife sim(initial, threads);
-  const auto t0 = clock::now();
+  const auto t0 = cs31::bench::Clock::now();
   sim.run(generations);
-  return std::chrono::duration<double>(clock::now() - t0).count();
+  return cs31::bench::seconds_since(t0);
 }
 
 }  // namespace

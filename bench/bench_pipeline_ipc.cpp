@@ -7,15 +7,14 @@
 // ISA machine's two execution cores — the per-step switch interpreter
 // and the predecoded threaded-dispatch core — timed on identical
 // workloads (a tight hot loop, a seeded generated program, full maze
-// solves), reported as instructions/second per core. Single-threaded
+// solves), reported as instructions/second per core and timed through
+// `measure` (the two cores interleaved, min per core). Single-threaded
 // wall-clock on whatever host runs the bench; the *ratio* between the
 // cores is the portable number, and `--perf-smoke` asserts its >= 5x
 // floor (exit 1 below it).
 //
 // Usage: bench_pipeline_ipc [--perf-smoke] [--json[=DIR]] [--timestamp=T]
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -61,25 +60,6 @@ void row(const char* name, const std::vector<ExecRecord>& trace,
 // --- section two: the emulator's own execution cores -------------------
 
 namespace isa = cs31::isa;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-/// Instructions/second of `run_once` (which executes one workload pass
-/// and returns its instruction count), repeated until `min_seconds` of
-/// wall clock has been spent. One untimed warm-up pass first.
-double measure_ips(double min_seconds, const std::function<std::size_t()>& run_once) {
-  (void)run_once();  // warm: predecode caches, page in memory
-  const auto start = std::chrono::steady_clock::now();
-  std::size_t instructions = 0;
-  double elapsed = 0.0;
-  do {
-    instructions += run_once();
-    elapsed = seconds_since(start);
-  } while (elapsed < min_seconds);
-  return static_cast<double>(instructions) / elapsed;
-}
 
 /// One long-lived machine per runner: each pass is `load` + `run`, the
 /// regrade pattern. Reloading the identical image keeps the predecoded
@@ -173,10 +153,7 @@ int main(int argc, char** argv) {
   cs31::bench::JsonReport json("pipeline_ipc", argc, argv);
   json.workload("5-stage pipeline vs sequential IPC; switch vs predecoded emulator cores");
   json.config("stages", 5);
-  bool perf_smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--perf-smoke") == 0) perf_smoke = true;
-  }
+  const bool perf_smoke = json.perf_smoke();
   std::printf("==============================================================\n");
   std::printf("E5: pipelining vs sequential execution (5-stage model)\n");
   std::printf("    sequential cycle = sum of stages; pipelined = max stage\n");
@@ -235,11 +212,17 @@ int main(int argc, char** argv) {
        maze_runner(maze, isa::Machine::Core::Predecoded), false},
   };
 
-  const double min_seconds = perf_smoke ? 0.08 : 0.4;
   double min_speedup = 1e300;
   for (const IsaWorkload& w : workloads) {
-    const double switch_ips = measure_ips(min_seconds, w.run_switch);
-    const double predecoded_ips = measure_ips(min_seconds, w.run_predecoded);
+    // A pass's instruction count is fixed; the first pass also warms
+    // the predecode cache and pages in memory.
+    const std::size_t switch_instrs = w.run_switch();
+    const std::size_t predecoded_instrs = w.run_predecoded();
+    const auto [switch_core, predecoded_core] =
+        cs31::bench::measure(w.run_switch, w.run_predecoded);
+    const double switch_ips = static_cast<double>(switch_instrs) / switch_core.min();
+    const double predecoded_ips =
+        static_cast<double>(predecoded_instrs) / predecoded_core.min();
     const double speedup = predecoded_ips / switch_ips;
     if (w.in_floor && speedup < min_speedup) min_speedup = speedup;
     std::printf("%-26s %14.3e %14.3e %8.2fx%s\n", w.name, switch_ips, predecoded_ips, speedup,
@@ -252,6 +235,9 @@ int main(int argc, char** argv) {
     json.metric(key + "[core=switch]_instr_per_s", switch_ips);
     json.metric(key + "[core=predecoded]_instr_per_s", predecoded_ips);
     json.metric(key + "_core_speedup", speedup);
+    json.gate(!w.in_floor || speedup >= 5.0, w.name, speedup, 5.0,
+              {{key + "[core=switch]", &switch_core},
+               {key + "[core=predecoded]", &predecoded_core}});
   }
   json.metric("isa_core_min_speedup", min_speedup);
   json.config("isa_core_speedup_floor", 5);

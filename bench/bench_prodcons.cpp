@@ -1,7 +1,6 @@
 // Experiment E9 — the producer/consumer (bounded buffer) problem that
 // closes the CS 31 parallelism module: throughput and blocking behaviour
 // across buffer sizes and producer/consumer mixes, with real threads.
-#include <chrono>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -18,12 +17,11 @@ struct RunResult {
 };
 
 RunResult run(std::size_t capacity, int producers, int consumers, int items_per_producer) {
-  using clock = std::chrono::steady_clock;
   cs31::parallel::BoundedBuffer buffer(capacity);
   const int total = producers * items_per_producer;
   const int per_consumer = total / consumers;
   std::vector<std::thread> threads;
-  const auto t0 = clock::now();
+  const auto t0 = cs31::bench::Clock::now();
   for (int p = 0; p < producers; ++p) {
     threads.emplace_back([&buffer, items_per_producer] {
       for (int i = 0; i < items_per_producer; ++i) buffer.put(i);
@@ -37,7 +35,7 @@ RunResult run(std::size_t capacity, int producers, int consumers, int items_per_
   }
   for (std::thread& t : threads) t.join();
   RunResult r;
-  r.seconds = std::chrono::duration<double>(clock::now() - t0).count();
+  r.seconds = cs31::bench::seconds_since(t0);
   r.producer_blocks = buffer.producer_blocks();
   r.consumer_blocks = buffer.consumer_blocks();
   return r;

@@ -7,7 +7,7 @@
 // (a) a deterministic comparison run that times both detectors on the
 //     same multi-round traced Life workload, snapshots shadow-state
 //     bytes (end of run, and mid-run with the read state inflated),
-//     emits a one-line BENCH_race {...} JSON summary, and *asserts* the
+//     and *asserts* the
 //     acceptance criterion: >= 2x reduction in tracing overhead vs the
 //     PR 1 baseline (exit 1 on failure, so the tier-1 smoke run guards
 //     the claim);
@@ -16,9 +16,8 @@
 //     drained stream fed to the FastTrack Detector AND the Eraser-style
 //     LocksetDetector simultaneously; *asserts* <= 3x wall-clock
 //     overhead and the known verdicts (HB: race-free; lockset: flags
-//     its documented barrier false positive or agrees), and emits a
-//     second BENCH_race JSON line with per-thread buffer high-water
-//     marks;
+//     its documented barrier false positive or agrees), and prints the
+//     per-thread buffer high-water marks;
 // (c) pipelined real-thread mode (PR 4): the same 4-thread 64x64 run
 //     with analysis moved off the critical path into a one-shard
 //     trace::AnalysisPipeline; *asserts* <= 1.25x wall-clock overhead
@@ -42,19 +41,17 @@
 //     practical limit of the string-keyed PR 1 detector), and
 //     per-event throughput of both detectors on both API paths.
 //
-// --perf-smoke runs only (c), (c2), and (c3), in seconds not minutes,
-// for ctest.
+// Every wall-time row times its sides through bench_json.hpp's
+// `measure`; (d) times busy CPU and keeps its own best-of-3.
+// --perf-smoke runs only (c), (c2), and (c3), in seconds, for ctest.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -71,11 +68,8 @@
 
 namespace {
 
+using cs31::bench::measure;
 using cs31::life::Grid;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
 
 /// Shadow bytes while the read state is inflated: `threads` workers all
 /// read every variable (the Life compute phase freeze-framed before any
@@ -92,26 +86,6 @@ std::size_t read_shared_snapshot_bytes(std::size_t threads, std::size_t vars) {
   return sink.shadow_bytes();
 }
 
-/// Best (minimum) wall time of `runs` runs of `work` — the standard
-/// noise shield for a one-shot comparison on a shared machine; load
-/// spikes can only inflate a measurement, never deflate it.
-template <typename Work>
-double min_seconds_of(int runs, Work&& work) {
-  double best = 0;
-  for (int run = 0; run < runs; ++run) {
-    const auto start = std::chrono::steady_clock::now();
-    work();
-    const double s = seconds_since(start);
-    if (run == 0 || s < best) best = s;
-  }
-  return best;
-}
-
-template <typename Work>
-double min_seconds_of_3(Work&& work) {
-  return min_seconds_of(3, std::forward<Work>(work));
-}
-
 /// The deterministic before/after run. Returns false when the >= 2x
 /// overhead-reduction criterion does not hold.
 bool report_compression(cs31::bench::JsonReport& json) {
@@ -126,31 +100,29 @@ bool report_compression(cs31::bench::JsonReport& json) {
   std::printf("workload: %zux%zu Life, %zu bands, %zu barrier-synchronized rounds\n\n",
               kSide, kSide, kThreads, kRounds);
 
-  // Untraced baseline: the simulation alone.
-  const double untraced_s = min_seconds_of_3([&] {
-    cs31::life::SerialLife untraced(initial);
-    untraced.run(kRounds);
-  });
-
-  // After: the FastTrack detector on its interned-id fast path.
-  std::uint64_t fast_events = 0;
-  bool fast_race_free = false;
-  const double fast_s = min_seconds_of_3([&] {
-    const auto run = cs31::life::traced_life_check(initial, kThreads, kRounds, true);
-    fast_events = run.events;
-    fast_race_free = run.race_free;
-  });
-
-  // Before: PR 1's algorithm on the identical event stream.
-  std::uint64_t ref_events = 0;
-  bool ref_race_free = false;
-  const double ref_s = min_seconds_of_3([&] {
-    cs31::race::ReferenceDetector reference;
-    const auto run =
-        cs31::life::traced_life_check_with(reference, initial, kThreads, kRounds, true);
-    ref_events = run.events;
-    ref_race_free = run.race_free;
-  });
+  // Untraced baseline (the simulation alone); after: the FastTrack
+  // detector on its interned-id fast path; before: the full-vector-clock
+  // ReferenceDetector on the identical event stream.
+  std::uint64_t fast_events = 0, ref_events = 0;
+  bool fast_race_free = false, ref_race_free = false;
+  const auto [untraced, fast, ref] = measure(
+      [&] {
+        cs31::life::SerialLife untraced_life(initial);
+        untraced_life.run(kRounds);
+      },
+      [&] {
+        const auto run = cs31::life::traced_life_check(initial, kThreads, kRounds, true);
+        fast_events = run.events;
+        fast_race_free = run.race_free;
+      },
+      [&] {
+        cs31::race::ReferenceDetector reference;
+        const auto run =
+            cs31::life::traced_life_check_with(reference, initial, kThreads, kRounds, true);
+        ref_events = run.events;
+        ref_race_free = run.race_free;
+      });
+  const double untraced_s = untraced.min(), fast_s = fast.min(), ref_s = ref.min();
 
   // End-of-run shadow bytes, from probe detectors fed the same stream.
   cs31::race::Detector fast_probe;
@@ -187,20 +159,14 @@ bool report_compression(cs31::bench::JsonReport& json) {
               inflated_ref);
   std::printf("\ntracing overhead reduced %.1fx (acceptance floor: 2x)\n\n", reduction);
 
-  std::printf(
-      "BENCH_race {\"grid\":%zu,\"threads\":%zu,\"rounds\":%zu,\"events\":%llu,"
-      "\"race_free\":%s,\"untraced_ms\":%.3f,\"fast_ms\":%.3f,\"ref_ms\":%.3f,"
-      "\"fast_events_per_sec\":%.0f,\"ref_events_per_sec\":%.0f,"
-      "\"overhead_reduction_x\":%.2f,"
-      "\"fast_shadow_bytes\":%zu,\"ref_shadow_bytes\":%zu,"
-      "\"read_shared_fast_bytes\":%zu,\"read_shared_ref_bytes\":%zu}\n\n",
-      kSide, kThreads, kRounds, static_cast<unsigned long long>(fast_events),
-      fast_race_free ? "true" : "false", untraced_s * 1e3, fast_s * 1e3, ref_s * 1e3,
-      fast_eps, ref_eps, reduction, fast_bytes, ref_bytes, inflated_fast, inflated_ref);
-
   json.metric("compression_overhead_reduction_x", reduction);
+  json.metric("compression_events", fast_events);
   json.metric("fast_events_per_sec", fast_eps);
   json.metric("ref_events_per_sec", ref_eps);
+  json.metric("fast_shadow_bytes", fast_bytes);
+  json.metric("ref_shadow_bytes", ref_bytes);
+  json.metric("read_shared_fast_bytes", inflated_fast);
+  json.metric("read_shared_ref_bytes", inflated_ref);
 
   bool ok = true;
   if (!fast_race_free || !ref_race_free) {
@@ -211,12 +177,11 @@ bool report_compression(cs31::bench::JsonReport& json) {
     std::fprintf(stderr, "FAIL: detectors saw different event counts\n");
     ok = false;
   }
-  if (reduction < 2.0) {
-    std::fprintf(stderr, "FAIL: tracing overhead reduction %.2fx is below the 2x floor\n",
-                 reduction);
-    ok = false;
-  }
-  return ok;
+  return json.gate(reduction >= 2.0, "tracing overhead reduction", reduction, 2.0,
+                   {{"compression_untraced", &untraced},
+                    {"compression_fast", &fast},
+                    {"compression_ref", &ref}}) &&
+         ok;
 }
 
 /// The real-thread mode: trace an actual 4-thread barrier-synchronized
@@ -236,32 +201,33 @@ bool report_realthread(cs31::bench::JsonReport& json) {
   std::printf("workload: %zux%zu Life, %zu real threads, %zu rounds, row granularity\n\n",
               kSide, kSide, kThreads, kRounds);
 
-  const double untraced_s = min_seconds_of_3([&] {
-    cs31::life::ParallelLife life(initial, kThreads);
-    life.run(kRounds);
-  });
-
   bool hb_race_free = false;
   std::size_t lockset_reports = 0;
   std::uint64_t captured = 0, drains = 0;
   std::vector<cs31::trace::BufferStats> buffers;
-  const double traced_s = min_seconds_of_3([&] {
-    cs31::trace::TraceContext ctx;
-    cs31::race::LocksetDetector lockset;
-    cs31::trace::MetricsSink metrics;
-    ctx.attach_sink(lockset);
-    ctx.attach_sink(metrics);
-    cs31::life::ParallelLife life(initial, kThreads);
-    life.run(kRounds, {.ctx = &ctx, .report_barrier = true,
-                       .granularity = cs31::life::TraceGranularity::Row});
-    ctx.flush();
-    hb_race_free = ctx.detector().race_free();
-    lockset_reports = lockset.races().size();
-    captured = ctx.events_captured();
-    drains = ctx.drains();
-    buffers = ctx.buffer_stats();
-  });
+  const auto [untraced, traced] = measure(
+      [&] {
+        cs31::life::ParallelLife life(initial, kThreads);
+        life.run(kRounds);
+      },
+      [&] {
+        cs31::trace::TraceContext ctx;
+        cs31::race::LocksetDetector lockset;
+        cs31::trace::MetricsSink metrics;
+        ctx.attach_sink(lockset);
+        ctx.attach_sink(metrics);
+        cs31::life::ParallelLife life(initial, kThreads);
+        life.run(kRounds, {.ctx = &ctx, .report_barrier = true,
+                           .granularity = cs31::life::TraceGranularity::Row});
+        ctx.flush();
+        hb_race_free = ctx.detector().race_free();
+        lockset_reports = lockset.races().size();
+        captured = ctx.events_captured();
+        drains = ctx.drains();
+        buffers = ctx.buffer_stats();
+      });
 
+  const double untraced_s = untraced.min(), traced_s = traced.min();
   const double overhead = traced_s / untraced_s;
   std::printf("%-34s %12.2f\n", "untraced wall time (ms)", untraced_s * 1e3);
   std::printf("%-34s %12.2f\n", "traced wall time (ms)", traced_s * 1e3);
@@ -279,21 +245,12 @@ bool report_realthread(cs31::bench::JsonReport& json) {
                 static_cast<unsigned long long>(b.high_water));
   }
 
-  std::printf("\nBENCH_race {\"mode\":\"realthread\",\"grid\":%zu,\"threads\":%zu,"
-              "\"rounds\":%zu,\"untraced_ms\":%.3f,\"traced_ms\":%.3f,\"overhead_x\":%.2f,"
-              "\"events_captured\":%llu,\"drains\":%llu,\"hb_race_free\":%s,"
-              "\"lockset_reports\":%zu,\"buffer_high_water\":[",
-              kSide, kThreads, kRounds, untraced_s * 1e3, traced_s * 1e3, overhead,
-              static_cast<unsigned long long>(captured),
-              static_cast<unsigned long long>(drains), hb_race_free ? "true" : "false",
-              lockset_reports);
-  for (std::size_t i = 0; i < buffers.size(); ++i) {
-    std::printf("%s%llu", i == 0 ? "" : ",",
-                static_cast<unsigned long long>(buffers[i].high_water));
-  }
-  std::printf("]}\n\n");
+  std::printf("\n");
 
   json.metric("inline_3sink_overhead_x", overhead);
+  json.metric("inline_3sink_events_captured", captured);
+  json.metric("inline_3sink_drains", drains);
+  json.metric("inline_3sink_lockset_reports", lockset_reports);
 
   bool ok = true;
   if (!hb_race_free) {
@@ -301,12 +258,10 @@ bool report_realthread(cs31::bench::JsonReport& json) {
                          "under happens-before\n");
     ok = false;
   }
-  if (overhead > 3.0) {
-    std::fprintf(stderr, "FAIL: real-thread tracing overhead %.2fx exceeds the 3x ceiling\n",
-                 overhead);
-    ok = false;
-  }
-  return ok;
+  return json.gate(overhead <= 3.0, "real-thread tracing overhead", overhead, 3.0,
+                   {{"inline_3sink_untraced", &untraced},
+                    {"inline_3sink_traced", &traced}}) &&
+         ok;
 }
 
 /// The PR 4 acceptance run: a traced 4-thread 64x64 ParallelLife::run
@@ -335,11 +290,6 @@ bool report_pipeline(cs31::bench::JsonReport& json) {
   std::printf("workload: %zux%zu Life, %zu real threads, %zu rounds, row granularity\n\n",
               kSide, kSide, kThreads, kRounds);
 
-  const double untraced_s = min_seconds_of(5, [&] {
-    cs31::life::ParallelLife life(initial, kThreads);
-    life.run(kRounds);
-  });
-
   // The inline certificate the pipeline must reproduce byte for byte.
   std::string inline_summary;
   {
@@ -352,20 +302,26 @@ bool report_pipeline(cs31::bench::JsonReport& json) {
 
   std::string piped_summary;
   std::uint64_t piped_events = 0, publish_waits = 0;
-  const double traced_s = min_seconds_of(5, [&] {
-    cs31::trace::AnalysisPipeline pipeline(
-        cs31::trace::AnalysisPipeline::Options{.shards = 1, .queue_capacity = 8});
-    cs31::trace::TraceContext ctx(
-        cs31::trace::TraceContext::Options{.own_detector = false});
-    ctx.attach_pipeline(pipeline);
-    cs31::life::ParallelLife life(initial, kThreads);
-    life.run(kRounds, {.ctx = &ctx});
-    ctx.flush();
-    piped_summary = pipeline.summary();
-    piped_events = pipeline.events();
-    publish_waits = pipeline.publish_waits();
-  });
+  const auto [untraced, traced] = measure(
+      [&] {
+        cs31::life::ParallelLife life(initial, kThreads);
+        life.run(kRounds);
+      },
+      [&] {
+        cs31::trace::AnalysisPipeline pipeline(
+            cs31::trace::AnalysisPipeline::Options{.shards = 1, .queue_capacity = 8});
+        cs31::trace::TraceContext ctx(
+            cs31::trace::TraceContext::Options{.own_detector = false});
+        ctx.attach_pipeline(pipeline);
+        cs31::life::ParallelLife life(initial, kThreads);
+        life.run(kRounds, {.ctx = &ctx});
+        ctx.flush();
+        piped_summary = pipeline.summary();
+        piped_events = pipeline.events();
+        publish_waits = pipeline.publish_waits();
+      });
 
+  const double untraced_s = untraced.min(), traced_s = traced.min();
   const double overhead = traced_s / untraced_s;
   const bool identical = piped_summary == inline_summary;
   std::printf("%-34s %12.2f\n", "untraced wall time (ms)", untraced_s * 1e3);
@@ -382,8 +338,6 @@ bool report_pipeline(cs31::bench::JsonReport& json) {
   json.config("pipeline_grid", static_cast<std::uint64_t>(kSide));
   json.config("pipeline_threads", static_cast<std::uint64_t>(kThreads));
   json.config("pipeline_rounds", static_cast<std::uint64_t>(kRounds));
-  json.metric("untraced_ms", untraced_s * 1e3);
-  json.metric("pipelined_ms", traced_s * 1e3);
   json.metric("pipelined_overhead_x", overhead);
   json.metric("pipelined_certificate_identical", identical);
 
@@ -392,12 +346,9 @@ bool report_pipeline(cs31::bench::JsonReport& json) {
     std::fprintf(stderr, "FAIL: pipeline certificate differs from inline mode\n");
     ok = false;
   }
-  if (overhead > kCeiling) {
-    std::fprintf(stderr, "FAIL: pipelined overhead %.2fx exceeds the %.2fx ceiling\n",
-                 overhead, kCeiling);
-    ok = false;
-  }
-  return ok;
+  return json.gate(overhead <= kCeiling, "pipelined overhead", overhead, kCeiling,
+                   {{"pipelined_untraced", &untraced}, {"pipelined_traced", &traced}}) &&
+         ok;
 }
 
 /// Capture-only overhead: the cost of the capture layer itself — per-
@@ -412,11 +363,10 @@ bool report_pipeline(cs31::bench::JsonReport& json) {
 bool report_capture_overhead(cs31::bench::JsonReport& json) {
   constexpr std::size_t kSide = 64;
   constexpr std::size_t kThreads = 4;
-  // More rounds and more min-of runs than (c): the asserted margin is
-  // tighter (1.1x vs 1.25x), so the measurement needs a deeper noise
-  // shield on a shared 1-core host.
+  // More rounds than (c): the asserted margin is tighter (1.1x vs
+  // 1.25x), so each call carries more traced work over the same fixed
+  // thread spawn/join cost.
   constexpr std::size_t kRounds = 60;
-  constexpr int kRuns = 9;
   constexpr double kCeiling = 1.1;
   const Grid initial = Grid::random(kSide, kSide, 0.3, 7);
 
@@ -427,46 +377,42 @@ bool report_capture_overhead(cs31::bench::JsonReport& json) {
               "          no sinks attached (drain merges and discards)\n\n",
               kSide, kSide, kThreads, kRounds);
 
-  const double untraced_s = min_seconds_of(kRuns, [&] {
-    cs31::life::ParallelLife life(initial, kThreads);
-    life.run(kRounds);
-  });
-
-  double mode_s[2] = {0, 0};
   std::uint64_t captured = 0;
-  const cs31::trace::CaptureMode modes[2] = {cs31::trace::CaptureMode::lockfree,
-                                             cs31::trace::CaptureMode::mutex_stream};
-  const char* mode_names[2] = {"lockfree", "mutex"};
-  for (int m = 0; m < 2; ++m) {
-    mode_s[m] = min_seconds_of(kRuns, [&] {
-      cs31::trace::TraceContext ctx(cs31::trace::TraceContext::Options{
-          .own_detector = false, .capture = modes[m]});
+  const auto traced_in = [&](cs31::trace::CaptureMode mode) {
+    return [&, mode] {
+      cs31::trace::TraceContext ctx(
+          cs31::trace::TraceContext::Options{.own_detector = false, .capture = mode});
       cs31::life::ParallelLife life(initial, kThreads);
       life.run(kRounds, {.ctx = &ctx});
       ctx.flush();
       captured = ctx.events_captured();
-    });
-    const double overhead = mode_s[m] / untraced_s;
-    std::printf("%-12s traced %8.2f ms   untraced %8.2f ms   overhead %.3fx\n",
-                mode_names[m], mode_s[m] * 1e3, untraced_s * 1e3, overhead);
-    std::printf("BENCH_race {\"mode\":\"capture_only\",\"capture\":\"%s\",\"grid\":%zu,"
-                "\"threads\":%zu,\"rounds\":%zu,\"untraced_ms\":%.3f,\"traced_ms\":%.3f,"
-                "\"overhead_x\":%.3f,\"events_captured\":%llu}\n",
-                mode_names[m], kSide, kThreads, kRounds, untraced_s * 1e3, mode_s[m] * 1e3,
-                overhead, static_cast<unsigned long long>(captured));
-    json.metric(std::string("capture_overhead_x_") + mode_names[m], overhead);
-  }
-  const double lockfree_overhead = mode_s[0] / untraced_s;
-  std::printf("\nlock-free capture overhead %.3fx (ceiling %.2fx)\n\n", lockfree_overhead,
-              kCeiling);
+    };
+  };
+  const auto [untraced, lockfree, mutex] = measure(
+      [&] {
+        cs31::life::ParallelLife life(initial, kThreads);
+        life.run(kRounds);
+      },
+      traced_in(cs31::trace::CaptureMode::lockfree),
+      traced_in(cs31::trace::CaptureMode::mutex_stream));
 
-  if (lockfree_overhead > kCeiling) {
-    std::fprintf(stderr,
-                 "FAIL: lock-free capture overhead %.3fx exceeds the %.2fx ceiling\n",
-                 lockfree_overhead, kCeiling);
-    return false;
-  }
-  return true;
+  const auto report = [&](const char* name, const cs31::bench::Timing& traced) {
+    const double overhead = traced.min() / untraced.min();
+    std::printf("%-12s traced %8.2f ms   untraced %8.2f ms   overhead %.3fx\n", name,
+                traced.min() * 1e3, untraced.min() * 1e3, overhead);
+    json.metric(std::string("capture_overhead_x_") + name, overhead);
+    return overhead;
+  };
+  const double lockfree_overhead = report("lockfree", lockfree);
+  report("mutex", mutex);
+  std::printf("\nlock-free capture overhead %.3fx (ceiling %.2fx), %llu events\n\n",
+              lockfree_overhead, kCeiling, static_cast<unsigned long long>(captured));
+
+  return json.gate(lockfree_overhead <= kCeiling, "lock-free capture overhead",
+                   lockfree_overhead, kCeiling,
+                   {{"capture_untraced", &untraced},
+                    {"capture_lockfree", &lockfree},
+                    {"capture_mutex", &mutex}});
 }
 
 /// Sync storm: the workload the mutex-ordered stream was worst at —
@@ -486,15 +432,11 @@ bool report_sync_storm(cs31::bench::JsonReport& json) {
   std::printf("workload: %zu real threads x %llu lock/unlock on private TracedMutexes\n\n",
               kThreads, static_cast<unsigned long long>(kIters));
 
-  double tput[2] = {0, 0};
-  const cs31::trace::CaptureMode modes[2] = {cs31::trace::CaptureMode::lockfree,
-                                             cs31::trace::CaptureMode::mutex_stream};
-  const char* mode_names[2] = {"lockfree", "mutex"};
-  for (int m = 0; m < 2; ++m) {
-    std::uint64_t captured = 0;
-    const double s = min_seconds_of_3([&] {
-      cs31::trace::TraceContext ctx(cs31::trace::TraceContext::Options{
-          .own_detector = false, .capture = modes[m]});
+  std::uint64_t captured[2] = {0, 0};
+  const auto storm_in = [&](cs31::trace::CaptureMode mode, std::size_t slot) {
+    return [&, mode, slot] {
+      cs31::trace::TraceContext ctx(
+          cs31::trace::TraceContext::Options{.own_detector = false, .capture = mode});
       std::vector<std::unique_ptr<cs31::trace::TracedMutex>> mutexes;
       for (std::size_t t = 0; t < kThreads; ++t) {
         mutexes.push_back(std::make_unique<cs31::trace::TracedMutex>(
@@ -509,29 +451,29 @@ bool report_sync_storm(cs31::bench::JsonReport& json) {
       });
       team.join();
       ctx.flush();
-      captured = ctx.events_captured();
-    });
-    tput[m] = static_cast<double>(captured) / s;
-    std::printf("%-12s %8.2f ms   %10.2f Kev/s   (%llu sync events)\n", mode_names[m],
-                s * 1e3, tput[m] / 1e3, static_cast<unsigned long long>(captured));
-    std::printf("BENCH_race {\"mode\":\"sync_storm\",\"capture\":\"%s\",\"threads\":%zu,"
-                "\"iters\":%llu,\"wall_ms\":%.3f,\"sync_events_per_sec\":%.0f}\n",
-                mode_names[m], kThreads, static_cast<unsigned long long>(kIters), s * 1e3,
-                tput[m]);
-    json.metric(std::string("sync_storm_events_per_sec_") + mode_names[m], tput[m]);
-  }
-  const double speedup = tput[0] / tput[1];
+      captured[slot] = ctx.events_captured();
+    };
+  };
+  const auto [lockfree, mutex] =
+      measure(storm_in(cs31::trace::CaptureMode::lockfree, 0),
+              storm_in(cs31::trace::CaptureMode::mutex_stream, 1));
+
+  const auto report = [&](const char* name, const cs31::bench::Timing& timing,
+                          std::uint64_t events) {
+    const double tput = static_cast<double>(events) / timing.min();
+    std::printf("%-12s %8.2f ms   %10.2f Kev/s   (%llu sync events)\n", name,
+                timing.min() * 1e3, tput / 1e3, static_cast<unsigned long long>(events));
+    json.metric(std::string("sync_storm_events_per_sec_") + name, tput);
+    return tput;
+  };
+  const double lockfree_tput = report("lockfree", lockfree, captured[0]);
+  const double speedup = lockfree_tput / report("mutex", mutex, captured[1]);
   std::printf("\nlock-free sync capture throughput %.2fx mutex-stream (floor %.1fx)\n\n",
               speedup, kFloor);
   json.metric("sync_storm_speedup_x", speedup);
 
-  if (speedup < kFloor) {
-    std::fprintf(stderr,
-                 "FAIL: sync-storm speedup %.2fx is below the %.1fx floor\n", speedup,
-                 kFloor);
-    return false;
-  }
-  return true;
+  return json.gate(speedup >= kFloor, "sync-storm speedup", speedup, kFloor,
+                   {{"sync_storm_lockfree", &lockfree}, {"sync_storm_mutex", &mutex}});
 }
 
 /// Shard scaling, measured honestly on any core count: wall-clock on a
@@ -627,7 +569,7 @@ void report_sampling(cs31::bench::JsonReport& json) {
   for (const double rate : {1.0, 0.5, 0.25, 0.125, 0.0625}) {
     std::size_t races = 0;
     std::uint64_t events = 0, sampled_out = 0;
-    const double s = min_seconds_of(3, [&] {
+    const double s = measure([&] {
       cs31::life::TracedLifeOptions options;
       options.use_barrier = false;
       options.sample_rate = rate;
@@ -636,7 +578,7 @@ void report_sampling(cs31::bench::JsonReport& json) {
       races = result.races.size();
       events = result.events;
       sampled_out = result.sampled_out;
-    });
+    })[0].min();
     if (rate == 1.0) full_races = races;
     const double detection =
         full_races == 0 ? 0.0
@@ -755,18 +697,7 @@ int main(int argc, char** argv) {
   cs31::bench::JsonReport json("race_overhead", argc, argv);
   json.workload("race-detection overhead: inline, pipelined, sharded, sampled");
 
-  bool perf_smoke = false;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--perf-smoke") == 0) {
-      perf_smoke = true;
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argc = kept;
-
-  if (perf_smoke) {
+  if (json.perf_smoke()) {
     // The tier-1 guard (seconds, not minutes): the PR 4 acceptance run
     // plus the two lock-free capture assertions — traced Life within
     // the 1.1x capture-only ceiling, sync-storm throughput >= 1.5x the

@@ -22,9 +22,7 @@
 //                  distinct-race coverage, and that the budgeted
 //                  monster run finds the planted race; nonzero exit on
 //                  violation (the tier-1 ctest entry).
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
@@ -39,11 +37,9 @@ using cs31::race::ExploreOptions;
 using cs31::race::ExploreResult;
 using cs31::race::RaceReport;
 using cs31::race::ReplayResult;
+using cs31::bench::Clock;
+using cs31::bench::seconds_since;
 using cs31::race::ScriptGenConfig;
-
-double seconds_since(std::chrono::steady_clock::time_point begin) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
-}
 
 std::set<cs31::race::RacePairKey> key_set(const std::vector<RaceReport>& races) {
   std::set<cs31::race::RacePairKey> keys;
@@ -85,17 +81,14 @@ int main(int argc, char** argv) {
       "exhaustive interleaving replay vs DPOR exploration: schedule reduction at equal "
       "distinct-race coverage, plus a budgeted saturated-space run");
 
-  bool perf_smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--perf-smoke") == 0) perf_smoke = true;
-  }
+  const bool perf_smoke = json.perf_smoke();
   json.config("perf_smoke", perf_smoke);
 
   bool equal_verdicts = true;
 
   // (a) head-to-head on the Act 7 script ----------------------------------
   const auto act7 = act7_script();
-  auto begin = std::chrono::steady_clock::now();
+  auto begin = Clock::now();
   const std::vector<ReplayResult> exhaustive = cs31::race::replay_all_interleavings(act7, 10000);
   const double exhaustive_s = seconds_since(begin);
   std::uint64_t exhaustive_events = 0;
@@ -103,7 +96,7 @@ int main(int argc, char** argv) {
   const auto exhaustive_keys = key_set(cs31::race::distinct_races(exhaustive));
 
   const ExploreOptions opts;
-  begin = std::chrono::steady_clock::now();
+  begin = Clock::now();
   const ExploreResult explored = cs31::race::explore_races(act7, opts);
   const double explored_s = seconds_since(begin);
   equal_verdicts = equal_verdicts && key_set(explored.races) == exhaustive_keys;
@@ -174,7 +167,7 @@ int main(int argc, char** argv) {
   hint.first.where = "t0 write racy";
   hint.second.where = "t1 write racy";
   budgeted.hints.push_back(hint);
-  begin = std::chrono::steady_clock::now();
+  begin = Clock::now();
   const ExploreResult big = cs31::race::explore_races(monster, budgeted);
   const double big_s = seconds_since(begin);
   bool found_planted = false;

@@ -4,7 +4,6 @@
 // parallel" lesson the course sets up with Big-O vs hardware costs).
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -79,9 +78,9 @@ BENCHMARK(BM_MergeParallel4)->Arg(kSmall)->Arg(kLarge)->Unit(benchmark::kMillise
 template <typename Sort>
 double seconds_of(Sort sort) {
   std::vector<int> d = data_of(kLarge);
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = cs31::bench::Clock::now();
   sort(d);
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  return cs31::bench::seconds_since(t0);
 }
 
 }  // namespace
