@@ -302,12 +302,16 @@ bool report_pipeline(cs31::bench::JsonReport& json) {
 
   std::string piped_summary;
   std::uint64_t piped_events = 0, publish_waits = 0;
+  // Summed over every traced call: the shard's analysis time and the
+  // calls' wall time up to flush, whose quotient is the analysis share.
+  double shard_busy_s = 0, traced_wall_s = 0;
   const auto [untraced, traced] = measure(
       [&] {
         cs31::life::ParallelLife life(initial, kThreads);
         life.run(kRounds);
       },
       [&] {
+        const auto start = cs31::bench::Clock::now();
         cs31::trace::AnalysisPipeline pipeline(
             cs31::trace::AnalysisPipeline::Options{.shards = 1, .queue_capacity = 8});
         cs31::trace::TraceContext ctx(
@@ -316,6 +320,8 @@ bool report_pipeline(cs31::bench::JsonReport& json) {
         cs31::life::ParallelLife life(initial, kThreads);
         life.run(kRounds, {.ctx = &ctx});
         ctx.flush();
+        traced_wall_s += cs31::bench::seconds_since(start);
+        for (const auto& shard : pipeline.shard_stats()) shard_busy_s += shard.busy_seconds;
         piped_summary = pipeline.summary();
         piped_events = pipeline.events();
         publish_waits = pipeline.publish_waits();
@@ -323,6 +329,7 @@ bool report_pipeline(cs31::bench::JsonReport& json) {
 
   const double untraced_s = untraced.min(), traced_s = traced.min();
   const double overhead = traced_s / untraced_s;
+  const double analysis_share = shard_busy_s / traced_wall_s;
   const bool identical = piped_summary == inline_summary;
   std::printf("%-34s %12.2f\n", "untraced wall time (ms)", untraced_s * 1e3);
   std::printf("%-34s %12.2f\n", "pipelined wall time (ms)", traced_s * 1e3);
@@ -331,6 +338,7 @@ bool report_pipeline(cs31::bench::JsonReport& json) {
               static_cast<unsigned long long>(piped_events));
   std::printf("%-34s %12llu\n", "publish backpressure waits",
               static_cast<unsigned long long>(publish_waits));
+  std::printf("%-34s %12.2f\n", "shard analysis share of wall time", analysis_share);
   std::printf("%-34s %12s\n", "certificate vs inline",
               identical ? "byte-identical" : "DIFFERS");
   std::printf("  inline: %s\n\n", inline_summary.c_str());
@@ -339,6 +347,9 @@ bool report_pipeline(cs31::bench::JsonReport& json) {
   json.config("pipeline_threads", static_cast<std::uint64_t>(kThreads));
   json.config("pipeline_rounds", static_cast<std::uint64_t>(kRounds));
   json.metric("pipelined_overhead_x", overhead);
+  json.metric("pipelined_events_analyzed", piped_events);
+  json.metric("pipelined_publish_waits", publish_waits);
+  json.metric("pipelined_analysis_share", analysis_share);
   json.metric("pipelined_certificate_identical", identical);
 
   bool ok = true;

@@ -2,7 +2,7 @@
 // FastTrack-compressed detector.
 //
 // `EventSink` is the contract every detector implementation honours:
-// the instrumentation layer (shadow.hpp), the replay engine
+// the instrumentation layer (trace/context.hpp), the replay engine
 // (replay.hpp), and the fuzz-trace runner (trace_gen.hpp) all speak it,
 // so the same event stream can be fed to any implementation — which is
 // exactly what the differential harness in tests/race_diff_test.cpp
@@ -393,7 +393,8 @@ class Detector final : public EventSink, public InternedSink {
 
   /// Pin the event clock so the *next* event is numbered `seen + 1`.
   /// A sharded analysis (trace::AnalysisPipeline) calls this before
-  /// every event with the router's global event index: each shard sees
+  /// every sync event with the router's global event index (accesses
+  /// carry theirs in Access::event): each shard sees
   /// only a slice of the stream, but its AccessSite.event values — and
   /// therefore its reports — come out identical to an inline detector
   /// that saw everything.

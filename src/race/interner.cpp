@@ -86,12 +86,6 @@ std::size_t NameTables::size(NameKind kind) const {
   return tables_[static_cast<std::size_t>(kind)].size();
 }
 
-NameTables::Block NameTables::reserved_block(NameKind kind) const {
-  std::scoped_lock lock(mutex_);
-  const Interner& table = tables_[static_cast<std::size_t>(kind)];
-  return Block{table.reserved(), table.reserved_format()};
-}
-
 std::size_t NameTables::bytes() const {
   std::scoped_lock lock(mutex_);
   std::size_t total = 0;

@@ -58,12 +58,6 @@ class Interner {
   /// Number of ids handed out, reserved ones included.
   [[nodiscard]] std::size_t size() const { return block_size_ + names_.size(); }
 
-  /// The lazily named block reserve() kept: ids [0, reserved()) are
-  /// named by reserved_format() (0 and an empty formatter when there
-  /// is none).
-  [[nodiscard]] std::size_t reserved() const { return block_size_; }
-  [[nodiscard]] const NameFormat& reserved_format() const { return block_format_; }
-
   /// Approximate heap footprint (table + names formatted so far), for
   /// the shadow-state accounting in bench_race_overhead.
   [[nodiscard]] std::size_t bytes() const;
@@ -109,14 +103,6 @@ class NameTables {
   [[nodiscard]] const std::string& name(NameKind kind, NameId id) const;
 
   [[nodiscard]] std::size_t size(NameKind kind) const;
-
-  /// One table's lazily named block (Interner::reserved), formatter
-  /// included, so another table can reserve the same names unformatted.
-  struct Block {
-    std::size_t count = 0;
-    NameFormat format;
-  };
-  [[nodiscard]] Block reserved_block(NameKind kind) const;
 
   /// Interner::bytes summed over the four tables.
   [[nodiscard]] std::size_t bytes() const;

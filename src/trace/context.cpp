@@ -119,13 +119,7 @@ void TraceContext::attach_sink(race::EventSink& sink) {
   require(pipeline_ == nullptr,
           "a pipelined trace context runs no inline sinks — attach them to the "
           "pipeline side instead");
-  SinkBinding binding;
-  binding.sink = &sink;
-  binding.ids = dynamic_cast<race::InternedSink*>(&sink);
-  auto* detector = dynamic_cast<race::Detector*>(&sink);
-  if (detector != nullptr && detector->names() == names_) binding.shared = detector;
-  binding.tid_map.push_back(0);  // context thread 0 is sink thread 0
-  sinks_.push_back(std::move(binding));
+  sinks_.emplace_back(sink, names_);
 }
 
 void TraceContext::attach_pipeline(AnalysisPipeline& pipeline) {
@@ -136,6 +130,16 @@ void TraceContext::attach_pipeline(AnalysisPipeline& pipeline) {
           "nothing attached)");
   require(sync_clock_.load(std::memory_order_relaxed) == 0 && drains_ == 0,
           "attach the pipeline before the first event");
+  // From here on the context interns into the pipeline's tables, so a
+  // name interned before now would have no id there. The constructor's
+  // empty site label is the one exception: it is interned again below.
+  require(names_->size(race::NameKind::Var) == 0 && names_->size(race::NameKind::Lock) == 0 &&
+              names_->size(race::NameKind::Channel) == 0 &&
+              names_->size(race::NameKind::Site) == 1,
+          "attach the pipeline before the first name is interned");
+  names_ = pipeline.names();
+  require(names_->intern(race::NameKind::Site, "") == 0,
+          "the pipeline's site table must start with the empty label");
   pipeline_ = &pipeline;
 }
 
@@ -780,28 +784,9 @@ void TraceContext::publish_locked() {
   // never regrows between publishes.
   outbox_ = pipeline_->spare_events();
   outbox_.reserve(2 * kPublishEvents);
-  // Snapshot the name tails interned since the last publish: every id
-  // an event carries was interned before the event was captured, so the
-  // batch is self-contained — pipeline threads never call back into the
-  // context.
-  const auto tail = [this](race::NameKind kind, std::size_t& published,
-                           std::vector<std::string>& out) {
-    for (const std::size_t end = names_->size(kind); published < end; ++published) {
-      out.push_back(names_->name(kind, static_cast<NameId>(published)));
-    }
-  };
-  if (published_vars_ == 0) {
-    // A reserved block travels as its formatter: its names stay
-    // unformatted until a report reads one.
-    race::NameTables::Block block = names_->reserved_block(race::NameKind::Var);
-    batch.reserved_vars = block.count;
-    batch.reserved_var_format = std::move(block.format);
-    published_vars_ = block.count;
-  }
-  tail(race::NameKind::Var, published_vars_, batch.new_vars);
-  tail(race::NameKind::Lock, published_locks_, batch.new_locks);
-  tail(race::NameKind::Channel, published_channels_, batch.new_channels);
-  tail(race::NameKind::Site, published_sites_, batch.new_sites);
+  // Names live in the tables the pipeline shares; only the waiter sets
+  // recorded since the last publish travel with the events, so pipeline
+  // threads never call back into the context.
   for (; published_waiters_ < waiter_sets_.size(); ++published_waiters_) {
     batch.new_waiter_sets.push_back(waiter_sets_[published_waiters_]);
   }
@@ -816,7 +801,7 @@ void TraceContext::dispatch(const Event* first, const Event* last) {
   if (sinks_.empty()) return;  // capture-only: the drain merges and discards
   while (first != last) {
     if (is_sync(first->kind)) {
-      for (SinkBinding& binding : sinks_) dispatch_to(binding, *first);
+      for (SinkBinding& binding : sinks_) binding.dispatch(*first, *names_, waiter_sets_);
       ++first;
       continue;
     }
@@ -826,33 +811,38 @@ void TraceContext::dispatch(const Event* first, const Event* last) {
         std::find_if(first, last, [](const Event& e) { return is_sync(e.kind); });
     for (SinkBinding& binding : sinks_) {
       if (binding.shared != nullptr) {
-        binding.shared->check_accesses(first, end, [&binding](const Event& e) {
-          return race::Detector::Access{
-              binding.tid_map[e.thread],
-              e.kind == EventKind::Read ? race::AccessKind::Read : race::AccessKind::Write,
-              e.id, e.site};
-        });
+        binding.shared->check_accesses(first, end,
+                                       [&binding](const Event& e) { return binding.access(e); });
       } else {
-        for (const Event* e = first; e != end; ++e) dispatch_to(binding, *e);
+        for (const Event* e = first; e != end; ++e) {
+          binding.dispatch(*e, *names_, waiter_sets_);
+        }
       }
     }
     first = end;
   }
 }
 
-void TraceContext::dispatch_to(SinkBinding& binding, const Event& event) {
-  race::EventSink& sink = *binding.sink;
-  race::InternedSink* const ids = binding.ids;
-  const ThreadId t = binding.tid_map[event.thread];
+// --- SinkBinding ----------------------------------------------------------
+
+SinkBinding::SinkBinding(race::EventSink& sink, const std::shared_ptr<race::NameTables>& names)
+    : sink(&sink), ids(dynamic_cast<race::InternedSink*>(&sink)) {
+  auto* detector = dynamic_cast<race::Detector*>(&sink);
+  if (detector != nullptr && detector->names() == names) shared = detector;
+}
+
+void SinkBinding::dispatch(const Event& event, const race::NameTables& names,
+                           const std::vector<std::vector<ThreadId>>& waiter_sets) {
+  const ThreadId t = tid_map[event.thread];
 
   // The sink-side id of a context id: itself when the sink shares the
   // context's names, else interned into the sink on first sight.
   const auto sink_id = [&](std::vector<NameId>& map, race::NameKind kind, NameId id) {
-    if (binding.shared != nullptr) return id;
+    if (shared != nullptr) return id;
     constexpr NameId kUnset = static_cast<NameId>(-1);
     if (id >= map.size()) map.resize(id + 1, kUnset);
     if (map[id] == kUnset) {
-      const std::string& name = names_->name(kind, id);
+      const std::string& name = names.name(kind, id);
       switch (kind) {
         case race::NameKind::Var: map[id] = ids->intern_var(name); break;
         case race::NameKind::Lock: map[id] = ids->intern_lock(name); break;
@@ -862,22 +852,19 @@ void TraceContext::dispatch_to(SinkBinding& binding, const Event& event) {
     }
     return map[id];
   };
-  const auto name_of = [this](race::NameKind kind, NameId id) -> const std::string& {
-    return names_->name(kind, id);
-  };
 
   switch (event.kind) {
     case EventKind::Read:
     case EventKind::Write: {
       const bool read = event.kind == EventKind::Read;
       if (ids != nullptr) {
-        const NameId var = sink_id(binding.var_map, race::NameKind::Var, event.id);
-        const NameId site = sink_id(binding.site_map, race::NameKind::Site, event.site);
+        const NameId var = sink_id(var_map, race::NameKind::Var, event.id);
+        const NameId site = sink_id(site_map, race::NameKind::Site, event.site);
         read ? ids->read(t, var, site) : ids->write(t, var, site);
       } else {
-        const std::string& var = name_of(race::NameKind::Var, event.id);
-        const std::string& site = name_of(race::NameKind::Site, event.site);
-        read ? sink.read(t, var, site) : sink.write(t, var, site);
+        const std::string& var = names.name(race::NameKind::Var, event.id);
+        const std::string& site = names.name(race::NameKind::Site, event.site);
+        read ? sink->read(t, var, site) : sink->write(t, var, site);
       }
       return;
     }
@@ -885,11 +872,11 @@ void TraceContext::dispatch_to(SinkBinding& binding, const Event& event) {
     case EventKind::Release: {
       const bool acquire = event.kind == EventKind::Acquire;
       if (ids != nullptr) {
-        const NameId lock = sink_id(binding.lock_map, race::NameKind::Lock, event.id);
+        const NameId lock = sink_id(lock_map, race::NameKind::Lock, event.id);
         acquire ? ids->acquire(t, lock) : ids->release(t, lock);
       } else {
-        const std::string& lock = name_of(race::NameKind::Lock, event.id);
-        acquire ? sink.acquire(t, lock) : sink.release(t, lock);
+        const std::string& lock = names.name(race::NameKind::Lock, event.id);
+        acquire ? sink->acquire(t, lock) : sink->release(t, lock);
       }
       return;
     }
@@ -897,30 +884,29 @@ void TraceContext::dispatch_to(SinkBinding& binding, const Event& event) {
     case EventKind::ChannelRecv: {
       const bool send = event.kind == EventKind::ChannelSend;
       if (ids != nullptr) {
-        const NameId channel =
-            sink_id(binding.channel_map, race::NameKind::Channel, event.id);
+        const NameId channel = sink_id(channel_map, race::NameKind::Channel, event.id);
         send ? ids->channel_send(t, channel) : ids->channel_recv(t, channel);
       } else {
-        const std::string& channel = name_of(race::NameKind::Channel, event.id);
-        send ? sink.channel_send(t, channel) : sink.channel_recv(t, channel);
+        const std::string& channel = names.name(race::NameKind::Channel, event.id);
+        send ? sink->channel_send(t, channel) : sink->channel_recv(t, channel);
       }
       return;
     }
     case EventKind::Fork: {
-      const ThreadId child = sink.fork(t);
-      if (event.id >= binding.tid_map.size()) binding.tid_map.resize(event.id + 1, 0);
-      binding.tid_map[event.id] = child;
+      const ThreadId child = sink->fork(t);
+      if (event.id >= tid_map.size()) tid_map.resize(event.id + 1, 0);
+      tid_map[event.id] = child;
       return;
     }
     case EventKind::Join:
-      sink.join(t, binding.tid_map[event.id]);
+      sink->join(t, tid_map[event.id]);
       return;
     case EventKind::BarrierCycle: {
-      const std::vector<ThreadId>& waiters = waiter_sets_[event.id];
+      const std::vector<ThreadId>& waiters = waiter_sets[event.id];
       std::vector<ThreadId> mapped;
       mapped.reserve(waiters.size());
-      for (const ThreadId w : waiters) mapped.push_back(binding.tid_map[w]);
-      sink.barrier(mapped);
+      for (const ThreadId w : waiters) mapped.push_back(tid_map[w]);
+      sink->barrier(mapped);
       return;
     }
   }

@@ -151,6 +151,39 @@ struct BufferStats {
   std::uint64_t sampled_out = 0;  ///< access events dropped by sampling
 };
 
+/// How one sink receives a context's events: the context's inline sinks
+/// and each AnalysisPipeline shard's detector go through the same
+/// binding. `ids` is the sink's race::InternedSink path when it offers
+/// one: events go to it by id, translated through maps built lazily from
+/// the context's names (a name is looked up and interned into the sink
+/// once, on first sight). `shared` is set when the sink is a
+/// race::Detector over the context's own name tables (the built-in
+/// detector and the pipeline's shard detectors are): its ids need no
+/// translation and it takes whole runs of accesses. A sink with neither
+/// gets names.
+struct SinkBinding {
+  SinkBinding(race::EventSink& sink, const std::shared_ptr<race::NameTables>& names);
+
+  /// Hand `event` to the sink: thread ids remapped through tid_map, a
+  /// BarrierCycle's waiters looked up in `waiter_sets`.
+  void dispatch(const Event& event, const race::NameTables& names,
+                const std::vector<std::vector<ThreadId>>& waiter_sets);
+  /// A read or write event as the shared detector's access, numbered
+  /// `event` when that is nonzero (Detector::Access::event).
+  [[nodiscard]] race::Detector::Access access(const Event& e, std::uint64_t event = 0) const {
+    return race::Detector::Access{
+        tid_map[e.thread], e.kind == EventKind::Read ? race::AccessKind::Read
+                                                     : race::AccessKind::Write,
+        e.id, e.site, event};
+  }
+
+  race::EventSink* sink = nullptr;
+  race::InternedSink* ids = nullptr;
+  race::Detector* shared = nullptr;
+  std::vector<ThreadId> tid_map{0};  ///< context tid -> sink tid; thread 0 is thread 0
+  std::vector<NameId> var_map, lock_map, channel_map, site_map;
+};
+
 class TraceContext {
  public:
   struct Options {
@@ -202,22 +235,27 @@ class TraceContext {
 
   /// Route drains through `pipeline` instead of inline sinks: a drain
   /// appends its dispatched prefix to an outbox and returns; once the
-  /// outbox holds kPublishEvents events it is published as one self-
-  /// contained batch — analysis happens on the pipeline's threads, off
-  /// the parallel hot path (see pipeline.hpp). Requires a context with
-  /// no inline sinks (own_detector = false, nothing attached) and no
-  /// events yet; flush() publishes what the outbox holds and then waits
-  /// for the pipeline to go idle, so "flush, then read the verdict"
-  /// keeps working. The pipeline must outlive the context.
+  /// outbox holds kPublishEvents events it is published as one batch —
+  /// analysis happens on the pipeline's threads, off the parallel hot
+  /// path (see pipeline.hpp). From here on the context interns into the
+  /// pipeline's name tables, which its shard detectors share, so a batch
+  /// carries events and no names. Requires a context with no inline
+  /// sinks (own_detector = false, nothing attached), no events and no
+  /// interned name yet: attach right after construction. flush()
+  /// publishes what the outbox holds and then waits for the pipeline to
+  /// go idle, so "flush, then read the verdict" keeps working. The
+  /// pipeline must outlive the context.
   void attach_pipeline(AnalysisPipeline& pipeline);
   [[nodiscard]] bool has_pipeline() const { return pipeline_ != nullptr; }
 
   // --- interning -------------------------------------------------------
   // Ids are context-owned; the drain translates them per sink (the
-  // built-in detector shares the context's tables, so its ids need no
-  // translation). Safe from any thread, any time. Interning a lock or channel also grows
-  // its per-object sequence counter (the lock-free capture path reads
-  // the counter table without locks; growth happens only here).
+  // built-in detector shares the context's tables, and a pipeline's
+  // shard detectors the pipeline's, which the context adopts, so their
+  // ids need no translation). Safe from any thread, any time. Interning
+  // a lock or channel also grows its per-object sequence counter (the
+  // lock-free capture path reads the counter table without locks;
+  // growth happens only here).
   [[nodiscard]] NameId intern_var(std::string_view name);
   [[nodiscard]] NameId intern_lock(std::string_view name);
   [[nodiscard]] NameId intern_channel(std::string_view name);
@@ -430,21 +468,6 @@ class TraceContext {
     std::array<std::atomic<Chunk*>, kMaxChunks> chunks_{};
   };
 
-  /// Per-sink dispatch state. `ids` is the sink's race::InternedSink
-  /// path when it offers one: events go to it by id, translated through
-  /// maps built lazily from the context's interners (a name is looked up
-  /// and interned into the sink once, on first sight). `shared` is set
-  /// when the sink is a race::Detector over the context's own name
-  /// tables (the built-in detector is): its ids need no translation and
-  /// it takes whole runs of accesses. A sink with neither gets names.
-  struct SinkBinding {
-    race::EventSink* sink = nullptr;
-    race::InternedSink* ids = nullptr;
-    race::Detector* shared = nullptr;
-    std::vector<ThreadId> tid_map;  ///< context tid -> sink tid
-    std::vector<NameId> var_map, lock_map, channel_map, site_map;
-  };
-
   /// A joined thread's buffer awaiting its grace period.
   struct RetiredBuffer {
     std::unique_ptr<ThreadBuffer> buffer;
@@ -514,10 +537,9 @@ class TraceContext {
   void check_object_seqs(const Event* first, const Event* last);
   /// Hand the events [first, last) to every sink, in order.
   void dispatch(const Event* first, const Event* last);
-  void dispatch_to(SinkBinding& binding, const Event& event);
-  /// Publish the outbox plus the name/waiter-set deltas interned since
-  /// the last publish to the attached pipeline (may block on
-  /// backpressure). Caller holds stream_mutex_.
+  /// Publish the outbox plus the waiter sets recorded since the last
+  /// publish to the attached pipeline (may block on backpressure).
+  /// Caller holds stream_mutex_.
   void publish_locked();
 
   const std::uint64_t generation_;  ///< thread-local cache validation
@@ -589,10 +611,10 @@ class TraceContext {
   /// the rest), so the pipeline's threads wake once per batch rather
   /// than once per barrier cycle.
   std::vector<Event> outbox_;
-  /// Table prefixes already shipped to the pipeline (guarded by
-  /// stream_mutex_; the name tables lock themselves).
-  std::size_t published_vars_ = 0, published_locks_ = 0, published_channels_ = 0,
-              published_sites_ = 0, published_waiters_ = 0;
+  /// Waiter sets already shipped to the pipeline (guarded by
+  /// stream_mutex_; the names need no shipping, the pipeline shares
+  /// them).
+  std::size_t published_waiters_ = 0;
 
   mutable std::mutex registry_mutex_;
   std::map<std::thread::id, ThreadId> bindings_;
@@ -602,8 +624,9 @@ class TraceContext {
   std::uint64_t buffers_reclaimed_ = 0;
 
   /// Every name the context interned, shared with the built-in detector
-  /// and the race lists it hands out (each name is interned once).
-  const std::shared_ptr<race::NameTables> names_;
+  /// and the race lists it hands out (each name is interned once) — or,
+  /// once attach_pipeline adopted them, the pipeline's tables.
+  std::shared_ptr<race::NameTables> names_;
   /// Serializes growth of the per-object sync counter tables.
   std::mutex seq_mutex_;
 };

@@ -251,32 +251,4 @@ std::uint64_t MetricsSink::barrier_cycles() const {
   return barrier_cycles_;
 }
 
-void MetricsSink::merge(const MetricsDelta& delta,
-                        const std::vector<std::string>& lock_names) {
-  std::scoped_lock lock(mutex_);
-  if (delta.threads.size() > thread_count_.load(std::memory_order_relaxed)) {
-    grow_locked(delta.threads.size());
-  }
-  for (std::size_t t = 0; t < delta.threads.size(); ++t) {
-    const ThreadMetrics& d = delta.threads[t];
-    AtomicThreadMetrics& m = row(static_cast<ThreadId>(t));
-    m.reads.fetch_add(d.reads, std::memory_order_relaxed);
-    m.writes.fetch_add(d.writes, std::memory_order_relaxed);
-    m.acquires.fetch_add(d.acquires, std::memory_order_relaxed);
-    m.releases.fetch_add(d.releases, std::memory_order_relaxed);
-    m.sends.fetch_add(d.sends, std::memory_order_relaxed);
-    m.recvs.fetch_add(d.recvs, std::memory_order_relaxed);
-    m.barriers.fetch_add(d.barriers, std::memory_order_relaxed);
-  }
-  for (std::size_t id = 0; id < delta.lock_acquires.size(); ++id) {
-    if (delta.lock_acquires[id] == 0) continue;
-    require(id < lock_names.size(), "metrics merge: delta lock id has no name");
-    const auto own = lock_names_.id(lock_names[id]);
-    if (own >= lock_acquires_.size()) lock_acquires_.resize(own + 1, 0);
-    lock_acquires_[own] += delta.lock_acquires[id];
-  }
-  barrier_cycles_ += delta.barrier_cycles;
-  events_.add(delta.events);
-}
-
 }  // namespace cs31::trace

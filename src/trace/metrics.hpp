@@ -13,10 +13,9 @@
 // acquire must consult, barrier-cycle bookkeeping, and readers — so a
 // read/write/release/send/recv costs two uncontended fetch_adds, not a
 // mutex round-trip per event. (The sink used to take its mutex on
-// every event; with several pipeline shards merging or an inline drain
-// racing a metrics poll, that lock was pure serialization for what is
-// statistically-mergeable counting — exactly the per-CPU-counter case
-// from McKenney ch. 5.)
+// every event; with an inline drain racing a metrics poll, that lock
+// was pure serialization for what is statistically-mergeable counting
+// — exactly the per-CPU-counter case from McKenney ch. 5.)
 #pragma once
 
 #include <array>
@@ -45,33 +44,6 @@ struct ThreadMetrics {
 
   [[nodiscard]] std::uint64_t total() const {
     return reads + writes + acquires + releases + sends + recvs + barriers;
-  }
-};
-
-/// Lock-free per-worker accumulator for pipelined analysis: a shard
-/// worker (or the router, for sync events) counts into its own delta —
-/// plain integers, no shared atomics on the hot path — and the deltas
-/// are merged into the MetricsSink when the pipeline goes idle. Thread
-/// ids and lock ids are the *context's* ids; lock names are resolved at
-/// merge time via the name table the merger passes in.
-struct MetricsDelta {
-  std::vector<ThreadMetrics> threads;          ///< by context thread id
-  std::vector<std::uint64_t> lock_acquires;    ///< by context lock id
-  std::uint64_t barrier_cycles = 0;
-  std::uint64_t events = 0;
-
-  [[nodiscard]] ThreadMetrics& of(race::ThreadId t) {
-    if (t >= threads.size()) threads.resize(t + 1);
-    return threads[t];
-  }
-  void count_acquire(race::ThreadId t, race::NameId lock) {
-    ++of(t).acquires;
-    if (lock >= lock_acquires.size()) lock_acquires.resize(lock + 1, 0);
-    ++lock_acquires[lock];
-    ++events;
-  }
-  [[nodiscard]] bool empty() const {
-    return threads.empty() && lock_acquires.empty() && barrier_cycles == 0 && events == 0;
   }
 };
 
@@ -129,11 +101,6 @@ class MetricsSink final : public race::EventSink, public race::InternedSink {
   [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> lock_acquires() const;
   [[nodiscard]] std::uint64_t barrier_cycles() const;
 
-  /// Fold one worker's delta into the totals (one lock acquisition per
-  /// *flush*, not per event). `lock_names[id]` names the delta's lock
-  /// ids; a merged run's totals equal the inline sink's exactly.
-  void merge(const MetricsDelta& delta, const std::vector<std::string>& lock_names);
-
  private:
   /// One thread's counters. Same layout cost as ThreadMetrics, but each
   /// field is independently updatable with a relaxed fetch_add, and the
@@ -160,7 +127,7 @@ class MetricsSink final : public race::EventSink, public race::InternedSink {
   void count_acquire_locked(race::NameId lock);
 
   /// Guards structure only: thread registration, the lock-name map,
-  /// barrier bookkeeping, merges, and multi-value readers. Never taken
+  /// barrier bookkeeping, and multi-value readers. Never taken
   /// by read/write/release/send/recv.
   mutable std::mutex mutex_;
   std::atomic<std::size_t> thread_count_{0};

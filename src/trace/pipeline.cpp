@@ -31,10 +31,8 @@ void set_background(std::thread& thread, bool background) {
 
 }  // namespace
 
-// The backpressure primitive lives in common/bounded_queue.hpp now
-// (grader's worker queues share it); the pipeline only wires
-// the topology: one batch queue into the router, one chunk queue per
-// shard.
+// The topology: one bounded batch queue into the router, one bounded
+// chunk queue per shard (common/bounded_queue.hpp).
 
 AnalysisPipeline::AnalysisPipeline(Options options)
     : options_(options), names_(std::make_shared<race::NameTables>()) {
@@ -87,46 +85,11 @@ AnalysisPipeline::~AnalysisPipeline() {
   }
 }
 
-void AnalysisPipeline::attach_metrics(MetricsSink& sink) {
-  std::scoped_lock lock(merge_mutex_);
-  require(metrics_sink_ == nullptr, "analysis pipeline already has a metrics sink");
-  metrics_sink_ = &sink;
-}
-
 void AnalysisPipeline::publish(EventBatch batch) { batches_.push(std::move(batch)); }
 
 void AnalysisPipeline::router_main() {
   EventBatch batch;
   while (batches_.pop(batch)) {
-    // Names go into the shared tables before any event that uses them
-    // reaches a shard; waiter sets to every shard (each keeps a private
-    // copy) and to the router's own metrics tables.
-    const auto intern_all = [this](race::NameKind kind,
-                                   const std::vector<std::string>& delta) {
-      for (const std::string& name : delta) {
-        const std::size_t expected = names_->size(kind);
-        require(names_->intern(kind, name) == expected,
-                "analysis pipeline: batch name delta out of id order");
-      }
-    };
-    if (batch.reserved_vars > 0) {
-      require(names_->size(race::NameKind::Var) == 0 &&
-                  names_->reserve(race::NameKind::Var, batch.reserved_vars,
-                                  std::move(batch.reserved_var_format)) == 0,
-              "analysis pipeline: reserved variable block after other variables");
-    }
-    intern_all(race::NameKind::Var, batch.new_vars);
-    intern_all(race::NameKind::Lock, batch.new_locks);
-    intern_all(race::NameKind::Channel, batch.new_channels);
-    intern_all(race::NameKind::Site, batch.new_sites);
-    lock_names_.insert(lock_names_.end(), batch.new_locks.begin(), batch.new_locks.end());
-    waiter_sets_.insert(waiter_sets_.end(), batch.new_waiter_sets.begin(),
-                        batch.new_waiter_sets.end());
-    // Sync events are counted once, here; each access by the shard that
-    // owns it, so nothing is counted twice.
-    if (metrics_sink_ != nullptr) {
-      for (const Event& event : batch.events) count_sync(event);
-    }
     // Every shard shares the events; the last one done with them hands
     // the vector back for reuse. Each shard gets the positions of its
     // slice: sync events are broadcast — every shard advances the same
@@ -178,38 +141,6 @@ std::vector<Event> AnalysisPipeline::spare_events() {
   return events;
 }
 
-void AnalysisPipeline::count_sync(const Event& event) {
-  if (!is_sync(event.kind)) return;
-  ++router_metrics_.events;
-  switch (event.kind) {
-    case EventKind::Acquire:
-      // count_acquire bumps events itself; undo the generic bump.
-      --router_metrics_.events;
-      router_metrics_.count_acquire(event.thread, event.id);
-      break;
-    case EventKind::Release:
-      ++router_metrics_.of(event.thread).releases;
-      break;
-    case EventKind::ChannelSend:
-      ++router_metrics_.of(event.thread).sends;
-      break;
-    case EventKind::ChannelRecv:
-      ++router_metrics_.of(event.thread).recvs;
-      break;
-    case EventKind::Fork:
-      (void)router_metrics_.of(event.id);  // the child gets a row
-      break;
-    case EventKind::Join:
-      break;
-    case EventKind::BarrierCycle:
-      for (const ThreadId w : waiter_sets_[event.id]) ++router_metrics_.of(w).barriers;
-      ++router_metrics_.barrier_cycles;
-      break;
-    default:
-      break;
-  }
-}
-
 void AnalysisPipeline::shard_main(Shard& shard) {
   ShardChunk chunk;
   while (shard.queue.pop(chunk)) {
@@ -228,95 +159,29 @@ void AnalysisPipeline::analyze(Shard& shard, const ShardChunk& chunk) {
   const std::uint32_t* const end = position + chunk.positions.size();
   while (position != end) {
     if (is_sync(events[*position].kind)) {
-      apply(shard, events[*position], chunk.first_index + *position);
+      // Pin the event clock to the event's place in the whole stream,
+      // then apply it as the context's dispatch would.
+      shard.detector.set_event_clock(chunk.first_index + *position - 1);
+      shard.binding.dispatch(events[*position], *names_, shard.waiter_sets);
+      ++shard.stats.sync_events;
       ++position;
       continue;
     }
     // This shard's accesses up to the next sync: one detector lock for
-    // all of them, each numbered by its place in the whole stream.
+    // all of them, each numbered by its place in the whole stream, so
+    // this shard's AccessSite.event values — and therefore its reports
+    // — match what an inline detector seeing the whole stream records.
     const std::uint32_t* run_end = position + 1;
     while (run_end != end && !is_sync(events[*run_end].kind)) ++run_end;
-    apply_accesses(shard, events, chunk.first_index, position, run_end);
+    shard.detector.check_accesses(position, run_end, [&](std::uint32_t p) {
+      return shard.binding.access(events[p], chunk.first_index + p);
+    });
+    shard.stats.access_events += static_cast<std::uint64_t>(run_end - position);
     position = run_end;
   }
   ++shard.stats.chunks;
   shard.stats.busy_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
-}
-
-void AnalysisPipeline::apply_accesses(Shard& shard, const std::vector<Event>& events,
-                                      std::uint64_t first_index, const std::uint32_t* first,
-                                      const std::uint32_t* last) {
-  // Each access carries its global number, so this shard's
-  // AccessSite.event values — and therefore its reports — match what an
-  // inline detector seeing the whole stream would record.
-  shard.detector.check_accesses(first, last, [&](std::uint32_t position) {
-    const Event& e = events[position];
-    return race::Detector::Access{
-        shard.tid_map[e.thread],
-        e.kind == EventKind::Read ? race::AccessKind::Read : race::AccessKind::Write, e.id,
-        e.site, first_index + position};
-  });
-  const auto count = static_cast<std::uint64_t>(last - first);
-  shard.stats.access_events += count;
-  if (metrics_sink_ == nullptr) return;
-  for (const std::uint32_t* position = first; position != last; ++position) {
-    const Event& e = events[*position];
-    ThreadMetrics& metrics = shard.metrics.of(e.thread);
-    if (e.kind == EventKind::Read) {
-      ++metrics.reads;
-    } else {
-      ++metrics.writes;
-    }
-  }
-  shard.metrics.events += count;
-}
-
-void AnalysisPipeline::apply(Shard& shard, const Event& event, std::uint64_t index) {
-  race::Detector& detector = shard.detector;
-  // Pin the event clock to the event's place in the whole stream, as
-  // apply_accesses does per access.
-  detector.set_event_clock(index - 1);
-  const ThreadId t = shard.tid_map[event.thread];
-  switch (event.kind) {
-    case EventKind::Read:
-    case EventKind::Write:
-      return;  // accesses go through apply_accesses
-    case EventKind::Acquire:
-    case EventKind::Release:
-      if (event.kind == EventKind::Acquire) {
-        detector.acquire(t, event.id);
-      } else {
-        detector.release(t, event.id);
-      }
-      break;
-    case EventKind::ChannelSend:
-    case EventKind::ChannelRecv:
-      if (event.kind == EventKind::ChannelSend) {
-        detector.channel_send(t, event.id);
-      } else {
-        detector.channel_recv(t, event.id);
-      }
-      break;
-    case EventKind::Fork: {
-      const ThreadId child = detector.fork(t);
-      if (event.id >= shard.tid_map.size()) shard.tid_map.resize(event.id + 1, 0);
-      shard.tid_map[event.id] = child;
-      break;
-    }
-    case EventKind::Join:
-      detector.join(t, shard.tid_map[event.id]);
-      break;
-    case EventKind::BarrierCycle: {
-      const std::vector<ThreadId>& waiters = shard.waiter_sets[event.id];
-      std::vector<ThreadId> mapped;
-      mapped.reserve(waiters.size());
-      for (const ThreadId w : waiters) mapped.push_back(shard.tid_map[w]);
-      detector.barrier(mapped);
-      break;
-    }
-  }
-  ++shard.stats.sync_events;
 }
 
 void AnalysisPipeline::wait_idle() {
@@ -329,29 +194,8 @@ void AnalysisPipeline::wait_idle() {
   // every published event was analyzed.
   batches_.wait_drained();
   for (auto& shard : shards_) shard->queue.wait_drained();
-  {
-    std::scoped_lock lock(priority_mutex_);
-    if (--idle_waiters_ == 0) set_threads_background(true);
-  }
-  std::scoped_lock lock(merge_mutex_);
-  merge_metrics_locked();
-}
-
-void AnalysisPipeline::merge_metrics_locked() {
-  if (metrics_sink_ == nullptr) return;
-  // The workers are idle (wait_idle just proved it), so their deltas
-  // are stable; merging clears them so the next idle point only adds
-  // what is new.
-  if (!router_metrics_.empty()) {
-    metrics_sink_->merge(router_metrics_, lock_names_);
-    router_metrics_ = MetricsDelta{};
-  }
-  static const std::vector<std::string> kNoLocks;
-  for (auto& shard : shards_) {
-    if (shard->metrics.empty()) continue;
-    metrics_sink_->merge(shard->metrics, kNoLocks);
-    shard->metrics = MetricsDelta{};
-  }
+  std::scoped_lock lock(priority_mutex_);
+  if (--idle_waiters_ == 0) set_threads_background(true);
 }
 
 race::RaceList AnalysisPipeline::races() const {

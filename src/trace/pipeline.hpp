@@ -15,15 +15,19 @@
 //            (var % shards) — exactly one shard applies each.
 //   shard  — N workers, each owning a private race::Detector — a
 //            disjoint slice of FastTrack shadow state. The detectors
-//            intern into one name table the router fills from the
-//            batches, so shard ids equal the context's ids. Per-variable
-//            VarState makes the split exact; thread/lock/channel
-//            vector clocks evolve only on the broadcast sync stream, so
-//            every shard holds the same happens-before state an inline
-//            detector would. The shards share no mutable state but the
-//            locked, append-only name table. A single shard has nothing
-//            to fan out to, so the router analyzes it itself: no worker
-//            thread, no chunk queue hop.
+//            share the pipeline's name tables, which the attached
+//            context adopts and interns into, so there is one copy of
+//            every name and shard ids are the context's ids. Each shard
+//            applies its events through the context's own dispatch
+//            (SinkBinding), as an inline detector on those tables would
+//            receive them. Per-variable VarState makes the split exact;
+//            thread/lock/channel vector clocks evolve only on the
+//            broadcast sync stream, so every shard holds the same
+//            happens-before state an inline detector would. The shards
+//            share no mutable state but the locked, append-only name
+//            tables. A single shard has nothing to fan out to, so the
+//            router analyzes it itself: no worker thread, no chunk
+//            queue hop.
 //   merge  — per-shard races carry the router's global event numbers
 //            (Detector::set_event_clock), so race::RaceList::merge_shards
 //            reconstructs inline detection order exactly: reports,
@@ -44,9 +48,10 @@
 //
 // Lifetime: construct the pipeline BEFORE the TraceContext that feeds
 // it (destruction then stops the workers after the context's last
-// drain). Batches are self-contained — events plus the name-table and
-// waiter-set deltas interned since the previous publish — so pipeline
-// threads never call back into the context.
+// drain). A batch carries the events and the barrier waiter sets
+// recorded since the previous publish (the one table that does not lock
+// itself); names are already in the shared tables. Pipeline threads
+// never call back into the context, and the tables outlive it.
 #pragma once
 
 #include <cstdint>
@@ -58,23 +63,17 @@
 
 #include "common/bounded_queue.hpp"
 #include "race/detector.hpp"
+#include "trace/context.hpp"
 #include "trace/event.hpp"
-#include "trace/metrics.hpp"
 
 namespace cs31::trace {
 
-/// One drain's dispatched prefix, in drain order, plus everything the
-/// events reference that the pipeline has not seen yet (names and
-/// barrier waiter sets are append-only tables; the delta is the tail
-/// grown since the last publish).
+/// One drain's dispatched prefix, in drain order, plus the barrier
+/// waiter sets recorded since the last publish (an append-only table;
+/// the delta is its new tail). Every id an event carries is in the
+/// pipeline's name tables already.
 struct EventBatch {
   std::vector<Event> events;
-  /// A lazily named variable block the context reserved (ids [0,
-  /// reserved_vars)), shipped as its formatter so publishing formats no
-  /// name; new_vars then continue after it.
-  std::size_t reserved_vars = 0;
-  race::NameFormat reserved_var_format;
-  std::vector<std::string> new_vars, new_locks, new_channels, new_sites;
   std::vector<std::vector<ThreadId>> new_waiter_sets;
 };
 
@@ -104,11 +103,9 @@ class AnalysisPipeline {
   AnalysisPipeline(const AnalysisPipeline&) = delete;
   AnalysisPipeline& operator=(const AnalysisPipeline&) = delete;
 
-  /// Also maintain event-mix metrics: the router and each shard count
-  /// into private MetricsDeltas (no shared state on the hot path),
-  /// merged into `sink` each time the pipeline goes idle. Attach before
-  /// the first publish; the sink must outlive the pipeline.
-  void attach_metrics(MetricsSink& sink);
+  /// The one name table the shard detectors read; the attached context
+  /// interns into it (TraceContext::attach_pipeline adopts it).
+  [[nodiscard]] const std::shared_ptr<race::NameTables>& names() const { return names_; }
 
   // --- producer side (called by TraceContext) --------------------------
 
@@ -123,9 +120,9 @@ class AnalysisPipeline {
   /// faulting in fresh pages on the traced program's critical path.
   [[nodiscard]] std::vector<Event> spare_events();
 
-  /// Block until every published event has been routed and analyzed
-  /// (and metrics deltas merged). TraceContext::flush calls this, so
-  /// the read-the-verdict rule is unchanged: flush, then read.
+  /// Block until every published event has been routed and analyzed.
+  /// TraceContext::flush calls this, so the read-the-verdict rule is
+  /// unchanged: flush, then read.
   void wait_idle();
 
   // --- results (valid while idle) --------------------------------------
@@ -162,16 +159,15 @@ class AnalysisPipeline {
   };
 
   struct Shard {
-    Shard(std::size_t cap, std::shared_ptr<race::NameTables> names)
-        : detector(std::move(names)) {
+    Shard(std::size_t cap, const std::shared_ptr<race::NameTables>& names)
+        : detector(names), binding(detector, names) {
       queue.capacity = cap;
     }
     common::BoundedQueue<ShardChunk> queue;
     std::thread worker;
     race::Detector detector;
-    std::vector<ThreadId> tid_map{0};  ///< context tid -> detector tid
+    SinkBinding binding;  ///< the detector as a context would bind it
     std::vector<std::vector<ThreadId>> waiter_sets;
-    MetricsDelta metrics;
     ShardStats stats;
   };
 
@@ -181,45 +177,22 @@ class AnalysisPipeline {
   /// Scheduling class of every pipeline thread (see the definition).
   /// Caller holds priority_mutex_, or is the constructor.
   void set_threads_background(bool background);
-  /// The router's metrics for one event (sync events only; each shard
-  /// counts the accesses it owns).
-  void count_sync(const Event& event);
   void shard_main(Shard& shard);
   /// Analyze one chunk on `shard`'s detector (the shard's worker, or
   /// the router itself when there is a single shard).
   void analyze(Shard& shard, const ShardChunk& chunk);
-  /// One sync event, global number `index`.
-  void apply(Shard& shard, const Event& event, std::uint64_t index);
-  /// The access events of `events` at positions [first, last), all
-  /// owned by `shard`; events.front() has global number `first_index`.
-  void apply_accesses(Shard& shard, const std::vector<Event>& events,
-                      std::uint64_t first_index, const std::uint32_t* first,
-                      const std::uint32_t* last);
-  void merge_metrics_locked();
 
   const Options options_;
-  /// The context's names, replayed in id order from the batch deltas
-  /// (router-written, shard-read; the tables lock themselves).
+  /// Shared by the context and every shard detector (the tables lock
+  /// themselves).
   const std::shared_ptr<race::NameTables> names_;
   common::BoundedQueue<EventBatch> batches_;
   std::thread router_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  // Router-owned (no lock needed: only the router thread touches them
+  // Router-owned (no lock needed: only the router thread touches it
   // while running; readers wait for idle first).
   std::uint64_t next_index_ = 0;
-  std::vector<std::string> lock_names_;  ///< for the metrics merge
-  std::vector<std::vector<ThreadId>> waiter_sets_;  ///< for barrier metrics
-  MetricsDelta router_metrics_;
-
-  /// Serializes only the idle-point delta merge (two concurrent
-  /// wait_idle callers must not fold the same delta twice) and sink
-  /// attachment. No per-event or per-batch path takes it: workers count
-  /// into their private deltas, and MetricsSink itself counts through
-  /// per-shard atomics — the metrics totals are per-shard counters
-  /// merged on read, never a hot-path lock.
-  std::mutex merge_mutex_;
-  MetricsSink* metrics_sink_ = nullptr;  ///< set once, before first publish
 
   /// Analyzed batches' event vectors, at most queue_capacity of them —
   /// no more memory than a full queue already holds.

@@ -425,8 +425,9 @@ TEST(ReservedNames, StringLookupFindsTheBlockId) {
 }
 
 TEST(ReservedNames, PipelinedLifeCheckMatchesInlineReport) {
-  // The pipeline ships every name it analyzes, so it formats the whole
-  // block; its report must still match the inline one byte for byte.
+  // The context and the pipeline's shards share one name table, so the
+  // lazily named block is formatted only where a report reads it; the
+  // report must match the inline one byte for byte.
   const life::Grid initial = life::Grid::random(8, 8, 0.3, 5);
   for (const std::size_t threads : {2u, 4u}) {
     for (const bool use_barrier : {true, false}) {

@@ -14,8 +14,8 @@
 //           and TSan must stay silent — which certifies the
 //           TraceContext capture layer (per-thread buffers, sync-stream
 //           stamping, barrier drains) AND the pipeline's own threading
-//           (bounded queues, router handoff, shard workers, metrics
-//           merge) as free of real races.
+//           (bounded queues, router handoff, shard workers, the shared
+//           name tables) as free of real races.
 //   cv-clean — a producer/consumer handoff with correct wait/notify
 //           discipline, traced through TracedCondVar (cs31::race must
 //           be silent) and then raw through std::condition_variable
@@ -42,7 +42,6 @@
 #include "trace/condvar.hpp"
 #include "trace/context.hpp"
 #include "trace/instrumented.hpp"
-#include "trace/metrics.hpp"
 #include "trace/pipeline.hpp"
 
 namespace {
@@ -96,8 +95,6 @@ int run_clean() {
   {
     cs31::trace::AnalysisPipeline pipeline(
         cs31::trace::AnalysisPipeline::Options{.shards = 2, .queue_capacity = 2});
-    cs31::trace::MetricsSink metrics;
-    pipeline.attach_metrics(metrics);
     cs31::trace::TraceContext piped_ctx(
         cs31::trace::TraceContext::Options{.own_detector = false});
     piped_ctx.attach_pipeline(pipeline);
@@ -111,10 +108,6 @@ int run_clean() {
     if (pipeline.summary() != ctx.detector().summary()) {
       std::fprintf(stderr, "FAIL: pipelined certificate differs from inline\n");
       return 6;
-    }
-    if (metrics.events() != pipeline.events()) {
-      std::fprintf(stderr, "FAIL: merged metrics lost events\n");
-      return 7;
     }
   }
   std::printf("clean: cs31::race, the pipeline, and the raw runs agree — race-free\n");
