@@ -653,7 +653,7 @@ BENCHMARK(BM_LifeStepTracedReference)->Arg(16)->Arg(32)->Arg(64);
 
 void BM_DetectorEventThroughput(benchmark::State& state) {
   // Raw cost of one read/write check+record pair on a warm variable,
-  // through the string API (one interner hash lookup per event).
+  // through the name forms (one interner hash lookup per event).
   cs31::race::Detector detector;
   const auto t1 = detector.fork(0);
   (void)t1;

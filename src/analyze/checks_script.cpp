@@ -78,10 +78,6 @@ bool all_mutexes(const std::vector<std::string>& component) {
 
 }  // namespace
 
-std::string StaticRace::to_string() const {
-  return "race candidate on '" + variable + "': '" + first + "' vs '" + second + "'";
-}
-
 std::string StaticDeadlock::to_string() const {
   std::string out = "deadlock candidate [" + kind + "]: " + join(resources, ", ");
   if (!witness.empty()) out += " (at '" + witness + "')";

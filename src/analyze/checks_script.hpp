@@ -65,8 +65,6 @@ struct StaticRace {
   bool first_is_write = false;
   bool second_is_write = false;
   std::string explanation;
-
-  [[nodiscard]] std::string to_string() const;
 };
 
 /// One static deadlock candidate. `kind` is the pass slug of the check

@@ -57,10 +57,6 @@ bool ScriptModel::barrier_ordered(const ScriptOp& a, const ScriptOp& b) const {
   return early.epoch < late.epoch && early.epoch + 1 <= min_arrivals;
 }
 
-ScriptModel build_script_model(const std::vector<std::vector<std::string>>& scripts) {
-  return build_script_model(race::parse_script(scripts));
-}
-
 ScriptModel build_script_model(const race::Script& script) {
   ScriptModel model;
   model.threads.resize(script.threads.size());

@@ -143,12 +143,6 @@ struct ScriptModel {
 /// checks, not thrown.
 [[nodiscard]] ScriptModel build_script_model(const race::Script& script);
 
-/// Same, from untagged per-thread scripts (the same input shape
-/// race::Explorer and race::replay_all_interleavings take). Throws
-/// cs31::Error on a malformed op (race::parse_script).
-[[nodiscard]] ScriptModel build_script_model(
-    const std::vector<std::vector<std::string>>& scripts);
-
 /// Strongly-connected components of an edge list with >= 2 nodes, plus
 /// single nodes with a self-edge — i.e. every node set that lies on a
 /// cycle. Deterministic order (each component sorted by name,

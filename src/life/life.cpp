@@ -106,17 +106,6 @@ int Grid::neighbors(std::size_t r, std::size_t c, EdgeRule rule) const {
   return count;
 }
 
-std::string Grid::to_text() const {
-  std::ostringstream out;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      out << (alive(r, c) ? '@' : '.');
-    }
-    out << '\n';
-  }
-  return out.str();
-}
-
 RegionDelta step_region(const Grid& current, Grid& next, const parallel::GridRegion& region,
                         EdgeRule rule) {
   RegionDelta delta;

@@ -44,9 +44,6 @@ class Grid {
   /// Live neighbors of (r, c) under the edge rule.
   [[nodiscard]] int neighbors(std::size_t r, std::size_t c, EdgeRule rule) const;
 
-  /// Render as the lab's console output ('@' alive, '.'/' ' dead).
-  [[nodiscard]] std::string to_text() const;
-
   friend bool operator==(const Grid&, const Grid&) = default;
 
  private:

@@ -158,7 +158,6 @@ TracedLifeResult traced_life_check(const Grid& initial, std::size_t threads,
   trace::TraceContext::Options ctx_options;
   ctx_options.sample_access_events = options.sample_rate;
   ctx_options.own_detector = options.pipeline == nullptr;
-  ctx_options.capture = options.capture;
   trace::TraceContext ctx(ctx_options);
   if (options.pipeline != nullptr) ctx.attach_pipeline(*options.pipeline);
   ReplayOps ops(ctx, options.pipeline == nullptr ? &ctx.detector() : nullptr,

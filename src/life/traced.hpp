@@ -62,9 +62,6 @@ struct TracedLifeOptions {
   /// the pipeline's deterministic merge — byte-identical to inline).
   /// The pipeline must be fresh and outlive the call.
   trace::AnalysisPipeline* pipeline = nullptr;
-  /// Sync-event capture design (TraceContext::Options::capture). The
-  /// verdict is capture-mode-independent; only the hot-path cost moves.
-  trace::CaptureMode capture = trace::CaptureMode::lockfree;
 };
 
 /// Replay `rounds` generations of the parallel engine's access pattern
@@ -91,11 +88,12 @@ struct TracedLifeOptions {
                                                  std::size_t rounds,
                                                  const TracedLifeOptions& options);
 
-/// Same access pattern, driven through any detector implementation via
-/// the generic (string) event interface. This is how bench_race_overhead
-/// replays the identical event stream through the PR 1 ReferenceDetector
-/// to quantify the compression, and how a differential check can compare
-/// verdicts on the real Lab 10 workload. The sink must be fresh.
+/// Same access pattern, driven through any detector implementation as an
+/// attached sink (each name interned into it on first sight). This is
+/// how bench_race_overhead replays the identical event stream through
+/// the full-vector-clock ReferenceDetector to quantify the compression,
+/// and how a differential check can compare verdicts on the real Lab 10
+/// workload. The sink must be fresh.
 [[nodiscard]] TracedLifeResult traced_life_check_with(race::EventSink& sink,
                                                       const Grid& initial,
                                                       std::size_t threads, std::size_t rounds,

@@ -93,11 +93,6 @@ std::uint16_t MiniCpu::reg(unsigned r) const {
   return regs_[r];
 }
 
-void MiniCpu::set_reg(unsigned r, std::uint16_t value) {
-  check_reg(r);
-  regs_[r] = value;
-}
-
 std::uint16_t MiniCpu::mem(unsigned addr) const {
   require(addr < kMemWords, "memory address out of range");
   return memory_[addr];

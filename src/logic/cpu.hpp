@@ -85,7 +85,6 @@ class MiniCpu {
   [[nodiscard]] bool halted() const { return halted_; }
   [[nodiscard]] unsigned pc() const { return pc_; }
   [[nodiscard]] std::uint16_t reg(unsigned r) const;
-  void set_reg(unsigned r, std::uint16_t value);
   [[nodiscard]] std::uint16_t mem(unsigned addr) const;
   void set_mem(unsigned addr, std::uint16_t value);
 

@@ -255,10 +255,6 @@ NameId Detector::intern_site(std::string_view label) {
   return names_->intern(NameKind::Site, label);
 }
 
-void Detector::acquire(ThreadId t, const std::string& lock_name) {
-  acquire(t, intern_lock(lock_name));
-}
-
 void Detector::acquire(ThreadId t, NameId lock_id) {
   std::scoped_lock lock(mutex_);
   cover(locks_, NameKind::Lock, lock_id);
@@ -266,10 +262,6 @@ void Detector::acquire(ThreadId t, NameId lock_id) {
   ThreadState& ts = state(t);
   ts.vc.join(locks_[lock_id]);  // observe the previous critical section
   ts.held.push_back(lock_id);
-}
-
-void Detector::release(ThreadId t, const std::string& lock_name) {
-  release(t, intern_lock(lock_name));
 }
 
 void Detector::release(ThreadId t, NameId lock_id) {
@@ -300,10 +292,6 @@ void Detector::barrier(const std::vector<ThreadId>& waiters) {
   }
 }
 
-void Detector::channel_send(ThreadId t, const std::string& channel) {
-  channel_send(t, intern_channel(channel));
-}
-
 void Detector::channel_send(ThreadId t, NameId channel_id) {
   std::scoped_lock lock(mutex_);
   cover(channels_, NameKind::Channel, channel_id);
@@ -313,10 +301,6 @@ void Detector::channel_send(ThreadId t, NameId channel_id) {
   ts.vc.tick(t);
 }
 
-void Detector::channel_recv(ThreadId t, const std::string& channel) {
-  channel_recv(t, intern_channel(channel));
-}
-
 void Detector::channel_recv(ThreadId t, NameId channel_id) {
   std::scoped_lock lock(mutex_);
   cover(channels_, NameKind::Channel, channel_id);
@@ -324,17 +308,9 @@ void Detector::channel_recv(ThreadId t, NameId channel_id) {
   state(t).vc.join(channels_[channel_id]);
 }
 
-void Detector::read(ThreadId t, const std::string& var, const std::string& where) {
-  read(t, intern_var(var), intern_site(where));
-}
-
 void Detector::read(ThreadId t, NameId var, NameId site) {
   std::scoped_lock lock(mutex_);
   check_and_record(t, var, AccessKind::Read, site);
-}
-
-void Detector::write(ThreadId t, const std::string& var, const std::string& where) {
-  write(t, intern_var(var), intern_site(where));
 }
 
 void Detector::write(ThreadId t, NameId var, NameId site) {
@@ -541,12 +517,6 @@ std::size_t Detector::shadow_bytes() const {
     }
   }
   return total + names_->bytes();
-}
-
-VectorClock Detector::clock_of(ThreadId t) const {
-  std::scoped_lock lock(mutex_);
-  if (t >= threads_.size()) throw Error("unknown thread id " + std::to_string(t));
-  return threads_[t].vc;
 }
 
 std::string Detector::summary() const {

@@ -214,11 +214,18 @@ class RaceList {
                                           std::uint64_t events, std::size_t threads);
 
 /// The event interface every race-detector implementation honours. An
-/// implementation is an event sink: feed it fork/join/acquire/release/
-/// read/write/barrier/channel events and ask for the verdict. All
-/// implementations are thread-safe event sinks (events are internally
-/// serialized), but `races()` returns a reference into the sink — read
-/// it only once the instrumented threads are quiescent.
+/// implementation is an event sink: intern each name once, feed it
+/// fork/join/acquire/release/read/write/barrier/channel events by the
+/// ids that came back, and ask for the verdict. Events carry ids, so a
+/// sink keys its checked state by id and resolves a name only when it
+/// builds a report; a sink that ignores a kind of name may return one
+/// id for all of them. A trace::TraceContext interns a name into each
+/// sink the first time one of its events carries it, so in
+/// first-dispatch order. The name forms (`read(t, "x", "site")` and the
+/// rest) are conveniences defined once here: intern, then the id form.
+/// All implementations are thread-safe event sinks (events are
+/// internally serialized), but `races()` returns a reference into the
+/// sink — read it only once the instrumented threads are quiescent.
 class EventSink {
  public:
   virtual ~EventSink() = default;
@@ -235,27 +242,52 @@ class EventSink {
   /// (HB edge child -> parent).
   virtual void join(ThreadId parent, ThreadId child) = 0;
 
-  /// Mutex acquire: the locker observes the last critical section.
-  virtual void acquire(ThreadId t, const std::string& lock) = 0;
-
-  /// Mutex release: publish this thread's clock to the lock. Throws
-  /// cs31::Error when the thread does not hold the lock.
-  virtual void release(ThreadId t, const std::string& lock) = 0;
-
   /// A completed barrier cycle is a happens-before edge among ALL
   /// waiters: afterwards every waiter has observed every other waiter's
   /// pre-barrier work. Throws cs31::Error on an empty waiter set.
   virtual void barrier(const std::vector<ThreadId>& waiters) = 0;
 
+  /// The sink's id of a name, interning it on first sight.
+  [[nodiscard]] virtual NameId intern_var(std::string_view name) = 0;
+  [[nodiscard]] virtual NameId intern_lock(std::string_view name) = 0;
+  [[nodiscard]] virtual NameId intern_channel(std::string_view name) = 0;
+  [[nodiscard]] virtual NameId intern_site(std::string_view label) = 0;
+
+  /// Mutex acquire: the locker observes the last critical section.
+  virtual void acquire(ThreadId t, NameId lock) = 0;
+
+  /// Mutex release: publish this thread's clock to the lock. Throws
+  /// cs31::Error when the thread does not hold the lock.
+  virtual void release(ThreadId t, NameId lock) = 0;
+
   /// Producer/consumer publication: send joins the sender's clock into
   /// the channel; recv joins the channel into the receiver.
-  virtual void channel_send(ThreadId t, const std::string& channel) = 0;
-  virtual void channel_recv(ThreadId t, const std::string& channel) = 0;
+  virtual void channel_send(ThreadId t, NameId channel) = 0;
+  virtual void channel_recv(ThreadId t, NameId channel) = 0;
 
-  /// A read/write of a traced variable. `where` labels the access site
-  /// in reports.
-  virtual void read(ThreadId t, const std::string& var, const std::string& where = "") = 0;
-  virtual void write(ThreadId t, const std::string& var, const std::string& where = "") = 0;
+  /// A read/write of a traced variable. `site` labels the access in
+  /// reports.
+  virtual void read(ThreadId t, NameId var, NameId site) = 0;
+  virtual void write(ThreadId t, NameId var, NameId site) = 0;
+
+  /// Name forms: intern, then the id form. A sink that overrides the id
+  /// forms re-exposes these with using-declarations.
+  void acquire(ThreadId t, std::string_view lock) { acquire(t, intern_lock(lock)); }
+  void release(ThreadId t, std::string_view lock) { release(t, intern_lock(lock)); }
+  void channel_send(ThreadId t, std::string_view channel) {
+    channel_send(t, intern_channel(channel));
+  }
+  void channel_recv(ThreadId t, std::string_view channel) {
+    channel_recv(t, intern_channel(channel));
+  }
+  void read(ThreadId t, std::string_view var, std::string_view where = "") {
+    const NameId id = intern_var(var);
+    read(t, id, intern_site(where));
+  }
+  void write(ThreadId t, std::string_view var, std::string_view where = "") {
+    const NameId id = intern_var(var);
+    write(t, id, intern_site(where));
+  }
 
   /// Races found so far, in detection order, deduplicated per
   /// (variable, site pair) — see race_pair_key. `race_count()` still
@@ -280,38 +312,11 @@ class EventSink {
   [[nodiscard]] virtual std::string summary() const = 0;
 };
 
-/// The id path an EventSink may offer next to its string API: intern
-/// each name once, then fire events by the ids that came back — no
-/// hashing, string building or name lookup per event. Each event means
-/// exactly what the EventSink call with the interned names means. A
-/// trace::TraceContext feeds every sink that offers this path by id,
-/// interning a name into the sink the first time one of its events
-/// carries it (so in first-dispatch order, as the string calls would).
-/// A sink that ignores a kind of name may return one id for all of
-/// them.
-class InternedSink {
- public:
-  virtual ~InternedSink() = default;
-
-  [[nodiscard]] virtual NameId intern_var(std::string_view name) = 0;
-  [[nodiscard]] virtual NameId intern_lock(std::string_view name) = 0;
-  [[nodiscard]] virtual NameId intern_channel(std::string_view name) = 0;
-  [[nodiscard]] virtual NameId intern_site(std::string_view label) = 0;
-
-  virtual void read(ThreadId t, NameId var, NameId site) = 0;
-  virtual void write(ThreadId t, NameId var, NameId site) = 0;
-  virtual void acquire(ThreadId t, NameId lock) = 0;
-  virtual void release(ThreadId t, NameId lock) = 0;
-  virtual void channel_send(ThreadId t, NameId channel) = 0;
-  virtual void channel_recv(ThreadId t, NameId channel) = 0;
-};
-
 /// The FastTrack-compressed detector (see the file comment for the
-/// representation). Use the id-based fast path (`intern_*` once, then
-/// the NameId overloads per access) from instrumentation that fires
-/// many events per name; the string overloads intern on every call and
-/// exist for casual use and for interface parity with the reference.
-class Detector final : public EventSink, public InternedSink {
+/// representation). Instrumentation that fires many events per name
+/// interns once and fires ids; the name forms intern on every call and
+/// exist for casual use.
+class Detector final : public EventSink {
  public:
   Detector();
   /// Intern into `names`, shared with whoever else holds them (a
@@ -323,17 +328,26 @@ class Detector final : public EventSink, public InternedSink {
   Detector(const Detector&) = delete;
   Detector& operator=(const Detector&) = delete;
 
-  // --- EventSink (string API) ---
   [[nodiscard]] ThreadId register_thread() override;
   [[nodiscard]] ThreadId fork(ThreadId parent) override;
   void join(ThreadId parent, ThreadId child) override;
-  void acquire(ThreadId t, const std::string& lock) override;
-  void release(ThreadId t, const std::string& lock) override;
   void barrier(const std::vector<ThreadId>& waiters) override;
-  void channel_send(ThreadId t, const std::string& channel) override;
-  void channel_recv(ThreadId t, const std::string& channel) override;
-  void read(ThreadId t, const std::string& var, const std::string& where = "") override;
-  void write(ThreadId t, const std::string& var, const std::string& where = "") override;
+
+  // Intern once (any thread), then fire events by id: no hashing, no
+  // string building, no allocation per access.
+  [[nodiscard]] NameId intern_var(std::string_view name) override;
+  [[nodiscard]] NameId intern_lock(std::string_view name) override;
+  [[nodiscard]] NameId intern_channel(std::string_view name) override;
+  [[nodiscard]] NameId intern_site(std::string_view label) override;
+
+  void acquire(ThreadId t, NameId lock) override;
+  void release(ThreadId t, NameId lock) override;
+  void channel_send(ThreadId t, NameId channel) override;
+  void channel_recv(ThreadId t, NameId channel) override;
+  void read(ThreadId t, NameId var, NameId site) override;
+  void write(ThreadId t, NameId var, NameId site) override;
+  using EventSink::acquire, EventSink::release, EventSink::channel_send,
+      EventSink::channel_recv, EventSink::read, EventSink::write;
 
   [[nodiscard]] const std::vector<RaceReport>& races() const override;
   [[nodiscard]] bool race_free() const override;
@@ -348,17 +362,6 @@ class Detector final : public EventSink, public InternedSink {
   [[nodiscard]] RaceList race_list() const;
 
   [[nodiscard]] const std::shared_ptr<NameTables>& names() const { return names_; }
-
-  // --- id fast path ---
-  // Intern once (any thread; takes the detector lock), then fire events
-  // by id: no hashing, no string building, no allocation per access.
-  [[nodiscard]] NameId intern_var(std::string_view name) override;
-  [[nodiscard]] NameId intern_lock(std::string_view name) override;
-  [[nodiscard]] NameId intern_channel(std::string_view name) override;
-  [[nodiscard]] NameId intern_site(std::string_view label) override;
-
-  void read(ThreadId t, NameId var, NameId site) override;
-  void write(ThreadId t, NameId var, NameId site) override;
 
   /// One read or write on the id fast path.
   struct Access {
@@ -382,14 +385,6 @@ class Detector final : public EventSink, public InternedSink {
       check_and_record(a.thread, a.var, a.kind, a.site);
     }
   }
-
-  void acquire(ThreadId t, NameId lock) override;
-  void release(ThreadId t, NameId lock) override;
-  void channel_send(ThreadId t, NameId channel) override;
-  void channel_recv(ThreadId t, NameId channel) override;
-
-  /// Current clock of a thread (teaching/diagnostic).
-  [[nodiscard]] VectorClock clock_of(ThreadId t) const;
 
   /// Pin the event clock so the *next* event is numbered `seen + 1`.
   /// A sharded analysis (trace::AnalysisPipeline) calls this before

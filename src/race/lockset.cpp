@@ -50,38 +50,18 @@ void LocksetDetector::join(ThreadId parent, ThreadId child) {
   ++events_;  // no ordering recorded — lockset is blind to join edges
 }
 
-void LocksetDetector::acquire(ThreadId t, const std::string& lock) {
-  std::scoped_lock guard(mutex_);
-  check_thread(t);
-  acquire_locked(t, lock_names_.id(lock));
-}
-
-void LocksetDetector::release(ThreadId t, const std::string& lock) {
-  std::scoped_lock guard(mutex_);
-  check_thread(t);
-  release_locked(t, lock_names_.id(lock));
-}
-
 void LocksetDetector::acquire(ThreadId t, NameId lock) {
   std::scoped_lock guard(mutex_);
   check_thread(t);
   require(lock < lock_names_.size(), "lockset: acquire of a lock id that was never interned");
-  acquire_locked(t, lock);
+  held_[t].push_back(lock);
+  ++events_;
 }
 
 void LocksetDetector::release(ThreadId t, NameId lock) {
   std::scoped_lock guard(mutex_);
   check_thread(t);
   require(lock < lock_names_.size(), "lockset: release of a lock id that was never interned");
-  release_locked(t, lock);
-}
-
-void LocksetDetector::acquire_locked(ThreadId t, NameId lock) {
-  held_[t].push_back(lock);
-  ++events_;
-}
-
-void LocksetDetector::release_locked(ThreadId t, NameId lock) {
   auto& held = held_[t];
   const auto it = std::find(held.rbegin(), held.rend(), lock);
   if (it == held.rend()) {
@@ -97,16 +77,6 @@ void LocksetDetector::barrier(const std::vector<ThreadId>& waiters) {
   require(!waiters.empty(), "barrier needs at least one waiter");
   for (const ThreadId w : waiters) check_thread(w);
   ++events_;  // deliberately no effect: Eraser cannot see barrier order
-}
-
-void LocksetDetector::channel_send(ThreadId t, const std::string& channel) {
-  (void)channel;
-  channel_send(t, NameId{0});
-}
-
-void LocksetDetector::channel_recv(ThreadId t, const std::string& channel) {
-  (void)channel;
-  channel_recv(t, NameId{0});
 }
 
 void LocksetDetector::channel_send(ThreadId t, NameId channel) {
@@ -141,18 +111,6 @@ NameId LocksetDetector::intern_channel(std::string_view name) {
 NameId LocksetDetector::intern_site(std::string_view label) {
   std::scoped_lock lock(mutex_);
   return site_names_.id(label);
-}
-
-void LocksetDetector::read(ThreadId t, const std::string& var, const std::string& where) {
-  std::scoped_lock guard(mutex_);
-  check_thread(t);
-  on_access_locked(t, var_names_.id(var), AccessKind::Read, site_names_.id(where));
-}
-
-void LocksetDetector::write(ThreadId t, const std::string& var, const std::string& where) {
-  std::scoped_lock guard(mutex_);
-  check_thread(t);
-  on_access_locked(t, var_names_.id(var), AccessKind::Write, site_names_.id(where));
 }
 
 void LocksetDetector::read(ThreadId t, NameId var, NameId site) {

@@ -19,8 +19,8 @@
 // while catching inconsistent locking on every schedule, including ones
 // where HB got lucky. examples/race_detective.cpp walks the contrast.
 //
-// Per access the detector works on ids only (the InternedSink path a
-// trace::TraceContext feeds; the string calls intern first). Every
+// Per access the detector works on ids only, as every EventSink
+// receives them (the name forms intern first). Every
 // flagged access is deduplicated on ids — variable plus the unordered
 // pair of (thread, site) — and only a new pair is turned into a
 // RaceReport: on barrier-synchronized Life most accesses are flagged
@@ -40,40 +40,34 @@
 
 namespace cs31::race {
 
-class LocksetDetector final : public EventSink, public InternedSink {
+class LocksetDetector final : public EventSink {
  public:
   LocksetDetector();
 
   LocksetDetector(const LocksetDetector&) = delete;
   LocksetDetector& operator=(const LocksetDetector&) = delete;
 
-  // --- EventSink ---
   [[nodiscard]] ThreadId register_thread() override;
   /// fork/join/barrier/channel carry no lockset information — that
   /// blindness is the algorithm, not an omission. They only maintain
   /// thread ids and the event count.
   [[nodiscard]] ThreadId fork(ThreadId parent) override;
   void join(ThreadId parent, ThreadId child) override;
-  void acquire(ThreadId t, const std::string& lock) override;
-  void release(ThreadId t, const std::string& lock) override;
   void barrier(const std::vector<ThreadId>& waiters) override;
-  void channel_send(ThreadId t, const std::string& channel) override;
-  void channel_recv(ThreadId t, const std::string& channel) override;
-  void read(ThreadId t, const std::string& var, const std::string& where = "") override;
-  void write(ThreadId t, const std::string& var, const std::string& where = "") override;
 
-  // --- InternedSink ---
   // Channels carry nothing here, so every channel is id 0.
   [[nodiscard]] NameId intern_var(std::string_view name) override;
   [[nodiscard]] NameId intern_lock(std::string_view name) override;
   [[nodiscard]] NameId intern_channel(std::string_view name) override;
   [[nodiscard]] NameId intern_site(std::string_view label) override;
-  void read(ThreadId t, NameId var, NameId site) override;
-  void write(ThreadId t, NameId var, NameId site) override;
   void acquire(ThreadId t, NameId lock) override;
   void release(ThreadId t, NameId lock) override;
   void channel_send(ThreadId t, NameId channel) override;
   void channel_recv(ThreadId t, NameId channel) override;
+  void read(ThreadId t, NameId var, NameId site) override;
+  void write(ThreadId t, NameId var, NameId site) override;
+  using EventSink::acquire, EventSink::release, EventSink::channel_send,
+      EventSink::channel_recv, EventSink::read, EventSink::write;
 
   [[nodiscard]] const std::vector<RaceReport>& races() const override;
   [[nodiscard]] bool race_free() const override;
@@ -125,8 +119,6 @@ class LocksetDetector final : public EventSink, public InternedSink {
 
   // The *_locked members expect mutex_ held.
   void on_access_locked(ThreadId t, NameId var, AccessKind kind, NameId where);
-  void acquire_locked(ThreadId t, NameId lock);
-  void release_locked(ThreadId t, NameId lock);
   void check_thread(ThreadId t) const;
   [[nodiscard]] AccessSite materialize(const Access& access) const;
   void report(NameId var, const Access& first, const Access& second);

@@ -44,7 +44,24 @@ void ReferenceDetector::join(ThreadId parent, ThreadId child) {
   c.vc.tick(child);
 }
 
-void ReferenceDetector::acquire(ThreadId t, const std::string& lock_name) {
+NameId ReferenceDetector::intern_var(std::string_view name) {
+  return names_.intern(NameKind::Var, name);
+}
+
+NameId ReferenceDetector::intern_lock(std::string_view name) {
+  return names_.intern(NameKind::Lock, name);
+}
+
+NameId ReferenceDetector::intern_channel(std::string_view name) {
+  return names_.intern(NameKind::Channel, name);
+}
+
+NameId ReferenceDetector::intern_site(std::string_view label) {
+  return names_.intern(NameKind::Site, label);
+}
+
+void ReferenceDetector::acquire(ThreadId t, NameId lock_id) {
+  const std::string& lock_name = names_.name(NameKind::Lock, lock_id);
   std::scoped_lock lock(mutex_);
   ++events_;
   ThreadState& ts = state(t);
@@ -52,7 +69,8 @@ void ReferenceDetector::acquire(ThreadId t, const std::string& lock_name) {
   ts.held.push_back(lock_name);
 }
 
-void ReferenceDetector::release(ThreadId t, const std::string& lock_name) {
+void ReferenceDetector::release(ThreadId t, NameId lock_id) {
+  const std::string& lock_name = names_.name(NameKind::Lock, lock_id);
   std::scoped_lock lock(mutex_);
   ++events_;
   ThreadState& ts = state(t);
@@ -79,7 +97,8 @@ void ReferenceDetector::barrier(const std::vector<ThreadId>& waiters) {
   }
 }
 
-void ReferenceDetector::channel_send(ThreadId t, const std::string& channel) {
+void ReferenceDetector::channel_send(ThreadId t, NameId channel_id) {
+  const std::string& channel = names_.name(NameKind::Channel, channel_id);
   std::scoped_lock lock(mutex_);
   ++events_;
   ThreadState& ts = state(t);
@@ -87,20 +106,23 @@ void ReferenceDetector::channel_send(ThreadId t, const std::string& channel) {
   ts.vc.tick(t);
 }
 
-void ReferenceDetector::channel_recv(ThreadId t, const std::string& channel) {
+void ReferenceDetector::channel_recv(ThreadId t, NameId channel_id) {
+  const std::string& channel = names_.name(NameKind::Channel, channel_id);
   std::scoped_lock lock(mutex_);
   ++events_;
   state(t).vc.join(channels_[channel]);
 }
 
-void ReferenceDetector::read(ThreadId t, const std::string& var, const std::string& where) {
+void ReferenceDetector::read(ThreadId t, NameId var, NameId site) {
   std::scoped_lock lock(mutex_);
-  check_and_record(t, var, AccessKind::Read, where);
+  check_and_record(t, names_.name(NameKind::Var, var), AccessKind::Read,
+                   names_.name(NameKind::Site, site));
 }
 
-void ReferenceDetector::write(ThreadId t, const std::string& var, const std::string& where) {
+void ReferenceDetector::write(ThreadId t, NameId var, NameId site) {
   std::scoped_lock lock(mutex_);
-  check_and_record(t, var, AccessKind::Write, where);
+  check_and_record(t, names_.name(NameKind::Var, var), AccessKind::Write,
+                   names_.name(NameKind::Site, site));
 }
 
 void ReferenceDetector::check_and_record(ThreadId t, const std::string& var, AccessKind kind,
@@ -236,12 +258,6 @@ std::size_t ReferenceDetector::shadow_bytes() const {
     }
   }
   return total;
-}
-
-VectorClock ReferenceDetector::clock_of(ThreadId t) const {
-  std::scoped_lock lock(mutex_);
-  if (t >= threads_.size()) throw Error("unknown thread id " + std::to_string(t));
-  return threads_[t].vc;
 }
 
 std::string ReferenceDetector::summary() const {

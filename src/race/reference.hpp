@@ -15,6 +15,11 @@
 // reports deduplicate per (variable, site pair) — race_pair_key in
 // detector.hpp — instead of per (variable, thread pair), so the two
 // detectors' report sets are comparable key-for-key.
+//
+// Events arrive by id, as EventSink delivers them. A thin entry resolves
+// each id through the detector's own name tables and runs the
+// string-keyed algorithm on the names; those tables are not counted in
+// shadow_bytes, which already counts every name in the maps keyed by it.
 #pragma once
 
 #include <cstdint>
@@ -22,9 +27,11 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "race/detector.hpp"
+#include "race/interner.hpp"
 #include "race/vector_clock.hpp"
 
 namespace cs31::race {
@@ -39,13 +46,22 @@ class ReferenceDetector final : public EventSink {
   [[nodiscard]] ThreadId register_thread() override;
   [[nodiscard]] ThreadId fork(ThreadId parent) override;
   void join(ThreadId parent, ThreadId child) override;
-  void acquire(ThreadId t, const std::string& lock) override;
-  void release(ThreadId t, const std::string& lock) override;
   void barrier(const std::vector<ThreadId>& waiters) override;
-  void channel_send(ThreadId t, const std::string& channel) override;
-  void channel_recv(ThreadId t, const std::string& channel) override;
-  void read(ThreadId t, const std::string& var, const std::string& where = "") override;
-  void write(ThreadId t, const std::string& var, const std::string& where = "") override;
+
+  // The id entry: ids index this detector's own name tables, and each
+  // event resolves its names before the string-keyed algorithm runs.
+  [[nodiscard]] NameId intern_var(std::string_view name) override;
+  [[nodiscard]] NameId intern_lock(std::string_view name) override;
+  [[nodiscard]] NameId intern_channel(std::string_view name) override;
+  [[nodiscard]] NameId intern_site(std::string_view label) override;
+  void acquire(ThreadId t, NameId lock) override;
+  void release(ThreadId t, NameId lock) override;
+  void channel_send(ThreadId t, NameId channel) override;
+  void channel_recv(ThreadId t, NameId channel) override;
+  void read(ThreadId t, NameId var, NameId site) override;
+  void write(ThreadId t, NameId var, NameId site) override;
+  using EventSink::acquire, EventSink::release, EventSink::channel_send,
+      EventSink::channel_recv, EventSink::read, EventSink::write;
 
   [[nodiscard]] const std::vector<RaceReport>& races() const override;
   [[nodiscard]] bool race_free() const override;
@@ -54,9 +70,6 @@ class ReferenceDetector final : public EventSink {
   [[nodiscard]] std::size_t threads() const override;
   [[nodiscard]] std::size_t shadow_bytes() const override;
   [[nodiscard]] std::string summary() const override;
-
-  /// Current clock of a thread (teaching/diagnostic).
-  [[nodiscard]] VectorClock clock_of(ThreadId t) const;
 
  private:
   struct ThreadState {
@@ -83,6 +96,7 @@ class ReferenceDetector final : public EventSink {
               const std::string& why);
   AccessSite make_site(ThreadId t, AccessKind kind, const std::string& where) const;
 
+  NameTables names_;  ///< the id entry's; not shadow state
   mutable std::mutex mutex_;
   std::vector<ThreadState> threads_;
   std::map<std::string, VectorClock> locks_;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <iterator>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -441,22 +442,6 @@ void TraceContext::recv(NameId channel) {
   sync_bound(EventKind::ChannelRecv, channel, channel_seqs_);
 }
 
-void TraceContext::read(const std::string& var, const std::string& where) {
-  read(intern_var(var), intern_site(where));
-}
-
-void TraceContext::write(const std::string& var, const std::string& where) {
-  write(intern_var(var), intern_site(where));
-}
-
-void TraceContext::acquire(const std::string& lock) { acquire(intern_lock(lock)); }
-
-void TraceContext::release(const std::string& lock) { release(intern_lock(lock)); }
-
-void TraceContext::send(const std::string& channel) { send(intern_channel(channel)); }
-
-void TraceContext::recv(const std::string& channel) { recv(intern_channel(channel)); }
-
 // --- scripted capture ---------------------------------------------------
 
 void TraceContext::read_as(ThreadId t, NameId var, NameId site) {
@@ -826,7 +811,7 @@ void TraceContext::dispatch(const Event* first, const Event* last) {
 // --- SinkBinding ----------------------------------------------------------
 
 SinkBinding::SinkBinding(race::EventSink& sink, const std::shared_ptr<race::NameTables>& names)
-    : sink(&sink), ids(dynamic_cast<race::InternedSink*>(&sink)) {
+    : sink(&sink) {
   auto* detector = dynamic_cast<race::Detector*>(&sink);
   if (detector != nullptr && detector->names() == names) shared = detector;
 }
@@ -844,10 +829,10 @@ void SinkBinding::dispatch(const Event& event, const race::NameTables& names,
     if (map[id] == kUnset) {
       const std::string& name = names.name(kind, id);
       switch (kind) {
-        case race::NameKind::Var: map[id] = ids->intern_var(name); break;
-        case race::NameKind::Lock: map[id] = ids->intern_lock(name); break;
-        case race::NameKind::Channel: map[id] = ids->intern_channel(name); break;
-        case race::NameKind::Site: map[id] = ids->intern_site(name); break;
+        case race::NameKind::Var: map[id] = sink->intern_var(name); break;
+        case race::NameKind::Lock: map[id] = sink->intern_lock(name); break;
+        case race::NameKind::Channel: map[id] = sink->intern_channel(name); break;
+        case race::NameKind::Site: map[id] = sink->intern_site(name); break;
       }
     }
     return map[id];
@@ -856,40 +841,22 @@ void SinkBinding::dispatch(const Event& event, const race::NameTables& names,
   switch (event.kind) {
     case EventKind::Read:
     case EventKind::Write: {
-      const bool read = event.kind == EventKind::Read;
-      if (ids != nullptr) {
-        const NameId var = sink_id(var_map, race::NameKind::Var, event.id);
-        const NameId site = sink_id(site_map, race::NameKind::Site, event.site);
-        read ? ids->read(t, var, site) : ids->write(t, var, site);
-      } else {
-        const std::string& var = names.name(race::NameKind::Var, event.id);
-        const std::string& site = names.name(race::NameKind::Site, event.site);
-        read ? sink->read(t, var, site) : sink->write(t, var, site);
-      }
+      const NameId var = sink_id(var_map, race::NameKind::Var, event.id);
+      const NameId site = sink_id(site_map, race::NameKind::Site, event.site);
+      event.kind == EventKind::Read ? sink->read(t, var, site) : sink->write(t, var, site);
       return;
     }
     case EventKind::Acquire:
     case EventKind::Release: {
-      const bool acquire = event.kind == EventKind::Acquire;
-      if (ids != nullptr) {
-        const NameId lock = sink_id(lock_map, race::NameKind::Lock, event.id);
-        acquire ? ids->acquire(t, lock) : ids->release(t, lock);
-      } else {
-        const std::string& lock = names.name(race::NameKind::Lock, event.id);
-        acquire ? sink->acquire(t, lock) : sink->release(t, lock);
-      }
+      const NameId lock = sink_id(lock_map, race::NameKind::Lock, event.id);
+      event.kind == EventKind::Acquire ? sink->acquire(t, lock) : sink->release(t, lock);
       return;
     }
     case EventKind::ChannelSend:
     case EventKind::ChannelRecv: {
-      const bool send = event.kind == EventKind::ChannelSend;
-      if (ids != nullptr) {
-        const NameId channel = sink_id(channel_map, race::NameKind::Channel, event.id);
-        send ? ids->channel_send(t, channel) : ids->channel_recv(t, channel);
-      } else {
-        const std::string& channel = names.name(race::NameKind::Channel, event.id);
-        send ? sink->channel_send(t, channel) : sink->channel_recv(t, channel);
-      }
+      const NameId channel = sink_id(channel_map, race::NameKind::Channel, event.id);
+      event.kind == EventKind::ChannelSend ? sink->channel_send(t, channel)
+                                           : sink->channel_recv(t, channel);
       return;
     }
     case EventKind::Fork: {

@@ -35,16 +35,15 @@
 //               then merge and dispatch; a barrier lets its waiters go in
 //               between, so they run while the last arriver merges.
 //   sinks     — every attached race::EventSink consumes the identical
-//               drained stream: the built-in FastTrack race::Detector
-//               (fed through its interned-id fast path), the
-//               ReferenceDetector, the Eraser-style LocksetDetector,
-//               a MetricsSink, anything else honouring the interface.
-//               A detector that shares the context's name tables gets
-//               each run of access events in one call
+//               drained stream, by id: the built-in FastTrack
+//               race::Detector, the ReferenceDetector, the Eraser-style
+//               LocksetDetector, a MetricsSink, anything else honouring
+//               the interface. A detector that shares the context's
+//               name tables gets each run of access events in one call
 //               (Detector::check_accesses: one detector lock per run);
-//               a sink with an id path (race::InternedSink) gets ids,
-//               translated on first sight; any other sink gets names.
-//               Each sink sees the same events in the same order.
+//               any other sink gets its own ids, each name interned
+//               into it on first sight. Each sink sees the same events
+//               in the same order.
 //
 // Ordering (why lock-free capture drains byte-identically):
 //   1. Stamps are fetch_adds on one atomic, so they are unique and
@@ -111,7 +110,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -153,14 +151,12 @@ struct BufferStats {
 
 /// How one sink receives a context's events: the context's inline sinks
 /// and each AnalysisPipeline shard's detector go through the same
-/// binding. `ids` is the sink's race::InternedSink path when it offers
-/// one: events go to it by id, translated through maps built lazily from
-/// the context's names (a name is looked up and interned into the sink
-/// once, on first sight). `shared` is set when the sink is a
+/// binding, and every sink takes ids. `shared` is set when the sink is a
 /// race::Detector over the context's own name tables (the built-in
 /// detector and the pipeline's shard detectors are): its ids need no
-/// translation and it takes whole runs of accesses. A sink with neither
-/// gets names.
+/// translation and it takes whole runs of accesses. Any other sink gets
+/// ids translated through maps built lazily from the context's names (a
+/// name is looked up and interned into the sink once, on first sight).
 struct SinkBinding {
   SinkBinding(race::EventSink& sink, const std::shared_ptr<race::NameTables>& names);
 
@@ -178,7 +174,6 @@ struct SinkBinding {
   }
 
   race::EventSink* sink = nullptr;
-  race::InternedSink* ids = nullptr;
   race::Detector* shared = nullptr;
   std::vector<ThreadId> tid_map{0};  ///< context tid -> sink tid; thread 0 is thread 0
   std::vector<NameId> var_map, lock_map, channel_map, site_map;
@@ -313,14 +308,6 @@ class TraceContext {
   void release(NameId lock);
   void send(NameId channel);
   void recv(NameId channel);
-
-  /// String conveniences (intern per call — casual use only).
-  void read(const std::string& var, const std::string& where = "");
-  void write(const std::string& var, const std::string& where = "");
-  void acquire(const std::string& lock);
-  void release(const std::string& lock);
-  void send(const std::string& channel);
-  void recv(const std::string& channel);
 
   // --- capture: scripted (explicit-tid) API ---------------------------
   // The caller guarantees thread `t` is not concurrently bound and

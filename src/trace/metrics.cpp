@@ -72,32 +72,15 @@ void MetricsSink::join(ThreadId parent, ThreadId child) {
   events_.add();
 }
 
-void MetricsSink::acquire(ThreadId t, const std::string& lock) {
-  row(t).acquires.fetch_add(1, std::memory_order_relaxed);
-  events_.add();
-  // Only the name->count map needs the mutex (the interner is not
-  // concurrent); acquires are rare next to accesses, so this is off the
-  // contended path by construction.
-  std::scoped_lock guard(mutex_);
-  count_acquire_locked(lock_names_.id(lock));
-}
-
 void MetricsSink::acquire(ThreadId t, race::NameId lock) {
   row(t).acquires.fetch_add(1, std::memory_order_relaxed);
   events_.add();
+  // Only the id->count map needs the mutex; acquires are rare next to
+  // accesses, so this is off the contended path by construction.
   std::scoped_lock guard(mutex_);
   require(lock < lock_names_.size(), "metrics: acquire of a lock id that was never interned");
-  count_acquire_locked(lock);
-}
-
-void MetricsSink::count_acquire_locked(race::NameId lock) {
   if (lock >= lock_acquires_.size()) lock_acquires_.resize(lock + 1, 0);
   ++lock_acquires_[lock];
-}
-
-void MetricsSink::release(ThreadId t, const std::string& lock) {
-  (void)lock;
-  release(t, race::NameId{0});
 }
 
 void MetricsSink::release(ThreadId t, race::NameId lock) {
@@ -116,16 +99,6 @@ void MetricsSink::barrier(const std::vector<ThreadId>& waiters) {
   ++barrier_cycles_;
 }
 
-void MetricsSink::channel_send(ThreadId t, const std::string& channel) {
-  (void)channel;
-  channel_send(t, race::NameId{0});
-}
-
-void MetricsSink::channel_recv(ThreadId t, const std::string& channel) {
-  (void)channel;
-  channel_recv(t, race::NameId{0});
-}
-
 void MetricsSink::channel_send(ThreadId t, race::NameId channel) {
   (void)channel;
   row(t).sends.fetch_add(1, std::memory_order_relaxed);
@@ -136,18 +109,6 @@ void MetricsSink::channel_recv(ThreadId t, race::NameId channel) {
   (void)channel;
   row(t).recvs.fetch_add(1, std::memory_order_relaxed);
   events_.add();
-}
-
-void MetricsSink::read(ThreadId t, const std::string& var, const std::string& where) {
-  (void)var;
-  (void)where;
-  read(t, race::NameId{0}, race::NameId{0});
-}
-
-void MetricsSink::write(ThreadId t, const std::string& var, const std::string& where) {
-  (void)var;
-  (void)where;
-  write(t, race::NameId{0}, race::NameId{0});
 }
 
 void MetricsSink::read(ThreadId t, race::NameId var, race::NameId site) {

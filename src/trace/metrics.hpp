@@ -3,16 +3,17 @@
 // mix (reads/writes/sync operations) and per-lock acquire counts as a
 // contention proxy. Attach it next to a Detector on one TraceContext
 // and a single traced run yields both a race certificate and a
-// contention profile.
+// contention profile. Like every EventSink it takes events by id; it
+// keeps only lock names, so interning any other name returns id 0.
 //
 // Counting is lock-free on the per-event path: each thread's metrics
 // row is a cache-line-aligned block of relaxed atomics living in
 // chunked stable storage (rows never move once published), and the
 // event total is a common::ShardedCounter. The sink's one mutex guards
-// only structure — registering/forking threads, the lock-name map an
-// acquire must consult, barrier-cycle bookkeeping, and readers — so a
-// read/write/release/send/recv costs two uncontended fetch_adds, not a
-// mutex round-trip per event. (The sink used to take its mutex on
+// only structure — registering/forking threads, the lock names and the
+// per-lock counts an acquire bumps, barrier-cycle bookkeeping, and
+// readers — so a read/write/release/send/recv costs two uncontended
+// fetch_adds, not a mutex round-trip per event. (The sink used to take its mutex on
 // every event; with an inline drain racing a metrics poll, that lock
 // was pure serialization for what is statistically-mergeable counting
 // — exactly the per-CPU-counter case from McKenney ch. 5.)
@@ -47,7 +48,7 @@ struct ThreadMetrics {
   }
 };
 
-class MetricsSink final : public race::EventSink, public race::InternedSink {
+class MetricsSink final : public race::EventSink {
  public:
   MetricsSink();
   ~MetricsSink() override;
@@ -55,19 +56,11 @@ class MetricsSink final : public race::EventSink, public race::InternedSink {
   MetricsSink(const MetricsSink&) = delete;
   MetricsSink& operator=(const MetricsSink&) = delete;
 
-  // --- EventSink ---
   [[nodiscard]] race::ThreadId register_thread() override;
   [[nodiscard]] race::ThreadId fork(race::ThreadId parent) override;
   void join(race::ThreadId parent, race::ThreadId child) override;
-  void acquire(race::ThreadId t, const std::string& lock) override;
-  void release(race::ThreadId t, const std::string& lock) override;
   void barrier(const std::vector<race::ThreadId>& waiters) override;
-  void channel_send(race::ThreadId t, const std::string& channel) override;
-  void channel_recv(race::ThreadId t, const std::string& channel) override;
-  void read(race::ThreadId t, const std::string& var, const std::string& where) override;
-  void write(race::ThreadId t, const std::string& var, const std::string& where) override;
 
-  // --- InternedSink ---
   // Only lock names are kept (lock_acquires prints them); every
   // variable, channel and site is id 0. A lock is named by its first
   // interning, which on a TraceContext is its first acquire.
@@ -75,12 +68,14 @@ class MetricsSink final : public race::EventSink, public race::InternedSink {
   [[nodiscard]] race::NameId intern_lock(std::string_view name) override;
   [[nodiscard]] race::NameId intern_channel(std::string_view name) override;
   [[nodiscard]] race::NameId intern_site(std::string_view label) override;
-  void read(race::ThreadId t, race::NameId var, race::NameId site) override;
-  void write(race::ThreadId t, race::NameId var, race::NameId site) override;
   void acquire(race::ThreadId t, race::NameId lock) override;
   void release(race::ThreadId t, race::NameId lock) override;
   void channel_send(race::ThreadId t, race::NameId channel) override;
   void channel_recv(race::ThreadId t, race::NameId channel) override;
+  void read(race::ThreadId t, race::NameId var, race::NameId site) override;
+  void write(race::ThreadId t, race::NameId var, race::NameId site) override;
+  using EventSink::acquire, EventSink::release, EventSink::channel_send,
+      EventSink::channel_recv, EventSink::read, EventSink::write;
 
   /// A metrics sink never reports races.
   [[nodiscard]] const std::vector<race::RaceReport>& races() const override;
@@ -123,11 +118,9 @@ class MetricsSink final : public race::EventSink, public race::InternedSink {
   /// Ensure rows [0, count) exist and publish the new count. Caller
   /// holds mutex_.
   void grow_locked(std::size_t count);
-  /// Count one acquire of own lock id `lock`. Caller holds mutex_.
-  void count_acquire_locked(race::NameId lock);
 
-  /// Guards structure only: thread registration, the lock-name map,
-  /// barrier bookkeeping, and multi-value readers. Never taken
+  /// Guards structure only: thread registration, the lock names and
+  /// counts, barrier bookkeeping, and multi-value readers. Never taken
   /// by read/write/release/send/recv.
   mutable std::mutex mutex_;
   std::atomic<std::size_t> thread_count_{0};

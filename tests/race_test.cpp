@@ -519,7 +519,7 @@ TEST(TracedPrimitives, LocksHeldAppearInTheReport) {
 TEST(TracedPrimitives, UnboundThreadThrows) {
   TraceContext ctx;
   std::thread outsider([&] {
-    EXPECT_THROW(ctx.read("x"), Error);
+    EXPECT_THROW(ctx.read(ctx.intern_var("x")), Error);
   });
   outsider.join();
 }

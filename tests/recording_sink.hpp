@@ -7,9 +7,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "race/detector.hpp"
+#include "race/interner.hpp"
 
 namespace cs31::test_support {
 
@@ -32,31 +34,47 @@ class RecordingSink final : public cs31::race::EventSink {
   void join(cs31::race::ThreadId parent, cs31::race::ThreadId child) override {
     line("join t" + std::to_string(parent) + " <- t" + std::to_string(child));
   }
-  void acquire(cs31::race::ThreadId t, const std::string& lock) override {
-    line("acquire t" + std::to_string(t) + " " + lock);
-  }
-  void release(cs31::race::ThreadId t, const std::string& lock) override {
-    line("release t" + std::to_string(t) + " " + lock);
-  }
   void barrier(const std::vector<cs31::race::ThreadId>& waiters) override {
     std::string text = "barrier";
     for (const auto w : waiters) text += " t" + std::to_string(w);
     line(text);
   }
-  void channel_send(cs31::race::ThreadId t, const std::string& channel) override {
-    line("send t" + std::to_string(t) + " " + channel);
+
+  // Ids index this sink's own name tables; each line prints the names.
+  [[nodiscard]] cs31::race::NameId intern_var(std::string_view name) override {
+    return names_.intern(Kind::Var, name);
   }
-  void channel_recv(cs31::race::ThreadId t, const std::string& channel) override {
-    line("recv t" + std::to_string(t) + " " + channel);
+  [[nodiscard]] cs31::race::NameId intern_lock(std::string_view name) override {
+    return names_.intern(Kind::Lock, name);
   }
-  void read(cs31::race::ThreadId t, const std::string& var,
-            const std::string& where) override {
-    line("read t" + std::to_string(t) + " " + var + " @ " + where);
+  [[nodiscard]] cs31::race::NameId intern_channel(std::string_view name) override {
+    return names_.intern(Kind::Channel, name);
   }
-  void write(cs31::race::ThreadId t, const std::string& var,
-             const std::string& where) override {
-    line("write t" + std::to_string(t) + " " + var + " @ " + where);
+  [[nodiscard]] cs31::race::NameId intern_site(std::string_view label) override {
+    return names_.intern(Kind::Site, label);
   }
+  void acquire(cs31::race::ThreadId t, cs31::race::NameId lock) override {
+    line("acquire t" + std::to_string(t) + " " + names_.name(Kind::Lock, lock));
+  }
+  void release(cs31::race::ThreadId t, cs31::race::NameId lock) override {
+    line("release t" + std::to_string(t) + " " + names_.name(Kind::Lock, lock));
+  }
+  void channel_send(cs31::race::ThreadId t, cs31::race::NameId channel) override {
+    line("send t" + std::to_string(t) + " " + names_.name(Kind::Channel, channel));
+  }
+  void channel_recv(cs31::race::ThreadId t, cs31::race::NameId channel) override {
+    line("recv t" + std::to_string(t) + " " + names_.name(Kind::Channel, channel));
+  }
+  void read(cs31::race::ThreadId t, cs31::race::NameId var, cs31::race::NameId site) override {
+    line("read t" + std::to_string(t) + " " + names_.name(Kind::Var, var) + " @ " +
+         names_.name(Kind::Site, site));
+  }
+  void write(cs31::race::ThreadId t, cs31::race::NameId var, cs31::race::NameId site) override {
+    line("write t" + std::to_string(t) + " " + names_.name(Kind::Var, var) + " @ " +
+         names_.name(Kind::Site, site));
+  }
+  using EventSink::acquire, EventSink::release, EventSink::channel_send,
+      EventSink::channel_recv, EventSink::read, EventSink::write;
 
   [[nodiscard]] const std::vector<cs31::race::RaceReport>& races() const override {
     return no_races_;
@@ -77,6 +95,9 @@ class RecordingSink final : public cs31::race::EventSink {
     ++events_;
   }
 
+  using Kind = cs31::race::NameKind;
+
+  cs31::race::NameTables names_;
   std::string stream_;
   std::uint64_t events_ = 0;
   cs31::race::ThreadId next_ = 1;  // thread 0 pre-registered, as in Detector

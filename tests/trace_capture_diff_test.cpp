@@ -37,6 +37,7 @@
 #include "parallel/sync.hpp"
 #include "parallel/threads.hpp"
 #include "race/detector.hpp"
+#include "race/reference.hpp"
 #include "race/trace_gen.hpp"
 #include "recording_sink.hpp"
 #include "trace/condvar.hpp"
@@ -363,6 +364,63 @@ TEST(CaptureDiff, RealThreadRacyPairReportsByteIdentical) {
   // Both variables race (no happens-before edge exists), and both
   // designs must say so with the same report bytes.
   EXPECT_GE(lockfree.race_count, 2u);
+}
+
+// ---------------------------------------------------------------------
+// Foreign sinks: a sink that does not share the context's name tables
+// receives names translated on the sink side. These digests pin what
+// such sinks see — RecordingSink's stream and the reference detector's
+// certificate — whether the events come through a TraceContext's
+// scripted API, straight from run_trace, or from the traced Life
+// replay, so a change to how names reach a sink cannot move a byte.
+
+/// FNV-1a over a sequence of byte strings, each one terminated.
+struct StreamDigest {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(const std::string& bytes) {
+    for (const unsigned char c : bytes) mix(c);
+    mix(0xff);
+  }
+  void mix(unsigned char byte) {
+    h ^= byte;
+    h *= 0x100000001b3ull;
+  }
+};
+
+TEST(ForeignSink, StreamsAndReferenceCertificatesPinnedByDigest) {
+  StreamDigest via_context, via_run_trace;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    const Trace trace = cs31::race::generate_trace(seed, config_for(seed));
+    {
+      TraceContext::Options options;
+      options.own_detector = false;
+      TraceContext ctx(options);
+      RecordingSink recording;
+      cs31::race::ReferenceDetector reference;
+      ctx.attach_sink(recording);
+      ctx.attach_sink(reference);
+      replay_through_context(trace, ctx);
+      via_context.add(recording.stream());
+      via_context.add(reference.summary());
+    }
+    RecordingSink recording;
+    cs31::race::ReferenceDetector reference;
+    cs31::race::run_trace(trace, recording);
+    cs31::race::run_trace(trace, reference);
+    via_run_trace.add(recording.stream());
+    via_run_trace.add(reference.summary());
+  }
+  StreamDigest life;
+  const cs31::life::Grid grid = cs31::life::Grid::random(9, 8, 0.35, 97);
+  for (const bool use_barrier : {true, false}) {
+    cs31::race::ReferenceDetector reference;
+    const auto traced = cs31::life::traced_life_check_with(reference, grid, 3, 2, use_barrier);
+    life.add(reference.summary());
+    life.add(traced.report());
+  }
+  EXPECT_EQ(via_context.h, 0x56f6969299c0fd35ull) << std::hex << via_context.h;
+  EXPECT_EQ(via_run_trace.h, 0xbfb3aa7f3e39fbc0ull) << std::hex << via_run_trace.h;
+  EXPECT_EQ(life.h, 0x3d5c9f04a112e9cbull) << std::hex << life.h;
 }
 
 }  // namespace

@@ -241,22 +241,24 @@ TEST(TracedBoundedBufferSlots, RaceIsLocalizedToTheExactItem) {
   TraceContext ctx;
   parallel::BoundedBuffer buffer(2);
   buffer.attach_tracer(ctx, "queue");
+  const NameId x = ctx.intern_var("x");
+  const NameId y = ctx.intern_var("y");
   std::promise<void> both_in;
   auto ready = both_in.get_future();
 
   parallel::ThreadTeam team(1, ctx, [&](std::size_t) {
-    ctx.write("x", "producer writes x before item A");
+    ctx.write(x, ctx.intern_site("producer writes x before item A"));
     buffer.put(10);  // slot 0
-    ctx.write("y", "producer writes y before item B");
+    ctx.write(y, ctx.intern_site("producer writes y before item B"));
     buffer.put(20);  // slot 1
     both_in.set_value();
   });
   ready.wait();  // untraced edge: only sequences the test, not the sinks
   EXPECT_EQ(buffer.get(), 10);
-  ctx.read("x", "consumer reads x after item A");  // ordered via slot 0
-  ctx.read("y", "consumer reads y after item A");  // NOT ordered: the race
+  ctx.read(x, ctx.intern_site("consumer reads x after item A"));  // ordered via slot 0
+  ctx.read(y, ctx.intern_site("consumer reads y after item A"));  // NOT ordered: the race
   EXPECT_EQ(buffer.get(), 20);
-  ctx.read("y", "consumer reads y after item B");  // ordered via slot 1
+  ctx.read(y, ctx.intern_site("consumer reads y after item B"));  // ordered via slot 1
   team.join();
   ctx.flush();
 
