@@ -367,6 +367,14 @@ TEST(Toolchain, LifeCapsRejectHostileBodiesPromptly) {
   }
 }
 
+TEST(Toolchain, LifeZeroThreadsIsInvalid) {
+  const Verdict v = run_toolchain({"s", SubmissionKind::LifeTrace, life_scenario(0, 1, 4, 4)},
+                                  test_limits());
+  EXPECT_EQ(v.status, "invalid") << v.to_json();
+  EXPECT_EQ(v.score, 0);
+  EXPECT_EQ(v.notes, std::vector<std::string>{"need at least one thread"});
+}
+
 TEST(Toolchain, LifeCapsAdmitBodiesAtEachCap) {
   const std::size_t rows = kMaxLifeCells / 256;
   const std::size_t rounds = kMaxLifeCellRounds / 64;

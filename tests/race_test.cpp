@@ -762,6 +762,14 @@ TEST(TracedLife, BarrierlessRaceSetStableAcrossRounds) {
   EXPECT_EQ(once, thrice) << "the bug set is stable across rounds, not multiplied by them";
 }
 
+TEST(TracedLife, ZeroThreadsAreRejected) {
+  const life::Grid grid(4, 4);
+  EXPECT_EQ(error_text([&] { (void)life::traced_life_check(grid, 0, 1, true); }),
+            "need at least one thread");
+  EXPECT_EQ(error_text([&] { (void)life::traced_life_check(grid, 5, 1, true); }),
+            "more threads than grid bands");
+}
+
 TEST(TracedLife, ReportsPinnedByDigest) {
   // Pins every byte a traced Life check prints — the report (races in
   // detection order, counts, event totals) plus the stepped grid's

@@ -230,6 +230,76 @@ TEST(TracedParallelLifeReal, ForgottenBarrierMatchesReplayRaceSet) {
   EXPECT_EQ(race_keys(ctx.detector().races()), race_keys(replay.races));
 }
 
+/// FNV-1a over a sequence of byte strings.
+struct Fnv1a {
+  std::uint64_t digest = 0xcbf29ce484222325ull;
+  void add(const std::string& bytes) {
+    for (const unsigned char c : bytes) {
+      digest ^= c;
+      digest *= 0x100000001b3ull;
+    }
+  }
+};
+
+TEST(TracedLifeStreams, ReplayStreamsPinnedByDigest) {
+  // Pins every event the replay dispatches, in order (RecordingSink's
+  // stream), plus the stepped grid's population, over
+  // TracedLife.ReportsPinnedByDigest's matrix and zero rounds. Reports
+  // alone would miss a reordered or dropped event that no race names.
+  const std::vector<life::Grid> grids = {life::Grid::random(10, 9, 0.35, 31),
+                                         life::Grid::random(8, 12, 0.3, 48611)};
+  Fnv1a fnv;
+  std::size_t runs = 0;
+  for (const life::Grid& grid : grids) {
+    for (const std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+      for (const bool use_barrier : {true, false}) {
+        for (const life::EdgeRule rule : {life::EdgeRule::Torus, life::EdgeRule::Bounded}) {
+          for (const std::size_t rounds : {3u, 0u}) {
+            test_support::RecordingSink recording;
+            const auto traced = life::traced_life_check_with(recording, grid, threads, rounds,
+                                                             use_barrier, rule);
+            fnv.add(recording.stream());
+            fnv.add(std::to_string(traced.grid.population()) + '\n');
+            ++runs;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, 80u);
+  EXPECT_EQ(fnv.digest, 0x0d4efca014e09c85ull);
+}
+
+TEST(TracedLifeStreams, RealThreadStreamsPinnedByDigest) {
+  // The same pin for the real-thread engine: ParallelLife::run at both
+  // granularities and splits, barrier reported or withheld, on 1, 2 and
+  // 4 threads. The drained stream is schedule-independent (every drain
+  // dispatches a prefix of one global order), so the digest is too. It
+  // is pinned apart from the replay's: from three threads on, the
+  // replay forks every worker before the first band reads, while a
+  // team forks each worker just before starting it.
+  const life::Grid initial = life::Grid::random(10, 9, 0.35, 31);
+  Fnv1a fnv;
+  for (const auto granularity : {life::TraceGranularity::Row, life::TraceGranularity::Cell}) {
+    for (const auto split : {parallel::GridSplit::Horizontal, parallel::GridSplit::Vertical}) {
+      for (const bool report_barrier : {true, false}) {
+        for (const std::size_t threads : {1u, 2u, 4u}) {
+          TraceContext ctx;
+          test_support::RecordingSink recording;
+          ctx.attach_sink(recording);
+          life::ParallelLife parallel_life(initial, threads, split);
+          parallel_life.run(3, {.ctx = &ctx, .report_barrier = report_barrier,
+                                .granularity = granularity});
+          ctx.flush();
+          fnv.add(recording.stream());
+          fnv.add(std::to_string(parallel_life.grid().population()) + '\n');
+        }
+      }
+    }
+  }
+  EXPECT_EQ(fnv.digest, 0x22e1ee528cc2dc6dull);
+}
+
 // --- per-slot BoundedBuffer precision ---------------------------------
 
 TEST(TracedBoundedBufferSlots, RaceIsLocalizedToTheExactItem) {
