@@ -136,18 +136,26 @@ void SerialLife::run(std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) step();
 }
 
+namespace {
+
+/// The engine's bands, once the thread count is known to fit the grid.
+std::vector<parallel::GridRegion> bands(std::size_t rows, std::size_t cols, std::size_t threads,
+                                        parallel::GridSplit split) {
+  require(threads >= 1, "need at least one thread");
+  require(threads <= (split == parallel::GridSplit::Horizontal ? rows : cols),
+          "more threads than grid bands");
+  return parallel::grid_partition(rows, cols, threads, split);
+}
+
+}  // namespace
+
 ParallelLife::ParallelLife(Grid initial, std::size_t threads, parallel::GridSplit split,
                            EdgeRule rule)
     : current_(std::move(initial)),
       next_(current_.rows(), current_.cols()),
       rule_(rule),
       split_(split),
-      regions_(parallel::grid_partition(current_.rows(), current_.cols(), threads, split)) {
-  require(threads >= 1, "need at least one thread");
-  const std::size_t dim =
-      split == parallel::GridSplit::Horizontal ? current_.rows() : current_.cols();
-  require(threads <= dim, "more threads than grid bands");
-}
+      regions_(bands(current_.rows(), current_.cols(), threads, split)) {}
 
 void ParallelLife::run(std::size_t n) { run(n, LifeTraceOptions{}); }
 
@@ -160,91 +168,82 @@ trace::NameId reserve_cell_names(trace::TraceContext& ctx, std::size_t rows,
   });
 }
 
-namespace {
-
-/// Interned ids a traced run fires per access: one id per band line
+/// Interned ids a traced round fires per access: one id per band line
 /// (Row granularity) or per cell (Cell granularity) of each grid,
-/// interleaved in one reserved block, plus the site labels. Cell names
-/// come from reserve_cell_names, which the replay path in
-/// life/traced.cpp shares, so the two certificates are comparable.
-struct LifeTraceIds {
+/// interleaved in one reserved block, plus the site labels. Both
+/// engines name their accesses through this, so their certificates name
+/// the same cells and sites.
+struct ParallelLife::TraceIds {
   trace::NameId grids = 0;  ///< item k (line, or cell r*cols+c) of cur; next is +1
+  std::size_t items = 0;    ///< items per grid
   std::vector<trace::NameId> band_sites;
   trace::NameId swap_site = 0;
+  std::size_t rows = 0, cols = 0;
+  bool horizontal = true;
+  bool cell = false;
 
   [[nodiscard]] trace::NameId cur(std::size_t k) const {
     return static_cast<trace::NameId>(grids + 2 * k);
   }
   [[nodiscard]] trace::NameId next(std::size_t k) const { return cur(k) + 1; }
+
+  /// The accesses to lines [line, line + n) of one grid, in line order
+  /// and, within a line, in cell order — one capture call per run of
+  /// consecutive ids.
+  template <class Capture>
+  void lines(const Capture& capture, race::AccessKind kind, bool next_grid, std::size_t line,
+             std::size_t n, trace::NameId site) const {
+    const auto id = [&](std::size_t k) { return next_grid ? next(k) : cur(k); };
+    if (!cell) {
+      capture(kind, id(line), n, std::size_t{2}, site);
+    } else if (horizontal) {
+      capture(kind, id(line * cols), n * cols, std::size_t{2}, site);
+    } else {
+      for (std::size_t l = line; l < line + n; ++l) capture(kind, id(l), rows, 2 * cols, site);
+    }
+  }
 };
 
-LifeTraceIds intern_life_ids(trace::TraceContext& ctx, std::size_t rows, std::size_t cols,
-                             std::size_t threads, bool cell, std::size_t lines) {
-  LifeTraceIds ids;
-  if (cell) {
-    ids.grids = reserve_cell_names(ctx, rows, cols);
+ParallelLife::TraceIds ParallelLife::intern_trace_ids(trace::TraceContext& ctx,
+                                                      TraceGranularity granularity) const {
+  TraceIds ids;
+  ids.rows = current_.rows();
+  ids.cols = current_.cols();
+  ids.horizontal = split_ == parallel::GridSplit::Horizontal;
+  ids.cell = granularity == TraceGranularity::Cell;
+  ids.items = ids.cell ? ids.rows * ids.cols : ids.horizontal ? ids.rows : ids.cols;
+  if (ids.cell) {
+    ids.grids = reserve_cell_names(ctx, ids.rows, ids.cols);
   } else {
-    ids.grids = ctx.reserve_vars(2 * lines, [](std::size_t k) {
+    ids.grids = ctx.reserve_vars(2 * ids.items, [](std::size_t k) {
       return (k % 2 == 0 ? "cur[" : "next[") + std::to_string(k / 2) + ']';
     });
   }
-  ids.band_sites.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) {
+  // Site labels deliberately carry no round number: the race between the
+  // serial thread's swap and band t's halo access is the same bug in
+  // every round, and the per-(variable, site pair) report dedup then
+  // keeps it to one report per run instead of one per round
+  // (TracedLife.BarrierlessRaceSetStableAcrossRounds).
+  ids.band_sites.reserve(regions_.size());
+  for (std::size_t t = 0; t < regions_.size(); ++t) {
     ids.band_sites.push_back(ctx.intern_site("step_region band " + std::to_string(t)));
   }
   ids.swap_site = ctx.intern_site("swap grids (serial thread)");
   return ids;
 }
 
-}  // namespace
-
-void ParallelLife::run(std::size_t n, const LifeTraceOptions& options) {
-  if (n == 0) return;
-  const std::size_t t = regions_.size();
-  trace::TraceContext* ctx = options.ctx;
-  parallel::Barrier barrier(t);
-  // The lab's shared-statistics mutex. Deliberately untraced even when
-  // ctx is set: the grid certificate then depends only on the grid
-  // access pattern (and matches the replay path's, which has no stats
-  // events); the mutex still really protects the merge.
-  std::mutex stats_mutex;
-
-  const std::size_t rows = current_.rows(), cols = current_.cols();
-  const bool horizontal = split_ == parallel::GridSplit::Horizontal;
-  const bool cell = options.granularity == TraceGranularity::Cell;
-  const std::size_t lines = horizontal ? rows : cols;
-  LifeTraceIds ids;
-  if (ctx != nullptr) {
-    barrier.attach_tracer(*ctx, options.report_barrier);
-    ids = intern_life_ids(*ctx, rows, cols, t, cell, lines);
-  }
-
-  // The accesses to lines [line, line + n) of one grid, in line order
-  // and, within a line, in cell order — one capture call per run of
-  // consecutive ids.
-  const auto emit_lines = [&](race::AccessKind kind, bool next_grid, std::size_t line,
-                              std::size_t n, trace::NameId site) {
-    const auto id = [&](std::size_t k) { return next_grid ? ids.next(k) : ids.cur(k); };
-    if (!cell) {
-      ctx->accesses(kind, id(line), n, 2, site);
-    } else if (horizontal) {
-      ctx->accesses(kind, id(line * cols), n * cols, 2, site);
-    } else {
-      for (std::size_t l = line; l < line + n; ++l) {
-        ctx->accesses(kind, id(l), rows, 2 * cols, site);
-      }
-    }
-  };
-
-  // What a worker reads each round: its band plus a one-line halo on
-  // each side in the split dimension (wrapping under Torus), mirroring
-  // the real neighbor reads step_region performs. Emitted before the
-  // compute so the captured order matches the replay path's.
-  const auto emit_compute = [&](std::size_t id) {
-    const parallel::GridRegion& region = regions_[id];
-    const parallel::Range band = horizontal ? region.rows : region.cols;
-    const trace::NameId site = ids.band_sites[id];
-    const auto n_lines = static_cast<std::int64_t>(lines);
+template <class Capture>
+RegionDelta ParallelLife::compute_phase(std::size_t id, const TraceIds* ids,
+                                        const Capture& capture) {
+  const parallel::GridRegion& region = regions_[id];
+  if (ids != nullptr) {
+    // What band `id` reads: the band plus a one-line halo on each side in
+    // the split dimension (wrapping under Torus), mirroring the neighbour
+    // reads step_region performs; then what it writes, its band of the
+    // next grid.
+    const parallel::Range band = ids->horizontal ? region.rows : region.cols;
+    const trace::NameId site = ids->band_sites[id];
+    const auto n_lines = static_cast<std::int64_t>(ids->horizontal ? ids->rows : ids->cols);
     const std::int64_t lo = static_cast<std::int64_t>(band.begin) - 1;
     const std::int64_t hi = static_cast<std::int64_t>(band.end);  // inclusive halo
     // The halo lines in order, as runs of consecutive lines: a wrapped
@@ -259,20 +258,47 @@ void ParallelLife::run(std::size_t n, const LifeTraceOptions& options) {
       // An in-grid line runs on to the last in-grid halo line; a
       // wrapped one stands alone.
       const std::int64_t end = first == ll ? std::min(hi, n_lines - 1) + 1 : ll + 1;
-      emit_lines(race::AccessKind::Read, false, static_cast<std::size_t>(first),
+      ids->lines(capture, race::AccessKind::Read, false, static_cast<std::size_t>(first),
                  static_cast<std::size_t>(end - ll), site);
       ll = end;
     }
-    emit_lines(race::AccessKind::Write, true, band.begin, band.size(), site);
-  };
+    ids->lines(capture, race::AccessKind::Write, true, band.begin, band.size(), site);
+  }
+  return step_region(current_, next_, region, rule_);
+}
 
-  // The swap rebinds every cell of both grids: a write to all of them
-  // by the serial thread (cur and next ids interleave, so the whole
-  // block in id order).
-  const auto emit_swap = [&] {
-    ctx->accesses(race::AccessKind::Write, ids.cur(0), 2 * (cell ? rows * cols : lines), 1,
-                  ids.swap_site);
-  };
+template <class Capture>
+void ParallelLife::swap_phase(const TraceIds* ids, const Capture& capture) {
+  // The swap rebinds every cell of both grids: a write to all of them by
+  // the serial thread (cur and next ids interleave, so the whole block in
+  // id order).
+  if (ids != nullptr) {
+    capture(race::AccessKind::Write, ids->cur(0), 2 * ids->items, std::size_t{1},
+            ids->swap_site);
+  }
+  std::swap(current_, next_);
+  ++generation_;
+}
+
+void ParallelLife::run(std::size_t n, const LifeTraceOptions& options) {
+  if (n == 0) return;
+  const std::size_t t = regions_.size();
+  trace::TraceContext* ctx = options.ctx;
+  parallel::Barrier barrier(t);
+  // The lab's shared-statistics mutex. Deliberately untraced even when
+  // ctx is set: the grid certificate then depends only on the grid
+  // access pattern (and matches the replay's, which has no stats
+  // events); the mutex still really protects the merge.
+  std::mutex stats_mutex;
+
+  TraceIds ids;
+  if (ctx != nullptr) {
+    barrier.attach_tracer(*ctx, options.report_barrier);
+    ids = intern_trace_ids(*ctx, options.granularity);
+  }
+  const TraceIds* traced = ctx != nullptr ? &ids : nullptr;
+  // The calling thread's accesses, through its bound buffer.
+  const auto capture = [ctx](auto... access) { ctx->accesses(access...); };
 
   // One thread team for the whole run; rounds are separated by two
   // barrier crossings (compute -> swap -> next round), with thread 0 as
@@ -281,8 +307,7 @@ void ParallelLife::run(std::size_t n, const LifeTraceOptions& options) {
   // runs are reproducible.
   const auto body = [&](std::size_t id) {
     for (std::size_t round = 0; round < n; ++round) {
-      if (ctx != nullptr) emit_compute(id);
-      const RegionDelta delta = step_region(current_, next_, regions_[id], rule_);
+      const RegionDelta delta = compute_phase(id, traced, capture);
       {
         // The mutex-protected shared statistics of the lab.
         std::scoped_lock lock(stats_mutex);
@@ -292,9 +317,7 @@ void ParallelLife::run(std::size_t n, const LifeTraceOptions& options) {
       barrier.wait();
       if (id == 0) {
         // Serial thread of this cycle: publish the new generation.
-        if (ctx != nullptr) emit_swap();
-        std::swap(current_, next_);
-        ++generation_;
+        swap_phase(traced, capture);
         stats_.max_population = std::max<std::uint64_t>(stats_.max_population,
                                                         current_.population());
       }
@@ -309,6 +332,31 @@ void ParallelLife::run(std::size_t n, const LifeTraceOptions& options) {
     parallel::ThreadTeam team(t, body);
     team.join();
   }
+}
+
+Grid ParallelLife::replay(trace::TraceContext& ctx, std::size_t n, bool use_barrier) && {
+  const TraceIds ids = intern_trace_ids(ctx, TraceGranularity::Cell);
+  // Main (trace thread 0) forks one worker per band, like the ThreadTeam
+  // in run().
+  std::vector<trace::ThreadId> workers;
+  workers.reserve(regions_.size());
+  for (std::size_t t = 0; t < regions_.size(); ++t) workers.push_back(ctx.fork_thread(0));
+  // Worker `t`'s accesses, appended on its behalf.
+  const auto as = [&ctx](trace::ThreadId t) {
+    return [&ctx, t](auto... access) { ctx.accesses_as(t, access...); };
+  };
+  for (std::size_t round = 0; round < n; ++round) {
+    for (std::size_t t = 0; t < workers.size(); ++t) {
+      (void)compute_phase(t, &ids, as(workers[t]));
+      ctx.flush();
+    }
+    if (use_barrier) ctx.barrier_cycle(workers);
+    swap_phase(&ids, as(workers[0]));
+    ctx.flush();
+    if (use_barrier) ctx.barrier_cycle(workers);
+  }
+  ctx.join_threads(0, workers);
+  return std::move(current_);
 }
 
 int ParallelLife::owner(std::size_t r, std::size_t c) const {

@@ -72,6 +72,15 @@ class SerialLife {
   std::size_t generation_ = 0;
 };
 
+/// One Life generation applied to a region (shared by both engines and
+/// unit-testable on its own). Returns (births, deaths) in that region.
+struct RegionDelta {
+  std::uint64_t births = 0;
+  std::uint64_t deaths = 0;
+};
+RegionDelta step_region(const Grid& current, Grid& next, const parallel::GridRegion& region,
+                        EdgeRule rule);
+
 /// Cross-generation statistics that the parallel engine's threads all
 /// update — the shared state Lab 10 protects with a mutex.
 struct LifeStats {
@@ -83,9 +92,8 @@ struct LifeStats {
 /// How finely a traced ParallelLife::run captures grid accesses. Row
 /// traces one variable per band line (per row for a horizontal split) —
 /// cheap enough for real-thread overhead budgets; Cell traces every
-/// cell with the same names the replay path uses ("cur[r,c]"), so the
-/// real-thread certificate is directly comparable to
-/// life::traced_life_check's.
+/// cell ("cur[r,c]"), the granularity life::traced_life_check replays
+/// at, so the real-thread certificate is directly comparable to its.
 enum class TraceGranularity { Row, Cell };
 
 /// Tracing options for ParallelLife::run. `ctx == nullptr` runs
@@ -124,9 +132,9 @@ class ParallelLife {
   /// writes, the per-round barrier records its cycles (and drains the
   /// buffers, bounding capture memory). The per-round statistics mutex
   /// is deliberately *not* traced: the grid certificate then depends
-  /// only on the grid access pattern, byte-identical to the replay
-  /// path's. Call options.ctx->flush() after run() before reading any
-  /// sink's verdict.
+  /// only on the grid access pattern, the one life::traced_life_check
+  /// replays through the same round. Call options.ctx->flush() after
+  /// run() before reading any sink's verdict.
   void run(std::size_t n, const LifeTraceOptions& options);
 
   [[nodiscard]] const Grid& grid() const { return current_; }
@@ -138,6 +146,33 @@ class ParallelLife {
   [[nodiscard]] int owner(std::size_t r, std::size_t c) const;
 
  private:
+  /// life/traced.cpp: the one caller of replay().
+  friend struct LifeReplay;
+
+  /// The ids a traced round names its accesses with (life.cpp).
+  struct TraceIds;
+  [[nodiscard]] TraceIds intern_trace_ids(trace::TraceContext& ctx,
+                                          TraceGranularity granularity) const;
+
+  // The Lab 10 round, written once. compute_phase is band `id`'s step:
+  // its halo reads and band writes, then step_region. swap_phase is the
+  // serial thread's publish of the new generation. Each emits its
+  // accesses through `capture` (TraceContext::accesses' arguments) when
+  // `ids` is set: run() passes the bound ctx->accesses, replay() a
+  // scripted worker's ctx.accesses_as.
+  template <class Capture>
+  RegionDelta compute_phase(std::size_t id, const TraceIds* ids, const Capture& capture);
+  template <class Capture>
+  void swap_phase(const TraceIds* ids, const Capture& capture);
+
+  /// run(n) replayed from the calling OS thread through `ctx`'s
+  /// scripted API at Cell granularity — life::traced_life_check's
+  /// engine. Forks every worker first, flushes after every band and
+  /// after the swap (dispatch order is then emission order), records
+  /// both barrier cycles only when `use_barrier` is set, joins the
+  /// workers, and hands back the final grid.
+  [[nodiscard]] Grid replay(trace::TraceContext& ctx, std::size_t n, bool use_barrier) &&;
+
   Grid current_;
   Grid next_;
   EdgeRule rule_;
@@ -147,21 +182,12 @@ class ParallelLife {
   LifeStats stats_;
 };
 
-/// One Life generation applied to a region (shared by both engines and
-/// unit-testable on its own). Returns (births, deaths) in that region.
-struct RegionDelta {
-  std::uint64_t births = 0;
-  std::uint64_t deaths = 0;
-};
-RegionDelta step_region(const Grid& current, Grid& next, const parallel::GridRegion& region,
-                        EdgeRule rule);
-
 /// Reserve the traced names of both grids' cells as one block of
 /// variable ids in `ctx`, interleaved: cur[r,c] ("cur[2,5]") is
 /// base + 2·(r·cols + c) and next[r,c] the id after it. Returns base.
-/// Both engines name cells through this, so their certificates name the
-/// same cells; a name is formatted only when a report (or a string
-/// lookup) reads it.
+/// A traced round names cells through this (ParallelLife::run at Cell
+/// granularity, and the replay); a name is formatted only when a report
+/// (or a string lookup) reads it.
 [[nodiscard]] trace::NameId reserve_cell_names(trace::TraceContext& ctx, std::size_t rows,
                                                std::size_t cols);
 

@@ -13,11 +13,15 @@
 // really stepped while tracing, so the result can be checked against
 // SerialLife.
 //
-// Since the TraceContext refactor this replay is just a scripted driver
-// of the same capture machinery the real-thread engine uses
-// (ParallelLife::run with LifeTraceOptions): both paths reserve the same
-// names, emit the same events, and feed the same sinks — they differ
-// only in who pushes the events.
+// The replay runs ParallelLife's own round: the compute phase of each
+// band and the serial swap phase that ParallelLife::run's threads run,
+// written once in life.cpp, each emitting its accesses through a capture
+// callable. The real-thread run passes the bound TraceContext::accesses;
+// the replay passes accesses_as on behalf of each scripted worker, so
+// both paths name, emit and feed the sinks the same grid accesses. What
+// differs is the structural order: the replay forks every worker before
+// the first band, flushes after every band and after the swap, and
+// records a barrier cycle only when asked to.
 #pragma once
 
 #include <cstdint>
@@ -72,7 +76,7 @@ struct TracedLifeOptions {
 ///
 /// The cells of both grids are reserved as one block of ids up front
 /// (reserve_cell_names: a name is formatted only if a report reads it),
-/// each row of accesses is appended with one buffer lookup
+/// each run of consecutive rows is appended with one buffer lookup
 /// (TraceContext::accesses_as), and the drain hands each run of
 /// accesses to the FastTrack detector under one lock, so the per-access
 /// cost is a buffer append plus an epoch check, not a string lookup or

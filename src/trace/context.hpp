@@ -20,8 +20,9 @@
 //               the reference implementation the differential harness
 //               compares against.
 //   drain     — at a barrier cycle, a join, or an explicit flush(), the
-//               quiescent threads' buffers (and, in mutex_stream mode,
-//               the sync stream) merge into one deterministically
+//               quiescent threads' buffers and the sync stream (the
+//               fork/join/barrier edges, plus every object sync in
+//               mutex_stream mode) merge into one deterministically
 //               ordered stream (Event::drain_order: stamp, sync-first,
 //               thread id, program order). Each source is already
 //               drain-ordered, so the merge is a k-way merge of sorted
@@ -73,9 +74,11 @@
 // The same context serves two execution styles with one code path:
 // real threads bind themselves (bind_self / a traced ThreadTeam) and
 // use the calling-thread API, while deterministic replays emit events
-// for scripted thread ids from a single OS thread (the *_as API) —
-// life::traced_life_check and ParallelLife::run(traced) differ only in
-// who pushes the events.
+// for scripted thread ids from a single OS thread (the *_as API). The
+// Lab 10 round is written once (ParallelLife's compute and swap phases,
+// life/life.cpp) and takes its capture as a parameter:
+// ParallelLife::run(traced) passes accesses() on each real thread,
+// life::traced_life_check passes accesses_as() for each scripted worker.
 //
 // Quiescence contract (checked by usage, not locks): a drain may only
 // cover buffers whose owning threads are blocked or finished — barrier
@@ -558,7 +561,10 @@ class TraceContext {
   /// mutex_stream mode, every sync capture — that serialization *is*
   /// that mode's design).
   mutable std::mutex stream_mutex_;
-  std::vector<Event> sync_stream_;  ///< mutex_stream mode only
+  /// Fork, join and barrier-cycle edges in both modes (fork_locked,
+  /// join_threads, barrier_cycle), plus every object sync in
+  /// mutex_stream mode.
+  std::vector<Event> sync_stream_;
   std::vector<Event> pending_;  ///< sorted, beyond a past drain's horizon
   std::uint64_t structural_syncs_ = 0;  ///< fork/join/barrier edges recorded
   std::vector<std::vector<ThreadId>> waiter_sets_;  ///< BarrierCycle payloads

@@ -218,6 +218,19 @@ TEST(ParallelLife, RejectsMoreThreadsThanBands) {
   EXPECT_NO_THROW(ParallelLife(Grid(4, 100), 5, parallel::GridSplit::Vertical));
 }
 
+TEST(ParallelLife, RejectsZeroThreadsWithItsOwnMessage) {
+  // The thread count is checked before the grid is partitioned, so the
+  // message names the engine's requirement, not the partitioner's.
+  for (const auto split : {parallel::GridSplit::Horizontal, parallel::GridSplit::Vertical}) {
+    try {
+      ParallelLife(Grid(4, 4), 0, split);
+      ADD_FAILURE() << "zero threads accepted";
+    } catch (const Error& e) {
+      EXPECT_STREQ(e.what(), "need at least one thread");
+    }
+  }
+}
+
 TEST(ParaVis, RendersCellsAndNewlines) {
   Grid g(2, 3);
   g.set(0, 0, true);
