@@ -103,6 +103,13 @@ bool is_possible_output(const std::vector<std::vector<std::string>>& sequences,
 
 std::uint64_t interleaving_count(const std::vector<std::vector<std::string>>& sequences,
                                  bool& saturated) {
+  std::vector<std::size_t> lengths;
+  lengths.reserve(sequences.size());
+  for (const auto& seq : sequences) lengths.push_back(seq.size());
+  return interleaving_count(lengths, saturated);
+}
+
+std::uint64_t interleaving_count(std::span<const std::size_t> lengths, bool& saturated) {
   // Multinomial coefficient: (sum n_i)! / prod(n_i!) computed
   // incrementally; the running value is always an exact binomial, so
   // result * placed is divisible by k. Checked multiplication: once the
@@ -112,8 +119,8 @@ std::uint64_t interleaving_count(const std::vector<std::vector<std::string>>& se
   saturated = false;
   std::uint64_t result = 1;
   std::uint64_t placed = 0;
-  for (const auto& seq : sequences) {
-    for (std::uint64_t k = 1; k <= seq.size(); ++k) {
+  for (const std::size_t length : lengths) {
+    for (std::uint64_t k = 1; k <= length; ++k) {
       ++placed;
       std::uint64_t scaled = 0;
       if (saturated || __builtin_mul_overflow(result, placed, &scaled)) {

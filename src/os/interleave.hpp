@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,10 @@ namespace cs31::os {
 /// exact-looking number.
 [[nodiscard]] std::uint64_t interleaving_count(
     const std::vector<std::vector<std::string>>& sequences, bool& saturated);
+
+/// Same count from the sequence lengths alone.
+[[nodiscard]] std::uint64_t interleaving_count(std::span<const std::size_t> lengths,
+                                               bool& saturated);
 
 /// Convenience overload when the caller does not care about saturation
 /// (the value is still saturating, never wrapped).

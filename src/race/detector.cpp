@@ -52,23 +52,25 @@ std::string explain_race(const AccessSite& first, const AccessSite& second,
       common.push_back(l);
     }
   }
-  std::ostringstream out;
-  out << why << ": no fork/join, lock, barrier, or channel edge orders thread "
-      << first.thread << "'s " << race::to_string(first.kind) << " before thread "
-      << second.thread << "'s " << race::to_string(second.kind);
+  // Appended, not streamed: an explorer run builds one of these per
+  // distinct race, and a stream's set-up costs more than the text.
+  std::string out = why + ": no fork/join, lock, barrier, or channel edge orders thread " +
+                    std::to_string(first.thread) + "'s " + race::to_string(first.kind) +
+                    " before thread " + std::to_string(second.thread) + "'s " +
+                    race::to_string(second.kind);
   if (common.empty()) {
-    out << "; the two sides hold no lock in common";
+    out += "; the two sides hold no lock in common";
   } else {
     // Possible when a shared lock was released before the conflicting
     // epoch was published — still worth surfacing for discussion.
-    out << "; note both sides hold {";
+    out += "; note both sides hold {";
     for (std::size_t i = 0; i < common.size(); ++i) {
-      if (i > 0) out << ", ";
-      out << common[i];
+      if (i > 0) out += ", ";
+      out += common[i];
     }
-    out << '}';
+    out += '}';
   }
-  return out.str();
+  return out;
 }
 
 std::string to_string(Conflict conflict) {
@@ -78,6 +80,21 @@ std::string to_string(Conflict conflict) {
     case Conflict::ReadWrite: return "read-write conflict";
   }
   return "conflict";
+}
+
+RaceRecordKey race_key(const RaceRecord& race) {
+  const auto side = [](const CompactSite& site) {
+    return (static_cast<std::uint64_t>(site.thread) << 32) | site.where;
+  };
+  const std::uint64_t a = side(race.first), b = side(race.second);
+  return RaceRecordKey{race.variable, std::min(a, b), std::max(a, b)};  // unordered pair
+}
+
+std::size_t RaceRecordKeyHash::operator()(const RaceRecordKey& k) const {
+  std::uint64_t h = k.variable;
+  h = h * 0x9e3779b97f4a7c15ULL ^ k.lo;
+  h = h * 0x9e3779b97f4a7c15ULL ^ k.hi;
+  return static_cast<std::size_t>(h ^ (h >> 29));
 }
 
 namespace {
@@ -97,6 +114,8 @@ AccessSite materialize(const NameTables& names, const CompactSite& site) {
   return out;
 }
 
+}  // namespace
+
 RaceReport build_report(const NameTables& names, const RaceRecord& race) {
   RaceReport r;
   r.variable = names.name(NameKind::Var, race.variable);
@@ -105,8 +124,6 @@ RaceReport build_report(const NameTables& names, const RaceRecord& race) {
   r.explanation = explain_race(r.first, r.second, to_string(race.conflict));
   return r;
 }
-
-}  // namespace
 
 // --- RaceList ------------------------------------------------------------
 
@@ -165,11 +182,11 @@ RaceList RaceList::merge_shards(const std::vector<RaceList>& shards) {
                    [](const RaceRecord& a, const RaceRecord& b) {
                      return a.second.event < b.second.event;
                    });
-  std::unordered_set<Detector::RaceKey, Detector::RaceKeyHash> seen;
+  std::unordered_set<RaceRecordKey, RaceRecordKeyHash> seen;
   std::vector<RaceRecord> deduped;
   deduped.reserve(merged.size());
   for (RaceRecord& r : merged) {
-    if (seen.insert(Detector::race_key(r)).second) deduped.push_back(std::move(r));
+    if (seen.insert(race_key(r)).second) deduped.push_back(std::move(r));
   }
   return RaceList(std::move(names), std::move(deduped));
 }
@@ -408,21 +425,6 @@ CompactSite Detector::make_site(ThreadId t, AccessKind kind, NameId where) const
   return site;
 }
 
-Detector::RaceKey Detector::race_key(const RaceRecord& race) {
-  const auto side = [](const CompactSite& site) {
-    return (static_cast<std::uint64_t>(site.thread) << 32) | site.where;
-  };
-  const std::uint64_t a = side(race.first), b = side(race.second);
-  return RaceKey{race.variable, std::min(a, b), std::max(a, b)};  // unordered pair
-}
-
-std::size_t Detector::RaceKeyHash::operator()(const RaceKey& k) const {
-  std::uint64_t h = k.variable;
-  h = h * 0x9e3779b97f4a7c15ULL ^ k.lo;
-  h = h * 0x9e3779b97f4a7c15ULL ^ k.hi;
-  return static_cast<std::size_t>(h ^ (h >> 29));
-}
-
 void Detector::report(NameId var, const CompactSite& first, const CompactSite& second,
                       Conflict conflict) {
   ++race_count_;
@@ -462,6 +464,11 @@ const std::vector<RaceReport>& Detector::races() const {
 RaceList Detector::race_list() const {
   std::scoped_lock lock(mutex_);
   return RaceList(names_, records_);
+}
+
+const std::vector<RaceRecord>& Detector::records() const {
+  std::scoped_lock lock(mutex_);
+  return records_;
 }
 
 bool Detector::race_free() const {

@@ -156,7 +156,7 @@ BlockingState::BlockingState(const Script& script)
   }
 }
 
-std::size_t BlockingState::completed_cycles() const {
+std::size_t BlockingState::count_completed() const {
   std::size_t completed = participants_.empty() ? 0 : SIZE_MAX;
   for (const std::size_t t : participants_) completed = std::min(completed, arrivals_[t]);
   return completed;
@@ -179,9 +179,10 @@ bool BlockingState::execute(std::size_t t) {
     case Verb::Send: ++fill_[op.object]; break;
     case Verb::Recv: --fill_[op.object]; break;
     case Verb::Barrier: {
-      const std::size_t before = completed_cycles();
+      const std::size_t before = completed_;
       ++arrivals_[t];
-      return completed_cycles() > before;
+      completed_ = count_completed();
+      return completed_ > before;
     }
     case Verb::Read:
     case Verb::Write: break;
@@ -197,7 +198,10 @@ void BlockingState::undo(std::size_t t) {
     case Verb::Unlock: held_[op.object] = true; break;
     case Verb::Send: --fill_[op.object]; break;
     case Verb::Recv: ++fill_[op.object]; break;
-    case Verb::Barrier: --arrivals_[t]; break;
+    case Verb::Barrier:
+      --arrivals_[t];
+      completed_ = count_completed();
+      break;
     case Verb::Read:
     case Verb::Write: break;
   }
