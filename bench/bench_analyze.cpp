@@ -17,12 +17,24 @@
 //     ratio the static facts buy the DPOR explorer on a lock-
 //     disciplined corpus (unpruned vs seeded blocking exploration).
 //
+// (d) one script grade, stage by stage: loadgen's valid script_review
+//     bodies (seeds 2 and 3) through the stages grade_script runs —
+//     body split, parse_script, analyze_scripts, seed_explore_options,
+//     the Explorer, and the notes and verdict — each timed and its heap
+//     allocations counted (this binary replaces operator new), next to
+//     the whole run_toolchain over the same bodies. Reported only.
+//
 // Numbers answer the practical course question: is the analyzer cheap
 // enough to run on every compile (it sits on by default in the ccomp
 // pipeline), on every `lint` in the debugger, and on every script
 // submission before exploration? --json emits BENCH_analyze.json and
 // BENCH_analyze_concur.json for the harness.
+#include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -33,8 +45,29 @@
 #include "ccomp/codegen.hpp"
 #include "ccomp/parser.hpp"
 #include "isa/assembler.hpp"
+#include "grader/loadgen.hpp"
+#include "grader/toolchain.hpp"
 #include "isa/maze.hpp"
 #include "race/explore.hpp"
+
+// Section (d) counts heap allocations: every operator new of this
+// binary goes through these.
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_new(size); }
+void* operator new[](std::size_t size) { return counted_new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -66,6 +99,86 @@ std::string synthesize_mini_c(int count) {
   }
   src += "int main(int a, int b) { return worker_0(a, b); }\n";
   return src;
+}
+
+/// The stages of one script grade, in grade_script's order.
+enum Stage : std::size_t { kSplit, kParse, kAnalyze, kSeed, kExplore, kNotes, kStages };
+constexpr std::array<const char*, kStages> kStageNames = {
+    "split", "parse_script", "analyze_scripts", "seed_explore_options", "explorer",
+    "notes_verdict"};
+
+/// Seconds and allocations per stage over one pass of the bodies.
+struct StageTotals {
+  std::array<double, kStages> seconds{};
+  std::array<std::uint64_t, kStages> allocations{};
+};
+
+/// grade_script's note and verdict tail (src/grader/toolchain.cpp),
+/// repeated here so the bench can time it on its own.
+grader::Verdict script_verdict(const analyze::ConcurSummary& summary,
+                               const race::ExploreResult& explored) {
+  grader::Verdict verdict;
+  std::size_t findings = 0;
+  for (const analyze::Diagnostic& d : summary.diagnostics) {
+    if (d.severity != analyze::Severity::Note) ++findings;
+    if (verdict.notes.size() < 4) verdict.notes.push_back(d.to_string());
+  }
+  if (summary.diagnostics.size() > 4) {
+    verdict.notes.push_back(std::to_string(summary.diagnostics.size()) +
+                            " static finding(s) in all");
+  }
+  verdict.result = static_cast<std::int32_t>(explored.schedules_replayed);
+  verdict.events = explored.events_replayed;
+  verdict.races = explored.races.size();
+  for (std::size_t i = 0; i < std::min<std::size_t>(explored.deadlocks.size(), 4); ++i) {
+    verdict.notes.push_back(explored.deadlocks[i].to_string());
+  }
+  for (std::size_t i = 0; i < std::min<std::size_t>(explored.races.size(), 4); ++i) {
+    const race::RaceReport& race = explored.races[i];
+    verdict.notes.push_back("race on " + race.variable + ": " + race.first.where + " vs " +
+                            race.second.where);
+  }
+  verdict.status = !explored.deadlocks.empty() ? "deadlock_found"
+                   : !explored.races.empty()   ? "race_found"
+                   : !explored.complete        ? "timeout"
+                                               : "race_free";
+  verdict.score = static_cast<int>(findings);
+  return verdict;
+}
+
+/// One pass of grade_script's stages over `bodies`.
+StageTotals grade_by_stage(const std::vector<std::string>& bodies,
+                           std::uint64_t& checksum) {
+  StageTotals totals;
+  const grader::ToolchainLimits limits;
+  for (const std::string& body : bodies) {
+    auto at = Clock::now();
+    std::uint64_t allocs = g_allocations.load(std::memory_order_relaxed);
+    const auto mark = [&](Stage stage) {
+      const auto now = Clock::now();
+      const std::uint64_t count = g_allocations.load(std::memory_order_relaxed);
+      totals.seconds[stage] += std::chrono::duration<double>(now - at).count();
+      totals.allocations[stage] += count - allocs;
+      at = now;
+      allocs = count;
+    };
+    const race::ScriptText text = grader::split_script_body(body);
+    mark(kSplit);
+    race::Script script = race::parse_script(text);
+    mark(kParse);
+    const analyze::ConcurSummary summary = analyze::analyze_scripts(script);
+    mark(kAnalyze);
+    race::ExploreOptions options = analyze::seed_explore_options(summary);
+    options.max_schedules = 4096;
+    options.max_events = limits.max_instructions;
+    mark(kSeed);
+    const race::ExploreResult explored =
+        race::Explorer(std::move(script), std::move(options)).run();
+    mark(kExplore);
+    checksum += script_verdict(summary, explored).notes.size();
+    mark(kNotes);
+  }
+  return totals;
 }
 
 }  // namespace
@@ -215,6 +328,80 @@ int main(int argc, char** argv) {
   concur_json.metric("unpruned_schedules", unpruned_schedules);
   concur_json.metric("pruned_schedules", pruned_schedules);
   concur_json.metric("prune_ratio", prune_ratio);
+
+  // (d) one script grade, stage by stage.
+  std::printf("\n---------------------------------------------------------\n");
+  std::printf("script grade: stages of grade_script vs the whole run_toolchain\n");
+  std::printf("---------------------------------------------------------\n\n");
+  std::vector<std::string> bodies;
+  for (const std::uint32_t seed : {2u, 3u}) {
+    grader::LoadPlan plan = grader::make_scenario("script_review", 150, seed);
+    for (grader::Submission& s : plan.submissions) {
+      if (s.body != grader::poison_bad_script()) bodies.push_back(std::move(s.body));
+    }
+  }
+  const int kGradeRounds = 7;
+  const int kGradeReps = 10;
+  concur_json.config("grade_bodies", bodies.size());
+  concur_json.config("grade_rounds", kGradeRounds);
+  concur_json.config("grade_reps", kGradeReps);
+  std::vector<StageTotals> staged;
+  std::vector<double> whole_seconds;
+  std::uint64_t whole_allocations = 0, checksum = 0;
+  for (int round = 0; round < kGradeRounds; ++round) {
+    StageTotals sum;
+    for (int rep = 0; rep < kGradeReps; ++rep) {
+      const StageTotals pass = grade_by_stage(bodies, checksum);
+      for (std::size_t s = 0; s < kStages; ++s) {
+        sum.seconds[s] += pass.seconds[s];
+        sum.allocations[s] += pass.allocations[s];
+      }
+    }
+    staged.push_back(sum);
+    const std::uint64_t allocs = g_allocations.load(std::memory_order_relaxed);
+    const auto start = Clock::now();
+    for (int rep = 0; rep < kGradeReps; ++rep) {
+      for (const std::string& body : bodies) {
+        checksum += grader::run_toolchain({"s", grader::SubmissionKind::Script, body})
+                        .notes.size();
+      }
+    }
+    whole_seconds.push_back(seconds_since(start));
+    whole_allocations = g_allocations.load(std::memory_order_relaxed) - allocs;
+  }
+  // Per stage, the median round; grades per round = bodies x reps.
+  const double grades = static_cast<double>(bodies.size()) * kGradeReps;
+  const auto median_us = [grades](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2] / grades * 1e6;
+  };
+  double stage_sum_us = 0;
+  for (std::size_t s = 0; s < kStages; ++s) {
+    std::vector<double> seconds;
+    for (const StageTotals& round : staged) seconds.push_back(round.seconds[s]);
+    const double us = median_us(seconds);
+    const double allocs = static_cast<double>(staged.back().allocations[s]) / grades;
+    stage_sum_us += us;
+    std::printf("%-21s: %7.3f us/grade  %7.1f allocations/grade\n", kStageNames[s], us,
+                allocs);
+    concur_json.metric(std::string("grade_") + kStageNames[s] + "_us", us);
+    concur_json.metric(std::string("grade_") + kStageNames[s] + "_allocations", allocs);
+  }
+  std::uint64_t stage_allocations = 0;
+  for (const std::uint64_t a : staged.back().allocations) stage_allocations += a;
+  const double whole_us = median_us(whole_seconds);
+  std::printf("%-21s: %7.3f us/grade  %7.1f allocations/grade\n", "stage sum", stage_sum_us,
+              static_cast<double>(stage_allocations) / grades);
+  std::printf("%-21s: %7.3f us/grade  %7.1f allocations/grade  (stage sum / whole %.2f)\n",
+              "run_toolchain", whole_us, static_cast<double>(whole_allocations) / grades,
+              stage_sum_us / whole_us);
+  concur_json.metric("grade_stage_sum_us", stage_sum_us);
+  concur_json.metric("grade_stage_sum_allocations",
+                     static_cast<double>(stage_allocations) / grades);
+  concur_json.metric("grade_run_toolchain_us", whole_us);
+  concur_json.metric("grade_run_toolchain_allocations",
+                     static_cast<double>(whole_allocations) / grades);
+  concur_json.metric("grade_checksum", checksum);
 
   std::printf("\nall levels clean; analysis cost is per-compile noise, not a tax\n");
   return concur_json.write() ? 0 : 1;

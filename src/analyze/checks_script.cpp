@@ -1,9 +1,8 @@
 #include "analyze/checks_script.hpp"
 
 #include <algorithm>
-#include <set>
+#include <span>
 #include <sstream>
-#include <tuple>
 
 #include "common/json.hpp"
 
@@ -12,16 +11,6 @@ namespace cs31::analyze {
 using common::json_quote;
 
 namespace {
-
-std::string lockset_text(const std::vector<std::string>& locks) {
-  std::string out = "{";
-  for (std::size_t i = 0; i < locks.size(); ++i) {
-    if (i) out += ", ";
-    out += locks[i];
-  }
-  out += '}';
-  return out;
-}
 
 std::string join(const std::vector<std::string>& parts, const char* sep) {
   std::string out;
@@ -32,8 +21,19 @@ std::string join(const std::vector<std::string>& parts, const char* sep) {
   return out;
 }
 
-bool disjoint(const std::vector<std::string>& a, const std::vector<std::string>& b) {
-  // Both sorted (ScriptOp::must_locks contract).
+/// "{a, b}": a lockset of mutex ranks, by name.
+std::string lockset_text(const ScriptModel& model, std::span<const std::uint32_t> locks) {
+  std::string out = "{";
+  for (std::size_t i = 0; i < locks.size(); ++i) {
+    if (i) out += ", ";
+    out += model.mutex_of_rank(locks[i]);
+  }
+  out += '}';
+  return out;
+}
+
+bool disjoint(std::span<const std::uint32_t> a, std::span<const std::uint32_t> b) {
+  // Both ascending (ScriptModel::locks).
   auto ia = a.begin();
   auto ib = b.begin();
   while (ia != a.end() && ib != b.end()) {
@@ -62,18 +62,22 @@ Diagnostic at(const ScriptOp& op, Severity severity, std::string pass,
 /// the component — the op diagnostics point at. Tarjan guarantees an
 /// internal edge for every component it reports as cyclic.
 const ScriptOp* cycle_witness(const std::vector<OrderEdge>& edges,
-                              const std::vector<std::string>& component) {
-  const std::set<std::string> in(component.begin(), component.end());
+                              const std::vector<Resource>& component) {
+  const auto in = [&component](Resource r) {
+    return std::binary_search(component.begin(), component.end(), r);
+  };
   for (const OrderEdge& e : edges) {
-    if (in.count(e.from) != 0 && in.count(e.to) != 0) return e.witness;
+    if (in(e.from) && in(e.to)) return e.witness;
   }
   return nullptr;
 }
 
-bool all_mutexes(const std::vector<std::string>& component) {
-  return std::all_of(component.begin(), component.end(), [](const std::string& r) {
-    return r.rfind("mutex ", 0) == 0;
-  });
+std::vector<std::string> resource_names(const ScriptModel& model,
+                                        const std::vector<Resource>& component) {
+  std::vector<std::string> names;
+  names.reserve(component.size());
+  for (const Resource r : component) names.push_back(model.resource_name(r));
+  return names;
 }
 
 }  // namespace
@@ -152,38 +156,44 @@ ConcurSummary analyze_scripts(const race::Script& script) {
   summary.ops = script.total_ops();
 
   // --- static race candidates -------------------------------------
-  const std::vector<const ScriptOp*> accesses = model.accesses();
-  std::set<std::tuple<std::string, std::string, std::string>> race_seen;
-  for (std::size_t i = 0; i < accesses.size(); ++i) {
-    for (std::size_t j = i + 1; j < accesses.size(); ++j) {
-      const ScriptOp& a = *accesses[i];
-      const ScriptOp& b = *accesses[j];
-      if (a.thread == b.thread || a.object != b.object) continue;
-      if (a.verb != Verb::Write && b.verb != Verb::Write) continue;
-      if (!disjoint(a.must_locks, b.must_locks)) continue;
+  // A label names its op's variable, so a pair of sites is a candidate
+  // key; the table is built on the first candidate.
+  std::vector<bool> race_seen;
+  for (std::size_t i = 0; i < model.ops.size(); ++i) {
+    const ScriptOp& a = model.ops[i];
+    if (!a.access()) continue;
+    for (std::size_t j = i + 1; j < model.ops.size(); ++j) {
+      const ScriptOp& b = model.ops[j];
+      if (!b.access() || a.thread == b.thread || a.object() != b.object()) continue;
+      if (a.verb() != Verb::Write && b.verb() != Verb::Write) continue;
+      if (!disjoint(model.locks(a), model.locks(b))) continue;
       if (model.barrier_ordered(a, b)) continue;
 
-      if (!race_seen.emplace(a.object, std::min(a.text, b.text), std::max(a.text, b.text))
-               .second) {
-        continue;
+      if (race_seen.empty()) {
+        race_seen.assign(std::size_t{script.sites} * script.sites, false);
       }
+      const std::size_t lo = std::min(a.op->site, b.op->site);
+      const std::size_t hi = std::max(a.op->site, b.op->site);
+      if (race_seen[lo * script.sites + hi]) continue;
+      race_seen[lo * script.sites + hi] = true;
 
+      const std::string& variable = model.name(a);
       StaticRace race;
-      race.variable = a.object;
-      race.first = a.text;
-      race.second = b.text;
+      race.variable = variable;
+      race.first = model.text(a);
+      race.second = model.text(b);
       race.first_thread = a.thread;
       race.second_thread = b.thread;
-      race.first_is_write = a.verb == Verb::Write;
-      race.second_is_write = b.verb == Verb::Write;
-      race.explanation = "locksets " + lockset_text(a.must_locks) + " vs " +
-                         lockset_text(b.must_locks) +
+      race.first_is_write = a.verb() == Verb::Write;
+      race.second_is_write = b.verb() == Verb::Write;
+      race.explanation = "locksets " + lockset_text(model, model.locks(a)) + " vs " +
+                         lockset_text(model, model.locks(b)) +
                          " share no lock and no barrier orders the pair";
 
       Diagnostic d = at(a, Severity::Warning, "static-race",
-                        "'" + a.object + "' may race: '" + a.text + "' and '" + b.text +
-                            "' can run unordered; " + race.explanation);
-      d.notes.push_back("second access: '" + b.text + "' (t" +
+                        "'" + variable + "' may race: '" + race.first + "' and '" +
+                            race.second + "' can run unordered; " + race.explanation);
+      d.notes.push_back("second access: '" + race.second + "' (t" +
                         std::to_string(b.thread) + " op " + std::to_string(b.index + 1) +
                         ")");
       summary.diagnostics.push_back(std::move(d));
@@ -198,12 +208,13 @@ ConcurSummary analyze_scripts(const race::Script& script) {
   for (const auto& component : cycle_components(model.lock_order)) {
     if (component.size() < 2) continue;
     const ScriptOp* witness = cycle_witness(model.lock_order, component);
+    const std::vector<std::string> names = resource_names(model, component);
     summary.deadlocks.push_back(
-        {"lock-order-cycle", component, witness ? witness->text : "", false});
+        {"lock-order-cycle", names, witness ? model.text(*witness) : "", false});
     if (witness != nullptr) {
       summary.diagnostics.push_back(
           at(*witness, Severity::Warning, "lock-order-cycle",
-             "lock-order cycle through " + join(component, ", ") +
+             "lock-order cycle through " + join(names, ", ") +
                  ": threads acquire these in conflicting orders, so some schedule "
                  "deadlocks"));
     }
@@ -211,14 +222,18 @@ ConcurSummary analyze_scripts(const race::Script& script) {
   // Wait-order cycles that are not pure lock cycles are communication
   // deadlocks (a channel or the barrier participates).
   for (const auto& component : cycle_components(model.wait_order)) {
-    if (all_mutexes(component)) continue;  // reported above / self-deadlock
+    const auto is_mutex = [&model](Resource r) { return model.is_mutex(r); };
+    if (std::all_of(component.begin(), component.end(), is_mutex)) {
+      continue;  // reported above / self-deadlock
+    }
     const ScriptOp* witness = cycle_witness(model.wait_order, component);
+    const std::vector<std::string> names = resource_names(model, component);
     summary.deadlocks.push_back(
-        {"channel-wait-cycle", component, witness ? witness->text : "", false});
+        {"channel-wait-cycle", names, witness ? model.text(*witness) : "", false});
     if (witness != nullptr) {
       summary.diagnostics.push_back(
           at(*witness, Severity::Warning, "channel-wait-cycle",
-             "wait-order cycle through " + join(component, ", ") +
+             "wait-order cycle through " + join(names, ", ") +
                  ": progress on each resource requires the others, so some schedule "
                  "deadlocks"));
     }
@@ -226,50 +241,44 @@ ConcurSummary analyze_scripts(const race::Script& script) {
 
   // --- per-thread discipline ---------------------------------------
   for (const ThreadScript& thread : model.threads) {
-    for (const std::size_t idx : thread.self_relocks) {
+    for (const std::uint32_t idx : thread.self_relocks) {
       const ScriptOp& op = thread.ops[idx];
       summary.deadlocks.push_back(
-          {"self-deadlock", {mutex_resource(op.object)}, op.text, true});
+          {"self-deadlock", {"mutex " + model.name(op)}, model.text(op), true});
       summary.diagnostics.push_back(
           at(op, Severity::Error, "self-deadlock",
-             "re-lock of held mutex '" + op.object +
+             "re-lock of held mutex '" + model.name(op) +
                  "': this thread blocks on itself in every schedule that reaches this "
                  "op"));
     }
-    for (const std::size_t idx : thread.unmatched_unlocks) {
+    for (const std::uint32_t idx : thread.unmatched_unlocks) {
       const ScriptOp& op = thread.ops[idx];
       summary.diagnostics.push_back(
           at(op, Severity::Error, "unlock-without-lock",
-             "unlock of '" + op.object +
+             "unlock of '" + model.name(op) +
                  "' without a matching program-order lock (the dynamic tier rejects "
                  "this script)"));
     }
   }
 
   // --- channel accounting -------------------------------------------
-  for (const auto& [channel, recv_count] : model.recvs) {
-    const auto sent = model.sends.find(channel);
-    const std::size_t send_count = sent == model.sends.end() ? 0 : sent->second;
+  for (const std::uint32_t channel : model.channels_by_name) {
+    const std::uint32_t recv_count = model.recvs[channel];
+    const std::uint32_t send_count = model.sends[channel];
     if (recv_count <= send_count) continue;
     // Attribute to the first recv of the channel in (thread, op) order.
-    const ScriptOp* witness = nullptr;
-    for (const ThreadScript& thread : model.threads) {
-      for (const ScriptOp& op : thread.ops) {
-        if (op.verb == Verb::Recv && op.object == channel) {
-          witness = &op;
-          break;
-        }
-      }
-      if (witness != nullptr) break;
-    }
-    summary.deadlocks.push_back({"recv-no-send",
-                                 {channel_resource(channel)},
-                                 witness ? witness->text : "",
-                                 true});
+    const auto first_recv =
+        std::find_if(model.ops.begin(), model.ops.end(), [&](const ScriptOp& op) {
+          return op.verb() == Verb::Recv && op.object() == channel;
+        });
+    const ScriptOp* witness = first_recv == model.ops.end() ? nullptr : &*first_recv;
+    const std::string& name = script.channels[channel];
+    summary.deadlocks.push_back(
+        {"recv-no-send", {"channel " + name}, witness ? model.text(*witness) : "", true});
     if (witness != nullptr) {
       summary.diagnostics.push_back(
           at(*witness, Severity::Error, "recv-no-send",
-             "channel '" + channel + "' receives " + std::to_string(recv_count) +
+             "channel '" + name + "' receives " + std::to_string(recv_count) +
                  " time(s) but is sent only " + std::to_string(send_count) +
                  " time(s): a recv waits forever in every complete schedule"));
     }
@@ -279,16 +288,17 @@ ConcurSummary analyze_scripts(const race::Script& script) {
   if (model.max_arrivals > model.min_arrivals) {
     std::vector<std::string> lagging;
     const ScriptOp* witness = nullptr;
-    for (const ThreadScript& thread : model.threads) {
+    for (std::size_t t = 0; t < model.threads.size(); ++t) {
+      const ThreadScript& thread = model.threads[t];
       if (thread.ops.empty()) continue;
       if (thread.barrier_arrivals == model.min_arrivals) {
-        lagging.push_back(thread.tag);
+        lagging.push_back("t" + std::to_string(t));
       } else if (witness == nullptr) {
         // The (min+1)-th arrival of the first eager thread: the op
         // that can never complete.
-        std::size_t arrivals = 0;
+        std::uint32_t arrivals = 0;
         for (const ScriptOp& op : thread.ops) {
-          if (op.verb != Verb::Barrier) continue;
+          if (op.verb() != Verb::Barrier) continue;
           if (++arrivals == model.min_arrivals + 1) {
             witness = &op;
             break;
@@ -296,10 +306,8 @@ ConcurSummary analyze_scripts(const race::Script& script) {
         }
       }
     }
-    summary.deadlocks.push_back({"barrier-starvation",
-                                 {barrier_resource()},
-                                 witness ? witness->text : "",
-                                 true});
+    summary.deadlocks.push_back(
+        {"barrier-starvation", {"barrier"}, witness ? model.text(*witness) : "", true});
     if (witness != nullptr) {
       summary.diagnostics.push_back(
           at(*witness, Severity::Error, "barrier-starvation",
@@ -310,42 +318,46 @@ ConcurSummary analyze_scripts(const race::Script& script) {
   }
 
   // --- independence facts --------------------------------------------
-  for (const auto& [var, owners] : model.var_threads) {
-    if (owners.size() == 1) {
-      summary.thread_local_vars.push_back(var);
+  // guard[var]: the rank of the first lock every access of var holds,
+  // or kNone.
+  // The scratch of the last two checks, one block: guard by variable,
+  // then two flags by mutex.
+  constexpr std::uint32_t kNone = ScriptModel::kMany;
+  std::vector<std::uint32_t> scratch(script.vars.size() + 2 * script.mutexes.size(), 0);
+  const auto guard = std::span<std::uint32_t>(scratch).first(script.vars.size());
+  std::fill(guard.begin(), guard.end(), kNone);
+  std::vector<std::uint32_t> common;
+  for (const std::uint32_t var : model.vars_by_name) {
+    const std::string& name = script.vars[var];
+    if (model.var_owner[var] != ScriptModel::kMany) {
+      summary.thread_local_vars.push_back(name);
       continue;
     }
     // Intersect the must-locksets of every access of var.
-    std::vector<std::string> common;
     bool first = true;
-    for (const ThreadScript& thread : model.threads) {
-      for (const ScriptOp& op : thread.ops) {
-        if (op.object != var ||
-            (op.verb != Verb::Read && op.verb != Verb::Write)) {
-          continue;
-        }
-        if (first) {
-          common = op.must_locks;
-          first = false;
-        } else {
-          std::vector<std::string> next;
-          std::set_intersection(common.begin(), common.end(), op.must_locks.begin(),
-                                op.must_locks.end(), std::back_inserter(next));
-          common = std::move(next);
-        }
-        if (common.empty()) break;
+    for (const ScriptOp& op : model.ops) {
+      if (!op.access() || op.object() != var) continue;
+      const auto locks = model.locks(op);
+      if (first) {
+        common.assign(locks.begin(), locks.end());
+        first = false;
+      } else {
+        std::erase_if(common, [&locks](std::uint32_t lock) {
+          return !std::binary_search(locks.begin(), locks.end(), lock);
+        });
       }
-      if (!first && common.empty()) break;
+      if (common.empty()) break;
     }
-    if (!common.empty()) {
-      summary.guarded_vars[var] = common.front();
-      Diagnostic d;
-      d.severity = Severity::Note;
-      d.pass = "guarded-by";
-      d.message = "'" + var + "' is consistently guarded by '" + common.front() +
-                  "' (never a race candidate under blocking semantics)";
-      summary.diagnostics.push_back(std::move(d));
-    }
+    if (common.empty()) continue;
+    guard[var] = common.front();
+    const std::string& lock = model.mutex_of_rank(common.front());
+    summary.guarded_vars[name] = lock;
+    Diagnostic d;
+    d.severity = Severity::Note;
+    d.pass = "guarded-by";
+    d.message = "'" + name + "' is consistently guarded by '" + lock +
+                "' (never a race candidate under blocking semantics)";
+    summary.diagnostics.push_back(std::move(d));
   }
 
   // --- pure-guard mutexes --------------------------------------------
@@ -357,50 +369,53 @@ ConcurSummary analyze_scripts(const race::Script& script) {
   // variable with other unguarded sites (the section's release/acquire
   // edges could mask that race in one acquisition order) — disqualifies
   // it. Survivors' critical sections commute as atomic blocks.
-  std::set<std::string> impure;
-  std::set<std::string> seen_mutexes;
-  const auto thread_local_var = [&summary](const std::string& var) {
-    return std::binary_search(summary.thread_local_vars.begin(),
-                              summary.thread_local_vars.end(), var);
+  const auto impure = std::span<std::uint32_t>(scratch).subspan(script.vars.size(),
+                                                                 script.mutexes.size());
+  const auto seen = std::span<std::uint32_t>(scratch).last(script.mutexes.size());
+  std::vector<std::uint32_t>& held = common;  // mutex ids, acquisition order
+  const auto taint_held = [&] {
+    for (const std::uint32_t h : held) impure[h] = 1;
   };
   for (const ThreadScript& thread : model.threads) {
-    std::vector<std::string> held;  // acquisition order
+    held.clear();
     for (const ScriptOp& op : thread.ops) {
-      switch (op.verb) {
+      switch (op.verb()) {
         case Verb::Lock:
-          seen_mutexes.insert(op.object);
-          for (const std::string& h : held) impure.insert(h);
-          held.push_back(op.object);
+          seen[op.object()] = 1;
+          taint_held();
+          held.push_back(op.object());
           break;
         case Verb::Unlock: {
-          const auto it = std::find(held.rbegin(), held.rend(), op.object);
+          const auto it = std::find(held.rbegin(), held.rend(), op.object());
           if (it != held.rend()) {
             held.erase(std::next(it).base());
           } else {
-            impure.insert(op.object);  // unlock-without-lock
+            impure[op.object()] = 1;  // unlock-without-lock
           }
           break;
         }
         case Verb::Read:
         case Verb::Write:
-          for (const std::string& h : held) {
-            const auto guard = summary.guarded_vars.find(op.object);
-            const bool guarded_by_h =
-                guard != summary.guarded_vars.end() && guard->second == h;
-            if (!guarded_by_h && !thread_local_var(op.object)) impure.insert(h);
+          for (const std::uint32_t h : held) {
+            const bool guarded_by_h = guard[op.object()] == model.mutex_rank[h];
+            if (!guarded_by_h && model.var_owner[op.object()] == ScriptModel::kMany) {
+              impure[h] = 1;
+            }
           }
           break;
         case Verb::Send:
         case Verb::Recv:
         case Verb::Barrier:
-          for (const std::string& h : held) impure.insert(h);
+          taint_held();
           break;
       }
     }
-    for (const std::string& h : held) impure.insert(h);  // never released
+    taint_held();  // never released
   }
-  for (const std::string& m : seen_mutexes) {
-    if (impure.count(m) == 0) summary.independent_mutexes.push_back(m);
+  for (const std::uint32_t m : model.mutexes_by_name) {
+    if (seen[m] != 0 && impure[m] == 0) {
+      summary.independent_mutexes.push_back(script.mutexes[m]);
+    }
   }
 
   normalize(summary.diagnostics);

@@ -29,10 +29,17 @@
 //                      op. A cycle is a deadlock candidate; the pure-
 //                      lock cycles are the classic lock-order bugs,
 //                      the rest are communication deadlocks.
+//
+// The model keys everything on the race::Script's ids: an op carries
+// its Script op, locksets are runs of mutex ids in one pool, the
+// per-channel and per-variable facts are vectors by id, and a resource
+// is one number whose order is the order of its name ("barrier" <
+// "channel q" < "mutex m", names by rank). A name is rendered only
+// where a check writes a Diagnostic or a ConcurSummary field.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,95 +49,113 @@ namespace cs31::analyze {
 
 using race::Verb;
 
-/// One parsed op of one thread's script, with the per-thread abstract
-/// state attached: the must-hold lockset and the barrier epoch at the
-/// point this op executes.
+/// A blocking resource as one number, ordered as its name: 0 is the
+/// barrier, then the channels, then the mutexes, each kind by name.
+using Resource = std::uint32_t;
+
+/// One op of one thread's script, with the per-thread abstract state
+/// attached: the must-hold lockset and the barrier epoch at the point
+/// this op executes.
 struct ScriptOp {
-  Verb verb = Verb::Read;
-  std::string object;  ///< variable / mutex / channel name ("" for barrier)
-  std::string text;    ///< tagged text, e.g. "t0 write z" — report attribution
-  std::size_t thread = 0;  ///< owning thread index
-  std::size_t index = 0;   ///< 0-based position in the thread's script
-
-  /// Locks the thread must hold when this op executes (sorted,
-  /// program-order exact because scripts are straight-line).
-  std::vector<std::string> must_locks;
-
+  const race::ScriptOp* op = nullptr;  ///< verb, object id, site and label
+  std::uint32_t thread = 0;            ///< owning thread index
+  std::uint32_t index = 0;             ///< 0-based position in the thread's script
   /// Barrier arrivals of this thread before this op (its epoch).
-  std::size_t epoch = 0;
+  std::uint32_t epoch = 0;
+  /// The locks the thread must hold here: ScriptModel::locks(*this),
+  /// mutex ranks in ascending order (program-order exact because
+  /// scripts are straight-line).
+  std::uint32_t locks_at = 0, locks_count = 0;
 
-  /// True for ops that can block under real semantics: lock, recv,
-  /// and any op whose thread is parked at an incomplete barrier.
-  [[nodiscard]] bool blocks() const {
-    return verb == Verb::Lock || verb == Verb::Recv;
+  [[nodiscard]] Verb verb() const { return op->verb; }
+  [[nodiscard]] std::uint32_t object() const { return op->object; }
+  [[nodiscard]] bool access() const {
+    return verb() == Verb::Read || verb() == Verb::Write;
   }
-
-  /// The resource a blocking op waits on, in the shared naming scheme
-  /// ("mutex m0", "channel q0", "barrier"); "" for non-blocking ops.
-  [[nodiscard]] std::string waits_on() const;
+  /// Ops that can block under real semantics: lock and recv.
+  [[nodiscard]] bool blocks() const { return verb() == Verb::Lock || verb() == Verb::Recv; }
 };
 
 /// One edge of the lock-order / wait-order graphs, with the op that
 /// witnessed it (diagnostics point at real script positions).
 struct OrderEdge {
-  std::string from;  ///< resource name ("mutex a", "channel q0", "barrier")
-  std::string to;
+  Resource from = 0;
+  Resource to = 0;
   const ScriptOp* witness = nullptr;  ///< op that created the edge
-
-  friend bool operator==(const OrderEdge& a, const OrderEdge& b) {
-    return a.from == b.from && a.to == b.to;
-  }
 };
 
-/// Shared resource-name builders (the checks and the dynamic
-/// confirmation paths must agree on these spellings).
-[[nodiscard]] std::string mutex_resource(const std::string& name);
-[[nodiscard]] std::string channel_resource(const std::string& name);
-[[nodiscard]] std::string barrier_resource();
-
 struct ThreadScript {
-  std::string tag;  ///< "t0", "t1", ... (tag_threads order)
-  std::vector<ScriptOp> ops;
-  std::size_t barrier_arrivals = 0;
+  std::span<const ScriptOp> ops;
+  std::uint32_t barrier_arrivals = 0;
 
   /// Discipline violations: an unlock with no program-order lock
   /// (race::unmatched_unlocks — the dynamic tier throws on these) and a
   /// re-lock of a mutex already held (guaranteed self-deadlock under
   /// blocking semantics).
-  std::vector<std::size_t> unmatched_unlocks;  ///< op indices
-  std::vector<std::size_t> self_relocks;       ///< op indices
+  std::vector<std::uint32_t> unmatched_unlocks;  ///< op indices
+  std::vector<std::uint32_t> self_relocks;       ///< op indices
 };
 
-/// The whole-program static model.
+/// The whole-program static model over one Script, which must outlive
+/// it.
 struct ScriptModel {
+  static constexpr std::uint32_t kMany = ~std::uint32_t{0};
+  static constexpr std::uint32_t kNoOwner = kMany - 1;  ///< no access seen yet
+
+  ScriptModel() = default;
+  ScriptModel(ScriptModel&&) = default;
+  ScriptModel(const ScriptModel&) = delete;
+
+  const race::Script* script = nullptr;
+  std::vector<ScriptOp> ops;  ///< every op, thread by thread
   std::vector<ThreadScript> threads;
+  std::vector<std::uint32_t> lock_pool;  ///< the ops' locksets, as mutex ranks
+
+  // Per-id facts, as runs of one block (ScriptModel moves, never
+  // copies, so the runs stay valid).
+  std::vector<std::uint32_t> facts;
+  /// Ids in name order, per kind, and each id's place in that order.
+  std::span<std::uint32_t> vars_by_name, mutexes_by_name, channels_by_name;
+  std::span<std::uint32_t> mutex_rank, channel_rank;
+  /// Per-channel totals across all threads, by channel id.
+  std::span<std::uint32_t> sends, recvs;
+  /// By variable id: the one thread that accesses it, or kMany.
+  std::span<std::uint32_t> var_owner;
 
   /// min/max barrier arrivals over threads with any ops at all: cycle
   /// c completes in SOME schedule iff c <= min_arrivals, and a gap
   /// between the two is barrier starvation.
-  std::size_t min_arrivals = 0;
-  std::size_t max_arrivals = 0;
+  std::uint32_t min_arrivals = 0;
+  std::uint32_t max_arrivals = 0;
 
-  /// Per-channel totals across all threads.
-  std::map<std::string, std::size_t> sends;
-  std::map<std::string, std::size_t> recvs;
-
-  /// Variables and which threads access them (thread index set,
-  /// sorted), for the thread-local / consistently-locked
-  /// classification.
-  std::map<std::string, std::vector<std::size_t>> var_threads;
-
-  /// edge a -> b: some thread locks b while holding a. Deduplicated,
-  /// deterministic order (by from, to).
+  /// edge a -> b: some thread locks b while holding a. Deduplicated
+  /// (the first witness kept), in (from, to) order.
   std::vector<OrderEdge> lock_order;
 
-  /// The generalized wait-order graph (see file comment).
-  /// Deduplicated, deterministic order.
+  /// The generalized wait-order graph (see file comment), likewise.
   std::vector<OrderEdge> wait_order;
 
-  /// Every var access (read/write) in (thread, index) order — the
-  /// iteration the race-candidate check walks.
-  [[nodiscard]] std::vector<const ScriptOp*> accesses() const;
+  [[nodiscard]] std::span<const std::uint32_t> locks(const ScriptOp& op) const {
+    return std::span<const std::uint32_t>(lock_pool).subspan(op.locks_at, op.locks_count);
+  }
+  [[nodiscard]] const std::string& text(const ScriptOp& op) const { return op.op->text; }
+  /// The operand's name ("" for a barrier).
+  [[nodiscard]] const std::string& name(const ScriptOp& op) const {
+    return script->name(*op.op);
+  }
+  [[nodiscard]] const std::string& mutex_of_rank(std::uint32_t rank) const {
+    return script->mutexes[mutexes_by_name[rank]];
+  }
+
+  [[nodiscard]] Resource barrier() const { return 0; }
+  [[nodiscard]] Resource channel(std::uint32_t id) const { return 1 + channel_rank[id]; }
+  [[nodiscard]] Resource mutex_resource(std::uint32_t rank) const {
+    return 1 + static_cast<Resource>(channel_rank.size()) + rank;
+  }
+  [[nodiscard]] bool is_mutex(Resource r) const { return r > channel_rank.size(); }
+  /// "barrier", "channel q0" or "mutex a": the spelling the checks and
+  /// the dynamic tier's stuck states share.
+  [[nodiscard]] std::string resource_name(Resource r) const;
 
   /// Is `a` ordered before `b` (or vice versa) in EVERY schedule by a
   /// completed barrier cycle between their epochs? Requires the cycle
@@ -145,9 +170,9 @@ struct ScriptModel {
 
 /// Strongly-connected components of an edge list with >= 2 nodes, plus
 /// single nodes with a self-edge — i.e. every node set that lies on a
-/// cycle. Deterministic order (each component sorted by name,
-/// components sorted by first name). Exposed for tests.
-[[nodiscard]] std::vector<std::vector<std::string>> cycle_components(
+/// cycle. Deterministic order (each component ascending, components in
+/// lexicographic order). Exposed for tests.
+[[nodiscard]] std::vector<std::vector<Resource>> cycle_components(
     const std::vector<OrderEdge>& edges);
 
 }  // namespace cs31::analyze

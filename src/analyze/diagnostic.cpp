@@ -31,17 +31,18 @@ std::string hex_addr(std::uint32_t addr) {
 }  // namespace
 
 std::string Diagnostic::to_string() const {
-  std::ostringstream out;
-  out << analyze::to_string(severity) << '[' << pass << ']';
+  std::string out = analyze::to_string(severity);
+  out.reserve(out.size() + pass.size() + function.size() + message.size() + 32);
+  out.append("[").append(pass).append("]");
   if (has_addr) {
-    out << ' ' << hex_addr(addr);
+    out.append(" ").append(hex_addr(addr));
   } else if (line > 0) {
-    out << " line " << line;
+    out.append(" line ").append(std::to_string(line));
   }
-  if (!function.empty()) out << " in '" << function << '\'';
-  out << ": " << message;
-  for (const std::string& note : notes) out << "\n    note: " << note;
-  return out.str();
+  if (!function.empty()) out.append(" in '").append(function).append("'");
+  out.append(": ").append(message);
+  for (const std::string& note : notes) out.append("\n    note: ").append(note);
+  return out;
 }
 
 std::string Diagnostic::to_json() const {

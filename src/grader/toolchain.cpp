@@ -243,44 +243,54 @@ void for_each_piece(std::string_view text, char separator, F f) {
   }
 }
 
-/// One thread per line with an op; ops on a line separated by ';',
-/// trimmed of spaces and tabs, empty ones skipped.
-std::vector<std::vector<std::string>> parse_script_threads(std::string_view body) {
+}  // namespace
+
+race::ScriptText split_script_body(std::string_view body) {
   constexpr std::string_view kBlank = " \t";
-  std::vector<std::vector<std::string>> scripts;
+  race::ScriptText text;
+  text.ops.reserve(static_cast<std::size_t>(
+      1 + std::count_if(body.begin(), body.end(), [](char c) { return c == ';' || c == '\n'; })));
   for_each_piece(body, '\n', [&](std::string_view line) {
-    std::vector<std::string> ops;
+    const std::size_t before = text.ops.size();
     for_each_piece(line, ';', [&](std::string_view op) {
       const std::size_t begin = op.find_first_not_of(kBlank);
       if (begin == std::string_view::npos) return;
-      ops.emplace_back(op.substr(begin, op.find_last_not_of(kBlank) - begin + 1));
+      text.ops.push_back(op.substr(begin, op.find_last_not_of(kBlank) - begin + 1));
     });
-    if (!ops.empty()) scripts.push_back(std::move(ops));
+    if (text.ops.size() != before) text.ends.push_back(text.ops.size());
   });
-  require(!scripts.empty(), "script submission: no threads");
-  return scripts;
+  require(!text.ends.empty(), "script submission: no threads");
+  return text;
 }
+
+namespace {
+
+/// Most static diagnostics a script verdict quotes as notes; past it,
+/// one more note gives the total.
+constexpr std::size_t kStaticNoteCap = 4;
 
 Verdict grade_script(const std::string& body, const ToolchainLimits& limits) {
   Verdict verdict;
   try {
-    const std::vector<std::vector<std::string>> threads = parse_script_threads(body);
-    std::size_t ops = 0;
-    for (const auto& thread : threads) ops += thread.size();
-    if (ops > kMaxScriptOps) {
-      throw Error("script submission: " + std::to_string(ops) + " ops exceeds the cap of " +
-                  std::to_string(kMaxScriptOps));
+    const race::ScriptText text = split_script_body(body);
+    if (text.ops.size() > kMaxScriptOps) {
+      throw Error("script submission: " + std::to_string(text.ops.size()) +
+                  " ops exceeds the cap of " + std::to_string(kMaxScriptOps));
     }
-    race::Script script = race::parse_script(threads);
+    race::Script script = race::parse_script(text);
 
-    // Static first: every diagnostic becomes a report note, and the
+    // Static first: the first diagnostics become report notes, and the
     // summary seeds the exploration (priority hints, independence
     // pruning, blocking semantics).
     const analyze::ConcurSummary summary = analyze::analyze_scripts(script);
     std::size_t findings = 0;
     for (const analyze::Diagnostic& d : summary.diagnostics) {
       if (d.severity != analyze::Severity::Note) ++findings;
-      verdict.notes.push_back(d.to_string());
+      if (verdict.notes.size() < kStaticNoteCap) verdict.notes.push_back(d.to_string());
+    }
+    if (summary.diagnostics.size() > kStaticNoteCap) {
+      verdict.notes.push_back(std::to_string(summary.diagnostics.size()) +
+                              " static finding(s) in all");
     }
 
     race::ExploreOptions options = analyze::seed_explore_options(summary);

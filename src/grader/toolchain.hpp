@@ -35,6 +35,7 @@
 
 #include "common/json.hpp"
 #include "grader/submission.hpp"
+#include "race/script.hpp"
 
 namespace cs31::grader {
 
@@ -95,6 +96,11 @@ struct Verdict {
 /// defects (see file comment).
 [[nodiscard]] Verdict run_toolchain(const Submission& submission,
                                     const ToolchainLimits& limits = {});
+
+/// A script body's threads and ops as views into `body`: one thread per
+/// line with an op, ops separated by ';', each trimmed of spaces and
+/// tabs, empty ones skipped. Throws cs31::Error when no line has an op.
+[[nodiscard]] race::ScriptText split_script_body(std::string_view body);
 
 /// The report paths quote with the kit's one JSON escape.
 using common::json_quote;

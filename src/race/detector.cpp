@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <unordered_set>
 
 #include "common/error.hpp"
 
@@ -54,10 +55,15 @@ std::string explain_race(const AccessSite& first, const AccessSite& second,
   }
   // Appended, not streamed: an explorer run builds one of these per
   // distinct race, and a stream's set-up costs more than the text.
-  std::string out = why + ": no fork/join, lock, barrier, or channel edge orders thread " +
-                    std::to_string(first.thread) + "'s " + race::to_string(first.kind) +
-                    " before thread " + std::to_string(second.thread) + "'s " +
-                    race::to_string(second.kind);
+  std::string out = why;
+  out.append(": no fork/join, lock, barrier, or channel edge orders thread ")
+      .append(std::to_string(first.thread))
+      .append("'s ")
+      .append(race::to_string(first.kind))
+      .append(" before thread ")
+      .append(std::to_string(second.thread))
+      .append("'s ")
+      .append(race::to_string(second.kind));
   if (common.empty()) {
     out += "; the two sides hold no lock in common";
   } else {
@@ -274,55 +280,27 @@ NameId Detector::intern_site(std::string_view label) {
 
 void Detector::acquire(ThreadId t, NameId lock_id) {
   std::scoped_lock lock(mutex_);
-  cover(locks_, NameKind::Lock, lock_id);
-  ++events_;
-  ThreadState& ts = state(t);
-  ts.vc.join(locks_[lock_id]);  // observe the previous critical section
-  ts.held.push_back(lock_id);
+  on_acquire<false>(t, lock_id);
 }
 
 void Detector::release(ThreadId t, NameId lock_id) {
   std::scoped_lock lock(mutex_);
-  cover(locks_, NameKind::Lock, lock_id);
-  ++events_;
-  ThreadState& ts = state(t);
-  const auto it = std::find(ts.held.rbegin(), ts.held.rend(), lock_id);
-  if (it == ts.held.rend()) {
-    throw Error("release of lock '" + names_->name(NameKind::Lock, lock_id) +
-                "' not held by thread " + std::to_string(t));
-  }
-  locks_[lock_id] = ts.vc;  // publish this critical section to the lock
-  ts.vc.tick(t);
-  ts.held.erase(std::next(it).base());
+  on_release<false>(t, lock_id);
 }
 
 void Detector::barrier(const std::vector<ThreadId>& waiters) {
   std::scoped_lock lock(mutex_);
-  require(!waiters.empty(), "barrier needs at least one waiter");
-  ++events_;
-  VectorClock all;
-  for (const ThreadId w : waiters) all.join(state(w).vc);
-  for (const ThreadId w : waiters) {
-    ThreadState& ts = state(w);
-    ts.vc = all;     // everyone observes everyone's pre-barrier work
-    ts.vc.tick(w);   // and starts a fresh epoch on the far side
-  }
+  on_barrier<false>(waiters);
 }
 
 void Detector::channel_send(ThreadId t, NameId channel_id) {
   std::scoped_lock lock(mutex_);
-  cover(channels_, NameKind::Channel, channel_id);
-  ++events_;
-  ThreadState& ts = state(t);
-  channels_[channel_id].join(ts.vc);
-  ts.vc.tick(t);
+  on_send<false>(t, channel_id);
 }
 
 void Detector::channel_recv(ThreadId t, NameId channel_id) {
   std::scoped_lock lock(mutex_);
-  cover(channels_, NameKind::Channel, channel_id);
-  ++events_;
-  state(t).vc.join(channels_[channel_id]);
+  on_recv<false>(t, channel_id);
 }
 
 void Detector::read(ThreadId t, NameId var, NameId site) {
@@ -335,12 +313,92 @@ void Detector::write(ThreadId t, NameId var, NameId site) {
   check_and_record(t, var, AccessKind::Write, site);
 }
 
+template <bool kJournal>
+void Detector::on_acquire(ThreadId t, NameId lock_id) {
+  cover(locks_, NameKind::Lock, lock_id);
+  ++events_;
+  ThreadState& ts = state(t);
+  if constexpr (kJournal) {
+    save(ts.vc);
+    save(Saved::Slot::Pushed).held = &ts.held;
+  }
+  ts.vc.join(locks_[lock_id]);  // observe the previous critical section
+  ts.held.push_back(lock_id);
+}
+
+template <bool kJournal>
+void Detector::on_release(ThreadId t, NameId lock_id) {
+  cover(locks_, NameKind::Lock, lock_id);
+  ++events_;
+  ThreadState& ts = state(t);
+  const auto it = std::find(ts.held.rbegin(), ts.held.rend(), lock_id);
+  if (it == ts.held.rend()) {
+    throw Error("release of lock '" + names_->name(NameKind::Lock, lock_id) +
+                "' not held by thread " + std::to_string(t));
+  }
+  if constexpr (kJournal) {
+    save(ts.vc);
+    save(locks_[lock_id]);
+    Saved& erased = save(Saved::Slot::Erased);
+    erased.held = &ts.held;
+    erased.lock = lock_id;
+    erased.at = static_cast<std::size_t>(std::next(it).base() - ts.held.begin());
+  }
+  locks_[lock_id] = ts.vc;  // publish this critical section to the lock
+  ts.vc.tick(t);
+  ts.held.erase(std::next(it).base());
+}
+
+template <bool kJournal>
+void Detector::on_barrier(const std::vector<ThreadId>& waiters) {
+  require(!waiters.empty(), "barrier needs at least one waiter");
+  ++events_;
+  barrier_clock_ = state(waiters.front()).vc;
+  for (const ThreadId w : waiters) barrier_clock_.join(state(w).vc);
+  for (const ThreadId w : waiters) {
+    ThreadState& ts = state(w);
+    if constexpr (kJournal) save(ts.vc);
+    ts.vc = barrier_clock_;  // everyone observes everyone's pre-barrier work
+    ts.vc.tick(w);           // and starts a fresh epoch on the far side
+  }
+}
+
+template <bool kJournal>
+void Detector::on_send(ThreadId t, NameId channel_id) {
+  cover(channels_, NameKind::Channel, channel_id);
+  ++events_;
+  ThreadState& ts = state(t);
+  if constexpr (kJournal) {
+    save(ts.vc);
+    save(channels_[channel_id]);
+  }
+  channels_[channel_id].join(ts.vc);
+  ts.vc.tick(t);
+}
+
+template <bool kJournal>
+void Detector::on_recv(ThreadId t, NameId channel_id) {
+  cover(channels_, NameKind::Channel, channel_id);
+  ++events_;
+  ThreadState& ts = state(t);
+  if constexpr (kJournal) save(ts.vc);
+  ts.vc.join(channels_[channel_id]);
+}
+
+template <bool kJournal>
 void Detector::check_and_record(ThreadId t, NameId var, AccessKind kind,
                                 NameId site_label) {
   cover(vars_, NameKind::Var, var);
   ++events_;
   ThreadState& ts = state(t);
   VarState& vs = vars_[var];
+  if constexpr (kJournal) {
+    Saved& saved = save(Saved::Slot::Var);
+    saved.var = &vs;
+    saved.at = saved_readers_.size();
+    saved_vars_.push_back(vs);
+    saved_readers_.insert(saved_readers_.end(), vs.readers.begin(), vs.readers.end());
+  }
   const CompactSite site = make_site(t, kind, site_label);
 
   // Write-check (both kinds): is the last write ordered before us? The
@@ -410,17 +468,129 @@ void Detector::check_and_record(ThreadId t, NameId var, AccessKind kind,
   vs.write_site = site;
   vs.read_epoch = Epoch{};
   vs.read_site = CompactSite{};
-  std::vector<Reader>().swap(vs.readers);
+  if constexpr (kJournal) {
+    vs.readers.clear();
+  } else {
+    std::vector<Reader>().swap(vs.readers);
+  }
 }
 
-CompactSite Detector::make_site(ThreadId t, AccessKind kind, NameId where) const {
+// The drain's check_accesses, inline in the header, takes this one.
+template void Detector::check_and_record<false>(ThreadId, NameId, AccessKind, NameId);
+
+// --- the journaled feed -----------------------------------------------
+
+Detector::Saved& Detector::save(Saved::Slot slot) {
+  if (journal_.capacity() == 0) {  // one block each for a small walk's journal
+    journal_.reserve(32);
+    clock_arena_.reserve(128);
+  }
+  Saved& entry = journal_.emplace_back();
+  entry.slot = slot;
+  if (slot == Saved::Slot::Step) {
+    entry.events = events_;
+    entry.race_count = race_count_;
+    entry.at = records_.size();
+  }
+  return entry;
+}
+
+void Detector::save(VectorClock& clock) {
+  Saved& entry = save(Saved::Slot::Clock);
+  entry.clock = &clock;
+  entry.at = clock_arena_.size();
+  const auto components = clock.components();
+  clock_arena_.insert(clock_arena_.end(), components.begin(), components.end());
+}
+
+void Detector::step(Verb verb, ThreadId t, NameId object, NameId site) {
+  save(Saved::Slot::Step);
+  switch (verb) {
+    case Verb::Read: return check_and_record<true>(t, object, AccessKind::Read, site);
+    case Verb::Write: return check_and_record<true>(t, object, AccessKind::Write, site);
+    case Verb::Lock: return on_acquire<true>(t, object);
+    case Verb::Unlock: return on_release<true>(t, object);
+    case Verb::Send: return on_send<true>(t, object);
+    case Verb::Recv: return on_recv<true>(t, object);
+    case Verb::Barrier: break;
+  }
+  throw Error("a barrier arrival is no detector event");
+}
+
+void Detector::step_barrier(const std::vector<ThreadId>& waiters) {
+  save(Saved::Slot::Step);
+  on_barrier<true>(waiters);
+}
+
+void Detector::undo() {
+  require(!journal_.empty(), "detector undo with no step standing");
+  for (;;) {
+    const Saved entry = journal_.back();
+    journal_.pop_back();
+    const auto tail = [&entry](auto& arena) {
+      return arena.begin() + static_cast<std::ptrdiff_t>(entry.at);
+    };
+    switch (entry.slot) {
+      case Saved::Slot::Clock:
+        entry.clock->assign(std::span<const Clock>(tail(clock_arena_), clock_arena_.end()));
+        clock_arena_.erase(tail(clock_arena_), clock_arena_.end());
+        break;
+      case Saved::Slot::Var:
+        static_cast<Epochs&>(*entry.var) = std::move(saved_vars_.back());
+        saved_vars_.pop_back();
+        entry.var->readers.assign(tail(saved_readers_), saved_readers_.end());
+        saved_readers_.erase(tail(saved_readers_), saved_readers_.end());
+        break;
+      case Saved::Slot::Pushed: entry.held->pop_back(); break;
+      case Saved::Slot::Erased: entry.held->insert(tail(*entry.held), entry.lock); break;
+      case Saved::Slot::Step:
+        events_ = entry.events;
+        race_count_ = entry.race_count;
+        for (; records_.size() > entry.at; records_.pop_back()) {
+          reported_.erase_newest(race_key(records_.back()));
+        }
+        if (built_.size() > records_.size()) built_.resize(records_.size());
+        return;
+    }
+  }
+}
+
+std::size_t Detector::KeySet::find(const RaceRecordKey& key) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = RaceRecordKeyHash{}(key) & mask;
+  while (slots_[i].second && slots_[i].first != key) i = (i + 1) & mask;
+  return i;
+}
+
+bool Detector::KeySet::insert(const RaceRecordKey& key) {
+  if (2 * (size_ + 1) > slots_.size()) {
+    const std::size_t capacity = std::max<std::size_t>(16, 2 * slots_.size());
+    std::vector<std::pair<RaceRecordKey, bool>> old(capacity);
+    old.swap(slots_);
+    for (const auto& slot : old) {
+      if (slot.second) slots_[find(slot.first)] = slot;
+    }
+  }
+  auto& slot = slots_[find(key)];
+  if (slot.second) return false;
+  slot = {key, true};
+  ++size_;
+  return true;
+}
+
+
+CompactSite Detector::make_site(ThreadId t, AccessKind kind, NameId where) {
   CompactSite site;
   site.thread = t;
   site.kind = kind;
   site.where = where;
   site.event = events_;
-  if (!threads_[t].held.empty()) {
-    site.locks = std::make_shared<const std::vector<NameId>>(threads_[t].held);
+  ThreadState& ts = threads_[t];
+  if (!ts.held.empty()) {
+    if (!ts.lockset || *ts.lockset != ts.held) {
+      ts.lockset = std::make_shared<const std::vector<NameId>>(ts.held);
+    }
+    site.locks = ts.lockset;
   }
   return site;
 }
@@ -430,7 +600,7 @@ void Detector::report(NameId var, const CompactSite& first, const CompactSite& s
   ++race_count_;
   // Ids only: names are looked up when a report is read (RaceList).
   RaceRecord race{var, first, second, conflict};
-  if (!reported_.insert(race_key(race)).second) return;  // one per (variable, site pair)
+  if (!reported_.insert(race_key(race))) return;  // one per (variable, site pair)
   records_.push_back(std::move(race));
 }
 

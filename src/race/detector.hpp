@@ -41,6 +41,15 @@
 //
 // Per access the detector takes its mutex once; a drain hands it whole
 // runs of accesses (check_accesses) so that a run costs one lock.
+//
+// The undo journal: a feeder that walks a tree of event sequences depth
+// first (the DPOR explorer) keeps one detector for the whole walk. Each
+// `step` applies an event as its event method does and journals the
+// slots it overwrites (clocks, held list, shadow state, counters,
+// records tail); `undo` takes the latest step back, leaving the
+// detector equal to a fresh one fed the steps still standing. The
+// event bodies are templates on journaling, so the other feeders' path
+// tests no flag.
 #pragma once
 
 #include <compare>
@@ -51,11 +60,11 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "race/interner.hpp"
+#include "race/script.hpp"
 #include "race/vector_clock.hpp"
 
 namespace cs31::race {
@@ -411,6 +420,15 @@ class Detector final : public EventSink {
     }
   }
 
+  /// The journaled feed (see the file comment), for one owner, so it
+  /// takes no lock. `step` is the event of a script op other than a
+  /// barrier arrival (object: its variable, lock or channel id) and
+  /// `step_barrier` a completed cycle. Register every thread and intern
+  /// every name before the first step.
+  void step(Verb verb, ThreadId t, NameId object, NameId site);
+  void step_barrier(const std::vector<ThreadId>& waiters);
+  void undo();
+
   /// Pin the event clock so the *next* event is numbered `seen + 1`.
   /// A sharded analysis (trace::AnalysisPipeline) calls this before
   /// every sync event with the router's global event index (accesses
@@ -437,19 +455,59 @@ class Detector final : public EventSink {
   ///     readers are sorted by thread id (reports iterate in tid order,
   ///     matching the reference detector's std::map walk) and read_epoch
   ///     and read_site are empty
-  /// A write empties the readers and releases their storage.
-  struct VarState {
+  /// A write empties the readers and releases their storage (a
+  /// journaled write keeps it for the undo).
+  struct Epochs {
     Epoch write_epoch;  ///< last write as c@t; clock 0 = never written
     Epoch read_epoch;   ///< exclusive read as c@t; clock 0 = none
     CompactSite write_site;
     CompactSite read_site;
+  };
+  struct VarState : Epochs {
     std::vector<Reader> readers;
   };
 
   struct ThreadState {
     VectorClock vc;
     std::vector<NameId> held;  ///< lock ids, acquisition order
+    /// The last lockset block handed to a site, reused while `held`
+    /// still equals it.
+    std::shared_ptr<const std::vector<NameId>> lockset;
   };
+
+  /// The distinct races' keys, open-addressed (linear probing, a
+  /// power-of-two table at most half full). A key leaves only while it
+  /// is the newest one in (an undo), so erasing just empties its slot:
+  /// no probe ran through a slot that was empty when its key came in.
+  class KeySet {
+   public:
+    bool insert(const RaceRecordKey& key);
+    void erase_newest(const RaceRecordKey& key) {
+      slots_[find(key)].second = false;
+      --size_;
+    }
+
+   private:
+    [[nodiscard]] std::size_t find(const RaceRecordKey& key) const;
+    std::vector<std::pair<RaceRecordKey, bool>> slots_;
+    std::size_t size_ = 0;
+  };
+
+  /// One journaled slot. A Step entry opens each step with the counters
+  /// before it; a saved clock's components sit in clock_arena_ from `at`
+  /// on, a variable's epochs on top of saved_vars_ and its readers in
+  /// saved_readers_ from `at` on.
+  struct Saved {
+    enum class Slot : std::uint8_t { Step, Clock, Var, Pushed, Erased } slot = Slot::Step;
+    VectorClock* clock = nullptr;
+    VarState* var = nullptr;
+    std::vector<NameId>* held = nullptr;
+    NameId lock = 0;     ///< Erased: the lock taken out of `held`
+    std::size_t at = 0;  ///< Clock, Var: arena offset; Erased: position; Step: records
+    std::uint64_t events = 0, race_count = 0;
+  };
+  Saved& save(Saved::Slot slot);
+  void save(VectorClock& clock);
 
   ThreadState& state(ThreadId t);
   /// Size a per-id table to cover `id`, which must be interned in
@@ -458,10 +516,22 @@ class Detector final : public EventSink {
   /// whole grid up front costs one resize, not one per new id.
   template <typename Table>
   void cover(Table& table, NameKind kind, NameId id);
+  // The event bodies; kJournal saves what each overwrites first.
+  template <bool kJournal>
+  void on_acquire(ThreadId t, NameId lock);
+  template <bool kJournal>
+  void on_release(ThreadId t, NameId lock);
+  template <bool kJournal>
+  void on_send(ThreadId t, NameId channel);
+  template <bool kJournal>
+  void on_recv(ThreadId t, NameId channel);
+  template <bool kJournal>
+  void on_barrier(const std::vector<ThreadId>& waiters);
+  template <bool kJournal = false>
   void check_and_record(ThreadId t, NameId var, AccessKind kind, NameId site_label);
   void report(NameId var, const CompactSite& first, const CompactSite& second,
               Conflict conflict);
-  [[nodiscard]] CompactSite make_site(ThreadId t, AccessKind kind, NameId where) const;
+  [[nodiscard]] CompactSite make_site(ThreadId t, AccessKind kind, NameId where);
 
   mutable std::mutex mutex_;
   std::vector<ThreadState> threads_;
@@ -470,10 +540,15 @@ class Detector final : public EventSink {
   std::vector<VarState> vars_;         // by variable id
   std::shared_ptr<NameTables> names_;
   std::vector<RaceRecord> records_;   // distinct races, detection order
-  std::unordered_set<RaceRecordKey, RaceRecordKeyHash> reported_;
+  KeySet reported_;                   // records_' keys
   mutable std::vector<RaceReport> built_;  // races(): records_ built so far
   std::uint64_t race_count_ = 0;
   std::uint64_t events_ = 0;
+  VectorClock barrier_clock_;     // a barrier's joined clock, reused
+  std::vector<Saved> journal_;        // the steps standing, oldest first
+  std::vector<Clock> clock_arena_;    // the journal's saved clocks
+  std::vector<Epochs> saved_vars_;     // the journal's saved variables
+  std::vector<Reader> saved_readers_;  // and their readers
 };
 
 }  // namespace cs31::race

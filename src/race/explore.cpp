@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <charconv>
 #include <memory>
-#include <numeric>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string_view>
 #include <utility>
@@ -82,18 +83,49 @@ class Engine {
         threads_(script.threads.size()),
         words_((threads_ + 63) / 64),
         total_ops_(script.total_ops()),
-        names_(std::make_shared<NameTables>()),
-        state_(script),
-        replay_state_(script) {
+        // The tables live as long as the run, and nothing the run
+        // returns refers to them, so the detector holds them unowned.
+        names_(std::shared_ptr<NameTables>(), &tables_),
+        detector_(names_),
+        state_(script) {
+    // The per-run tables: runs of two blocks (a table indexed by slot
+    // gets one entry per op, the most slots a script can need).
+    const std::size_t objects =
+        script.vars.size() + script.mutexes.size() + script.channels.size();
+    const std::size_t sites = std::size_t{script.sites} + 1;  // and the unknown label
+    words_block_.resize(2 * (objects + 1) + 2 * objects + 2 * total_ops_ + threads_ +
+                        total_ops_ * threads_ + 3 * sites);
+    ints_block_.resize(2 * total_ops_ + 3 * threads_);
+    std::size_t used = 0;
+    const auto words = [&](std::size_t n) {
+      used += n;
+      return std::span<std::uint32_t>(words_block_).subspan(used - n, n);
+    };
+    slot_begin_ = words(objects + 1);
+    slot_thread_ = words(total_ops_);
+    schedule_ = words(total_ops_);
+    op_base_ = words(threads_);
+    clocks_ = words(total_ops_ * threads_);
+    site_thread_ = words(sites);
+    site_last_ = words(sites);
+    hinted_ = words(sites);
+    const auto scratch = words(2 * objects + objects + 1);  // index_ops' counts
+    used = 0;
+    const auto ints = [&](std::size_t n, int value) {
+      used += n;
+      const std::span<int> run = std::span<int>(ints_block_).subspan(used - n, n);
+      std::fill(run.begin(), run.end(), value);
+      return run;
+    };
+    last_access_ = ints(total_ops_, kNone);
+    last_write_ = ints(total_ops_, kNone);
+    last_event_of_ = ints(threads_, kNone);
+    last_barrier_ = ints(threads_, kNone);
+    last_hinted_ = ints(threads_, -1);
+
     name_script();
-    index_ops();
-    hinted_.assign(labels_.size() + 1, false);
-    partners_.resize(hinted_.size());
-    last_hinted_.assign(threads_, -1);
-    last_event_of_.assign(threads_, kNone);
-    last_barrier_.assign(threads_, kNone);
+    index_ops(scratch);
     events_.resize(total_ops_);
-    schedule_.resize(total_ops_);
     frame_bits_.resize((total_ops_ + 1) * kFrameSets * words_);
     for (const RaceReport& hint : options_.hints) {
       if (hint.first.where.empty() || hint.second.where.empty()) continue;
@@ -128,14 +160,21 @@ class Engine {
   };
 
   /// One executed event, in the slot of its depth. The saved fields are
-  /// the table entries its execute replaced, for undo.
+  /// the table entries its execute replaced, for undo; its trace
+  /// happens-before clock is row `depth` of clocks_.
   struct Event {
     std::uint32_t index = 0;  ///< op index in its thread's script
     int prev_last = kNone;    ///< last_event_of_[tid] before this event
     int saved_access = kNone; ///< last_access_ (or last_barrier_) entry replaced
     int saved_write = kNone;  ///< last_write_ entry replaced (writes)
-    VectorClock clock;        ///< trace happens-before clock
+    bool completed = false;   ///< the arrival completed a barrier cycle
+    bool fed = false;         ///< it gave the detector a step
   };
+
+  [[nodiscard]] Clock* clock(std::size_t depth) { return clocks_.data() + depth * threads_; }
+  [[nodiscard]] const Clock* clock(std::size_t depth) const {
+    return clocks_.data() + depth * threads_;
+  }
 
   // Each frame slot holds three thread sets; explored is not one of them
   // because every explored thread also enters the frame's sleep set.
@@ -151,28 +190,27 @@ class Engine {
   /// Flatten the ops and give every (object, thread) pair that occurs
   /// one table slot, so the last-access tables hold one entry per pair
   /// and a lookup walks only the threads that touch the object.
-  void index_ops() {
+  void index_ops(std::span<std::uint32_t> scratch) {
     const std::size_t vars = script_.vars.size(), mutexes = script_.mutexes.size();
     const std::size_t objects = vars + mutexes + script_.channels.size();
+    const auto cursor = scratch.first(objects + 1);  // first a count per object
+    const auto seen_by = scratch.subspan(objects + 1, objects);
+    const auto pruned = scratch.subspan(2 * objects + 1, objects);
+    std::fill(seen_by.begin(), seen_by.end(), kNoThread);
     // Names the script never uses are ignored.
-    std::vector<bool> pruned(objects, false);
     const auto prune = [&pruned](const std::vector<std::string>& table,
                                  const std::vector<std::string>& names, std::size_t base) {
       for (const std::string& name : names) {
         const auto it = std::find(table.begin(), table.end(), name);
-        if (it != table.end()) {
-          pruned[base + static_cast<std::size_t>(it - table.begin())] = true;
-        }
+        if (it == table.end()) continue;
+        pruned[base + static_cast<std::size_t>(it - table.begin())] = 1;
       }
     };
     prune(script_.vars, options_.independent_vars, 0);
     prune(script_.mutexes, options_.independent_mutexes, vars);
 
     ops_.resize(total_ops_);
-    op_base_.resize(threads_);
-    std::vector<std::uint32_t> cursor(objects + 1, 0);  // first a count per object
-    std::vector<std::uint32_t> seen_by(objects, ~std::uint32_t{0});
-    std::size_t k = 0;
+    std::uint32_t k = 0;
     for (std::uint32_t t = 0; t < threads_; ++t) {
       op_base_[t] = k;
       for (const ScriptOp& sop : script_.threads[t]) {
@@ -188,7 +226,7 @@ class Engine {
             break;
           case ObjectKind::None: has_barriers_ = true; continue;
         }
-        op.pruned = pruned[op.object];
+        op.pruned = pruned[op.object] != 0;
         if (seen_by[op.object] != t) {
           seen_by[op.object] = t;
           ++cursor[op.object + 1];
@@ -199,8 +237,7 @@ class Engine {
     // per accessing thread, ascending. Threads come in order, so a
     // thread that touched g already holds g's latest slot.
     for (std::size_t g = 0; g < objects; ++g) cursor[g + 1] += cursor[g];
-    slot_begin_ = cursor;
-    slot_thread_.resize(slot_begin_.back());
+    std::copy(cursor.begin(), cursor.end(), slot_begin_.begin());
     for (std::uint32_t t = 0; t < threads_; ++t) {
       for (std::size_t j = 0; j < script_.threads[t].size(); ++j) {
         Op& op = ops_[op_base_[t] + j];
@@ -212,71 +249,54 @@ class Engine {
         op.slot = next - 1;
       }
     }
-    last_access_.assign(slot_thread_.size(), kNone);
-    last_write_.assign(slot_thread_.size(), kNone);
   }
 
-  /// Name the run in fresh tables, each kind as one reserved block, so
-  /// no name is formatted until a report reads it: operands keep their
-  /// Script ids (the Script's tables hold distinct names, as
-  /// parse_script builds them), and a label's id is its rank among the
-  /// script's distinct labels. The same pass records where each label
-  /// occurs: per label, every thread that carries it and the last index
-  /// it sits at there, so guidance asks "still pending?" without
-  /// scanning a script.
+  /// Name the run as the Script names it: each kind of name is one
+  /// reserved block over the Script's own ids that reads the Script's
+  /// strings in place. The same pass records each site's thread
+  /// and the last index it sits at there, so guidance asks "still
+  /// pending?" without scanning a script, and the detector registers
+  /// the script's threads and learns the barrier's waiters.
   void name_script() {
-    const auto operands = [this](NameKind kind, const std::vector<std::string>& table,
-                                 std::vector<NameId>& ids) {
-      names_->reserve(kind, table.size(), [&table](std::size_t i) { return table[i]; });
-      ids.resize(table.size());
-      std::iota(ids.begin(), ids.end(), NameId{0});
+    const auto operands = [this](NameKind kind, const std::vector<std::string>& table) {
+      tables_.borrow(kind, table.size(),
+                     [&table](std::size_t i) -> const std::string& { return table[i]; });
     };
-    operands(NameKind::Var, script_.vars, ids_.vars);
-    operands(NameKind::Lock, script_.mutexes, ids_.locks);
-    operands(NameKind::Channel, script_.channels, ids_.channels);
+    operands(NameKind::Var, script_.vars);
+    operands(NameKind::Lock, script_.mutexes);
+    operands(NameKind::Channel, script_.channels);
 
-    struct Use {
-      std::string_view label;
-      std::uint32_t thread, index;
-      auto operator<=>(const Use&) const = default;
-    };
-    std::vector<Use> uses;
-    uses.reserve(total_ops_);
-    labels_.reserve(total_ops_);
-    occ_.reserve(total_ops_);
-    occ_begin_.reserve(total_ops_ + 2);
-    ids_.sites.resize(threads_);
+    site_thread_.back() = kNoThread;  // the unknown label's
+    waiters_.reserve(threads_);
     for (std::uint32_t t = 0; t < threads_; ++t) {
       const auto& ops = script_.threads[t];
-      ids_.sites[t].resize(ops.size());
-      if (!ops.empty()) ids_.waiters.push_back(t);
-      for (std::uint32_t j = 0; j < ops.size(); ++j) uses.push_back({ops[j].text, t, j});
-    }
-    std::sort(uses.begin(), uses.end());
-    for (std::size_t i = 0; i < uses.size(); ++i) {
-      const Use& use = uses[i];
-      if (labels_.empty() || labels_.back() != use.label) {
-        labels_.push_back(use.label);
-        occ_begin_.push_back(static_cast<std::uint32_t>(occ_.size()));
+      if (!ops.empty()) waiters_.push_back(t);
+      if (t > 0) (void)detector_.register_thread();
+      for (std::uint32_t j = 0; j < ops.size(); ++j) {
+        site_thread_[ops[j].site] = t;
+        site_last_[ops[j].site] = j;
+        if (ops[j].text.empty()) blank_site_ = ops[j].site;
       }
-      ids_.sites[use.thread][use.index] = static_cast<NameId>(labels_.size() - 1);
-      const bool last_in_thread = i + 1 == uses.size() || uses[i + 1].label != use.label ||
-                                  uses[i + 1].thread != use.thread;
-      if (last_in_thread) occ_.emplace_back(use.thread, use.index);
     }
-    // Closes the last label's range and gives the unknown label (id
-    // labels_.size()) an empty one.
-    occ_begin_.resize(labels_.size() + 2, static_cast<std::uint32_t>(occ_.size()));
-    names_->reserve(NameKind::Site, labels_.size(),
-                    [this](std::size_t i) { return std::string(labels_[i]); });
-    if (!labels_.empty() && labels_.front().empty()) blank_site_ = 0;
+    tables_.borrow(NameKind::Site, script_.sites,
+                   [this](std::size_t i) -> const std::string& {
+                     return script_.threads[site_thread_[i]][site_last_[i]].text;
+                   });
   }
 
-  /// The id of an op label; labels_.size() for one no op carries.
+  /// The site of an op label; script_.sites for one no op carries. A
+  /// label names its thread in its tag.
   [[nodiscard]] NameId site_of(std::string_view label) const {
-    auto it = std::lower_bound(labels_.begin(), labels_.end(), label);
-    if (it != labels_.end() && *it != label) it = labels_.end();
-    return static_cast<NameId>(it - labels_.begin());
+    std::uint32_t t = 0;
+    if (label.size() < 2 || label[0] != 't' ||
+        std::from_chars(label.data() + 1, label.data() + label.size(), t).ec != std::errc{} ||
+        t >= threads_) {
+      return script_.sites;
+    }
+    for (const ScriptOp& op : script_.threads[t]) {
+      if (op.text == label) return op.site;
+    }
+    return script_.sites;
   }
 
   [[nodiscard]] const Op& op_of(std::uint32_t t, std::size_t index) const {
@@ -286,7 +306,7 @@ class Engine {
     return op_of(t, state_.positions()[t]);
   }
   [[nodiscard]] NameId next_site(std::uint32_t t) const {
-    return ids_.sites[t][state_.positions()[t]];
+    return script_.threads[t][state_.positions()[t]].site;
   }
 
   // --- the DPOR walk (sequential, deterministic) ---
@@ -334,7 +354,7 @@ class Engine {
       return;
     }
     if (!op.pruned) {
-      const std::vector<int>& table = op.verb == Verb::Read ? last_write_ : last_access_;
+      const std::span<const int> table = op.verb == Verb::Read ? last_write_ : last_access_;
       for (std::uint32_t k = slot_begin_[op.object]; k < slot_begin_[op.object + 1]; ++k) {
         if (slot_thread_[k] != p) f(table[k]);
       }
@@ -346,15 +366,17 @@ class Engine {
     }
   }
 
-  /// Join into `clock` the clocks of the executed events dependent with
+  /// Join into `row` the clocks of the executed events dependent with
   /// p's `op`. Most of them are ordered among themselves: the ops on one
   /// mutex or channel, a variable's writes with every access before
   /// them, and barrier arrivals with everything before them. So the
   /// latest of each such run carries the clocks of the rest, and only a
   /// variable's reads since its last write need joining one by one.
-  void join_dependent(std::uint32_t p, const Op& op, VectorClock& clock) const {
+  void join_dependent(std::uint32_t p, const Op& op, Clock* row) const {
     const auto join = [&](int e) {
-      if (e >= 0) clock.join(events_[static_cast<std::size_t>(e)].clock);
+      if (e < 0) return;
+      const Clock* other = clock(static_cast<std::size_t>(e));
+      for (std::size_t q = 0; q < threads_; ++q) row[q] = std::max(row[q], other[q]);
     };
     if (op.verb == Verb::Barrier) {
       for (std::uint32_t q = 0; q < threads_; ++q) {
@@ -365,7 +387,7 @@ class Engine {
     if (has_barriers_) join(*std::max_element(last_barrier_.begin(), last_barrier_.end()));
     if (op.pruned) return;
     const auto begin = slot_begin_[op.object], end = slot_begin_[op.object + 1];
-    const auto latest = [&](const std::vector<int>& table) {
+    const auto latest = [&](std::span<const int> table) {
       return *std::max_element(table.begin() + begin, table.begin() + end);
     };
     if (object_kind(op.verb) != ObjectKind::Var) {
@@ -392,10 +414,11 @@ class Engine {
     const int lp = last_event_of_[p];
     if (lp < 0) return false;
     const std::uint32_t q = schedule_[static_cast<std::size_t>(e)];
-    return events_[static_cast<std::size_t>(lp)].clock.get(q) >=
-           events_[static_cast<std::size_t>(e)].clock.get(q);
+    return clock(static_cast<std::size_t>(lp))[q] >= clock(static_cast<std::size_t>(e))[q];
   }
 
+  /// Run p's next op: the walk's tables and the blocking state (the
+  /// detector is fed at the next emission).
   void execute(std::uint32_t p) {
     const std::size_t depth = executed_;
     const std::size_t index = state_.positions()[p];
@@ -403,12 +426,14 @@ class Engine {
     Event& ev = events_[depth];
     ev.index = static_cast<std::uint32_t>(index);
     ev.prev_last = last_event_of_[p];
-    // Assigned in place: the slot's clock keeps its storage.
-    static const VectorClock kZero;
-    const auto prev = static_cast<std::size_t>(ev.prev_last);
-    ev.clock = ev.prev_last >= 0 ? events_[prev].clock : kZero;
-    join_dependent(p, op, ev.clock);
-    ev.clock.tick(p);
+    Clock* row = clock(depth);
+    if (ev.prev_last >= 0) {
+      std::copy_n(clock(static_cast<std::size_t>(ev.prev_last)), threads_, row);
+    } else {
+      std::fill_n(row, threads_, Clock{0});
+    }
+    join_dependent(p, op, row);
+    ++row[p];
 
     const int self = static_cast<int>(depth);
     last_event_of_[p] = self;
@@ -422,13 +447,33 @@ class Engine {
     }
     schedule_[depth] = p;
     ++executed_;
-    state_.execute(p);
+    ev.completed = state_.execute(p);
+  }
+
+  /// Give the detector the executed events it does not hold yet: each
+  /// op's event, then the barrier completion its arrival made, as replay
+  /// would at that depth. Feeding waits for an emission, so schedules
+  /// share the prefix they have in common and a pruned subtree feeds
+  /// nothing.
+  void feed() {
+    for (; fed_ < executed_; ++fed_) {
+      Event& ev = events_[fed_];
+      const std::uint32_t p = schedule_[fed_];
+      const ScriptOp& sop = script_.threads[p][ev.index];
+      ev.fed = sop.verb != Verb::Barrier || ev.completed;
+      if (sop.verb != Verb::Barrier) detector_.step(sop.verb, p, sop.object, sop.site);
+      if (ev.completed) detector_.step_barrier(waiters_);
+    }
   }
 
   void undo(std::uint32_t p) {
     state_.undo(p);
     --executed_;
     const Event& ev = events_[executed_];
+    if (executed_ < fed_) {
+      if (ev.fed) detector_.undo();
+      fed_ = executed_;
+    }
     const Op& op = op_of(p, ev.index);
     last_event_of_[p] = ev.prev_last;
     if (op.verb == Verb::Barrier) {
@@ -445,23 +490,20 @@ class Engine {
   /// in p's script (run p toward it); 0: no hint says anything.
   int score(std::uint32_t p) const {
     const NameId site = next_site(p);
-    if (hinted_[site]) {
+    if (hinted_[site] != 0) {
       for (const NameId partner : partners_[site]) {
         if (label_pending(partner, p)) return 2;
       }
       return 1;
     }
-    return last_hinted_[p] > static_cast<std::int64_t>(state_.positions()[p]) ? 1 : 0;
+    return last_hinted_[p] > static_cast<int>(state_.positions()[p]) ? 1 : 0;
   }
 
   /// Is an op labelled `site` still unexecuted in a thread other than
   /// `self`?
   bool label_pending(NameId site, std::uint32_t self) const {
-    for (std::size_t i = occ_begin_[site]; i < occ_begin_[site + 1]; ++i) {
-      const auto [t, last] = occ_[i];
-      if (t != self && last >= state_.positions()[t]) return true;
-    }
-    return false;
+    const std::uint32_t t = site_thread_[site];
+    return t != kNoThread && t != self && site_last_[site] >= state_.positions()[t];
   }
 
   /// Highest-score (then lowest-tid) member of a thread set.
@@ -625,14 +667,10 @@ class Engine {
     // pure function of the emission order.
     while (emitted_ - merged_ > kSettleWindow) merge_next();
 
-    // Every schedule's detector shares the run's name tables, so its
-    // race records are comparable across schedules as they are.
-    Detector detector(names_);
-    (void)replay_ids(script_, ids_, {schedule_.data(), executed_}, detector, replay_state_,
-                     ReplayOptions{options_.model_blocking});
+    feed();  // the run's detector now stands at this schedule's events
     Pending& slot = pending_[emitted_ % pending_.size()];
-    slot.events = detector.events();
-    slot.races.assign(detector.records().begin(), detector.records().end());
+    slot.events = detector_.events();
+    slot.races.assign(detector_.records().begin(), detector_.records().end());
     ++emitted_;
     events_emitted_ += executed_;
   }
@@ -653,7 +691,7 @@ class Engine {
       if (it != seen_.end() && *it == key) continue;
       seen_.insert(it, key);
       if (options_.reprioritize_on_discovery) add_hint(r.first.where, r.second.where);
-      result_.races.push_back(build_report(*names_, r));
+      result_.races.push_back(build_report(tables_, r));
     }
     ++merged_;
   }
@@ -664,6 +702,7 @@ class Engine {
     if (a == blank_site_ || b == blank_site_) return;
     mark_hinted(a);
     mark_hinted(b);
+    if (partners_.empty()) partners_.resize(hinted_.size());
     const auto pair = [this](NameId from, NameId to) {
       std::vector<NameId>& list = partners_[from];
       if (std::find(list.begin(), list.end(), to) == list.end()) list.push_back(to);
@@ -673,12 +712,11 @@ class Engine {
   }
 
   void mark_hinted(NameId site) {
-    if (hinted_[site]) return;
-    hinted_[site] = true;
-    for (std::size_t i = occ_begin_[site]; i < occ_begin_[site + 1]; ++i) {
-      const auto [t, last] = occ_[i];
-      last_hinted_[t] = std::max(last_hinted_[t], static_cast<std::int64_t>(last));
-    }
+    if (hinted_[site] != 0) return;
+    hinted_[site] = 1;
+    const std::uint32_t t = site_thread_[site];
+    if (t == kNoThread) return;
+    last_hinted_[t] = std::max(last_hinted_[t], static_cast<int>(site_last_[site]));
   }
 
   const Script& script_;
@@ -687,19 +725,27 @@ class Engine {
   std::size_t words_;  ///< words per thread set
   std::size_t total_ops_;
 
-  // Names, given once per run and shared by every schedule's detector.
+  // Names, given once per run: the Script's own, and the one detector
+  // the walk feeds.
+  static constexpr std::uint32_t kNoThread = ~std::uint32_t{0};
+  NameTables tables_;
   std::shared_ptr<NameTables> names_;
-  ScriptIds ids_;
-  std::vector<std::string_view> labels_;  ///< distinct op labels, sorted: site ids
-  std::vector<std::uint32_t> occ_begin_;  ///< occ_ range of each site
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> occ_;  ///< (thread, last index)
-  NameId blank_site_ = ~NameId{0};        ///< the empty label's id, if an op has it
+  Detector detector_;
+  std::vector<ThreadId> waiters_;  ///< threads with a non-empty script
+  /// Each site's thread and last index there; the last entry stands
+  /// for labels no op carries.
+  std::span<std::uint32_t> site_thread_, site_last_;
+  NameId blank_site_ = ~NameId{0};  ///< the empty label's site, if an op has it
+
+  // The blocks the spans below are runs of.
+  std::vector<std::uint32_t> words_block_;
+  std::vector<int> ints_block_;
 
   // Per-run indexes (index_ops).
   std::vector<Op> ops_;
-  std::vector<std::size_t> op_base_;        ///< first ops_ index of each thread
-  std::vector<std::uint32_t> slot_begin_;   ///< table slots of each object
-  std::vector<std::uint32_t> slot_thread_;  ///< the thread of each slot
+  std::span<std::uint32_t> op_base_;      ///< first ops_ index of each thread
+  std::span<std::uint32_t> slot_begin_;   ///< table slots of each object
+  std::span<std::uint32_t> slot_thread_;  ///< the thread of each slot
   bool has_barriers_ = false;
 
   // Walk state, sized once and reused by depth. state_ always tracks
@@ -707,13 +753,15 @@ class Engine {
   // model_blocking (enabled()).
   BlockingState state_;
   std::size_t executed_ = 0;
-  std::vector<Event> events_;                ///< by depth
-  std::vector<std::uint32_t> schedule_;      ///< thread of each executed event
-  std::vector<std::uint64_t> frame_bits_;    ///< kFrameSets thread sets per depth
-  std::vector<int> last_event_of_;           ///< by thread
-  std::vector<int> last_barrier_;            ///< by thread
-  std::vector<int> last_access_;             ///< by slot
-  std::vector<int> last_write_;              ///< by slot (variables)
+  std::size_t fed_ = 0;  ///< events the detector holds: a prefix of the executed ones
+  std::vector<Event> events_;              ///< by depth
+  std::span<Clock> clocks_;                ///< threads_ clocks per depth
+  std::span<std::uint32_t> schedule_;      ///< thread of each executed event
+  std::vector<std::uint64_t> frame_bits_;  ///< kFrameSets thread sets per depth
+  std::span<int> last_event_of_;           ///< by thread
+  std::span<int> last_barrier_;            ///< by thread
+  std::span<int> last_access_;             ///< by slot
+  std::span<int> last_write_;              ///< by slot (variables)
   bool stop_ = false;
   bool truncated_ = false;
 
@@ -722,9 +770,9 @@ class Engine {
   // Guidance state (mutated only at deterministic merge points), by
   // site id: hinted labels, each one's hinted partners, and per thread
   // the last index of a hinted op (-1: none).
-  std::vector<bool> hinted_;
-  std::vector<std::vector<NameId>> partners_;
-  std::vector<std::int64_t> last_hinted_;
+  std::span<std::uint32_t> hinted_;
+  std::vector<std::vector<NameId>> partners_;  ///< sized on the first hint
+  std::span<int> last_hinted_;
 
   // Emission / merge state. pending_ is a ring: at most kSettleWindow+1
   // results are ever unmerged.
@@ -732,7 +780,6 @@ class Engine {
     std::uint64_t events = 0;
     std::vector<RaceRecord> races;
   };
-  BlockingState replay_state_;  ///< the replay core's, at the start between replays
   std::uint64_t emitted_ = 0;
   std::uint64_t events_emitted_ = 0;
   std::uint64_t merged_ = 0;

@@ -9,8 +9,8 @@ NameId Interner::id(std::string_view name) {
   const auto it = ids_.find(name);
   if (it != ids_.end()) return it->second;
   const auto id = static_cast<NameId>(size());
-  names_.emplace_back(name);
-  ids_.emplace(std::string_view(names_.back()), id);
+  names_.push_back(std::make_unique<const std::string>(name));
+  ids_.emplace(std::string_view(*names_.back()), id);
   return id;
 }
 
@@ -35,9 +35,19 @@ NameId Interner::reserve(std::size_t count, NameFormat format) {
   return base;
 }
 
+NameId Interner::borrow(std::size_t count, NameSource source) {
+  if (size() != 0 || count == 0) {
+    return reserve(count, [source](std::size_t i) { return std::string(source(i)); });
+  }
+  const NameId base = reserve(count, NameFormat{});
+  block_source_ = std::move(source);
+  return base;
+}
+
 const std::string& Interner::name(NameId id) const {
   if (id >= size()) throw Error("interner: unknown name id " + std::to_string(id));
-  if (id >= block_size_) return names_[id - block_size_];
+  if (id >= block_size_) return *names_[id - block_size_];
+  if (block_source_) return block_source_(id);
   auto it = block_names_.find(id);
   if (it == block_names_.end()) it = block_names_.emplace(id, block_format_(id)).first;
   return it->second;
@@ -60,7 +70,7 @@ std::size_t Interner::bytes() const {
     total += sizeof(std::string) + heap;
     total += kNodeOverhead + sizeof(std::string_view) + sizeof(NameId);
   };
-  for (const std::string& s : names_) add_name(s);
+  for (const auto& s : names_) add_name(*s);
   for (const auto& [id, s] : block_names_) add_name(s);
   total += (ids_.bucket_count() + block_names_.bucket_count()) * sizeof(void*);
   return total;
@@ -74,6 +84,11 @@ NameId NameTables::intern(NameKind kind, std::string_view name) {
 NameId NameTables::reserve(NameKind kind, std::size_t count, NameFormat format) {
   std::scoped_lock lock(mutex_);
   return tables_[static_cast<std::size_t>(kind)].reserve(count, std::move(format));
+}
+
+NameId NameTables::borrow(NameKind kind, std::size_t count, NameSource source) {
+  std::scoped_lock lock(mutex_);
+  return tables_[static_cast<std::size_t>(kind)].borrow(count, std::move(source));
 }
 
 const std::string& NameTables::name(NameKind kind, NameId id) const {

@@ -19,12 +19,13 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 namespace cs31::race {
 
@@ -34,6 +35,10 @@ using NameId = std::uint32_t;
 /// The name of the `index`-th id of a reserved block. Must be a pure
 /// function of the index and give distinct names for distinct indices.
 using NameFormat = std::function<std::string(std::size_t index)>;
+
+/// Same, for names that already live somewhere that outlives the
+/// tables: the block hands out references to them and copies nothing.
+using NameSource = std::function<const std::string&(std::size_t index)>;
 
 class Interner {
  public:
@@ -49,6 +54,9 @@ class Interner {
   /// order, returns the same ids again; one that overlaps other names
   /// throws cs31::Error, because its ids could not be consecutive.
   NameId reserve(std::size_t count, NameFormat format);
+  /// reserve over names the block reads in place (on an empty table;
+  /// on another the names are interned as copies).
+  NameId borrow(std::size_t count, NameSource source);
 
   /// The name behind an id (a reserved one is formatted on first read).
   /// The reference stays valid for the interner's lifetime. Throws
@@ -66,19 +74,21 @@ class Interner {
   /// Put every name of the reserved block into the lookup table.
   void index_block();
 
-  // Each name is stored exactly once, in a deque (stable addresses — a
-  // vector's reallocation would dangle the views); the lookup table
-  // keys string_views into that storage, so the string API's hot lookup
-  // builds no temporary std::string either. Interned names are ids
-  // block_size_ and up; the lazily reserved block, if any, is ids
-  // [0, block_size_), formatted into block_names_ on first read (name()
-  // is const, hence mutable; a node map keeps each name in place and,
-  // unlike a deque, allocates nothing while empty — a detector is built
-  // per replayed schedule) and indexed on the first string lookup.
+  // Each name is stored exactly once, in its own block (stable
+  // addresses — a vector of strings would dangle the views on
+  // reallocation); the lookup table keys string_views into that
+  // storage, so the string API's hot lookup builds no temporary
+  // std::string either. Interned names are ids block_size_ and up; the
+  // lazily reserved block, if any, is ids [0, block_size_), formatted
+  // into block_names_ on first read (name() is const, hence mutable; a
+  // node map keeps each name in place) and indexed on the first string
+  // lookup. Tables that only reserve blocks (an explorer run's)
+  // allocate nothing until a name is read.
   std::unordered_map<std::string_view, NameId> ids_;
-  std::deque<std::string> names_;
+  std::vector<std::unique_ptr<const std::string>> names_;
   std::size_t block_size_ = 0;
   NameFormat block_format_;
+  NameSource block_source_;  ///< set instead of block_format_ for borrowed names
   mutable std::unordered_map<NameId, std::string> block_names_;
   bool block_indexed_ = true;
 };
@@ -96,6 +106,7 @@ class NameTables {
 
   /// Interner::reserve on one table.
   NameId reserve(NameKind kind, std::size_t count, NameFormat format);
+  NameId borrow(NameKind kind, std::size_t count, NameSource source);
 
   /// The name behind an id. The reference stays valid for the tables'
   /// lifetime: names never move once interned. Throws cs31::Error on an

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
 #include <string_view>
 
 #include "common/error.hpp"
@@ -15,15 +14,16 @@ constexpr std::array<std::string_view, 7> kVerbs = {"read", "write", "lock", "un
 constexpr std::array<const char*, 3> kOperands = {"a variable", "a mutex", "a channel"};
 constexpr std::string_view kSpace = " \t\n\v\f\r";
 
-std::vector<std::string_view> tokens(std::string_view text) {
-  std::vector<std::string_view> out;
-  std::size_t begin = text.find_first_not_of(kSpace);
-  while (begin != std::string_view::npos) {
-    const std::size_t end = text.find_first_of(kSpace, begin);
-    out.push_back(text.substr(begin, end - begin));
-    begin = text.find_first_not_of(kSpace, end);
+/// The next whitespace-separated token of `text` from `at` on ("" when
+/// none is left); `at` moves past it.
+std::string_view next_token(std::string_view text, std::size_t& at) {
+  const std::size_t begin = text.find_first_not_of(kSpace, at);
+  if (begin == std::string_view::npos) {
+    at = text.size();
+    return {};
   }
-  return out;
+  at = std::min(text.find_first_of(kSpace, begin), text.size());
+  return text.substr(begin, at - begin);
 }
 
 [[noreturn]] void reject(const std::string& label, const std::string& problem) {
@@ -66,60 +66,75 @@ std::size_t Script::total_ops() const {
   return n;
 }
 
-Script parse_script(const std::vector<std::vector<std::string>>& scripts) {
+Script parse_script(const ScriptText& text) {
   Script script;
   const std::array<std::vector<std::string>*, 3> tables = {&script.vars, &script.mutexes,
                                                           &script.channels};
-  std::array<std::map<std::string, std::uint32_t>, 3> ids;
-  script.threads.resize(scripts.size());
-  for (std::size_t t = 0; t < scripts.size(); ++t) {
+  script.threads.resize(text.ends.size());
+  std::size_t first = 0;
+  for (std::size_t t = 0; t < text.ends.size(); ++t) {
     const std::string tag = "t" + std::to_string(t) + ' ';
-    script.threads[t].reserve(scripts[t].size());
-    for (const std::string& raw : scripts[t]) {
+    std::vector<ScriptOp>& ops = script.threads[t];
+    ops.reserve(text.ends[t] - first);
+    for (; first < text.ends[t]; ++first) {
+      const std::string_view raw = text.ops[first];
       ScriptOp op;
-      op.text = tag + raw;
-      const std::vector<std::string_view> words = tokens(raw);
-      if (words.empty()) reject(op.text, "missing a verb");
-      const auto verb = std::find(kVerbs.begin(), kVerbs.end(), words[0]);
-      if (verb == kVerbs.end()) {
-        reject(op.text, "unknown verb '" + std::string(words[0]) + "'");
-      }
+      op.text.reserve(tag.size() + raw.size());
+      op.text.append(tag).append(raw);
+      std::size_t at = 0;
+      const std::string_view word = next_token(raw, at);
+      if (word.empty()) reject(op.text, "missing a verb");
+      const auto verb = std::find(kVerbs.begin(), kVerbs.end(), word);
+      if (verb == kVerbs.end()) reject(op.text, "unknown verb '" + std::string(word) + "'");
       op.verb = static_cast<Verb>(verb - kVerbs.begin());
       const ObjectKind kind = object_kind(op.verb);
-      const std::size_t arity = kind == ObjectKind::None ? 1 : 2;
-      if (words.size() > arity) {
-        reject(op.text, "unexpected token '" + std::string(words[arity]) + "'");
-      }
+      const std::string_view operand = kind == ObjectKind::None ? "" : next_token(raw, at);
+      const std::string_view extra = next_token(raw, at);
+      if (!extra.empty()) reject(op.text, "unexpected token '" + std::string(extra) + "'");
       if (kind != ObjectKind::None) {
         const auto k = static_cast<std::size_t>(kind);
-        if (words.size() < 2) {
+        if (operand.empty()) {
           reject(op.text, "'" + to_string(op.verb) + "' needs " + kOperands[k]);
         }
-        const auto [it, inserted] =
-            ids[k].try_emplace(std::string(words[1]),
-                               static_cast<std::uint32_t>(tables[k]->size()));
-        if (inserted) tables[k]->push_back(it->first);
-        op.object = it->second;
+        std::vector<std::string>& table = *tables[k];
+        op.object = static_cast<std::uint32_t>(
+            std::find(table.begin(), table.end(), operand) - table.begin());
+        if (op.object == table.size()) table.emplace_back(operand);
       }
-      script.threads[t].push_back(std::move(op));
+      // A label repeats only inside its thread (it carries the tag).
+      const auto same = std::find_if(ops.begin(), ops.end(), [&op](const ScriptOp& prior) {
+        return prior.verb == op.verb && prior.object == op.object && prior.text == op.text;
+      });
+      op.site = same != ops.end() ? same->site : script.sites++;
+      ops.push_back(std::move(op));
     }
   }
   return script;
 }
 
+Script parse_script(const std::vector<std::vector<std::string>>& scripts) {
+  ScriptText text;
+  for (const auto& ops : scripts) {
+    text.ops.insert(text.ops.end(), ops.begin(), ops.end());
+    text.ends.push_back(text.ops.size());
+  }
+  return parse_script(text);
+}
+
 std::vector<std::pair<std::size_t, std::size_t>> unmatched_unlocks(const Script& script) {
   std::vector<std::pair<std::size_t, std::size_t>> out;
   for (std::size_t t = 0; t < script.threads.size(); ++t) {
-    std::vector<std::size_t> held(script.mutexes.size());
-    for (std::size_t i = 0; i < script.threads[t].size(); ++i) {
-      const ScriptOp& op = script.threads[t][i];
-      if (op.verb == Verb::Lock) ++held[op.object];
-      if (op.verb != Verb::Unlock) continue;
-      if (held[op.object] == 0) {
-        out.emplace_back(t, i);
-      } else {
-        --held[op.object];
+    const std::vector<ScriptOp>& ops = script.threads[t];
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      if (ops[i].verb != Verb::Unlock) continue;
+      // The mutex's held count before op i, unmatched unlocks aside.
+      std::size_t held = 0;
+      for (std::size_t j = 0; j < i; ++j) {
+        if (ops[j].object != ops[i].object) continue;
+        if (ops[j].verb == Verb::Lock) ++held;
+        if (ops[j].verb == Verb::Unlock && held > 0) --held;
       }
+      if (held == 0) out.emplace_back(t, i);
     }
   }
   return out;
@@ -148,36 +163,34 @@ std::string DeadlockState::to_string() const {
 BlockingState::BlockingState(const Script& script)
     : script_(&script),
       pos_(script.threads.size(), 0),
-      held_(script.mutexes.size(), false),
-      fill_(script.channels.size(), 0),
-      arrivals_(script.threads.size(), 0) {
-  for (std::size_t t = 0; t < script.threads.size(); ++t) {
-    if (!script.threads[t].empty()) participants_.push_back(t);
-  }
-}
+      objects_(script.mutexes.size() + script.channels.size(), 0),
+      arrivals_(script.threads.size(), 0) {}
 
 std::size_t BlockingState::count_completed() const {
-  std::size_t completed = participants_.empty() ? 0 : SIZE_MAX;
-  for (const std::size_t t : participants_) completed = std::min(completed, arrivals_[t]);
-  return completed;
+  std::size_t completed = SIZE_MAX;
+  for (std::size_t t = 0; t < arrivals_.size(); ++t) {
+    if (!script_->threads[t].empty()) completed = std::min(completed, arrivals_[t]);
+  }
+  return completed == SIZE_MAX ? 0 : completed;
 }
 
 bool BlockingState::enabled(std::size_t t) const {
   if (done(t) || parked(t)) return false;
   const ScriptOp& op = next(t);
-  if (op.verb == Verb::Lock) return !held_[op.object];
-  if (op.verb == Verb::Recv) return fill_[op.object] > 0;
+  if (op.verb == Verb::Lock) return objects_[op.object] == 0;
+  if (op.verb == Verb::Recv) return objects_[script_->mutexes.size() + op.object] > 0;
   return true;
 }
 
 bool BlockingState::execute(std::size_t t) {
   const ScriptOp& op = next(t);
   ++pos_[t];
+  std::int64_t* fill = objects_.data() + script_->mutexes.size();
   switch (op.verb) {
-    case Verb::Lock: held_[op.object] = true; break;
-    case Verb::Unlock: held_[op.object] = false; break;
-    case Verb::Send: ++fill_[op.object]; break;
-    case Verb::Recv: --fill_[op.object]; break;
+    case Verb::Lock: objects_[op.object] = 1; break;
+    case Verb::Unlock: objects_[op.object] = 0; break;
+    case Verb::Send: ++fill[op.object]; break;
+    case Verb::Recv: --fill[op.object]; break;
     case Verb::Barrier: {
       const std::size_t before = completed_;
       ++arrivals_[t];
@@ -193,11 +206,12 @@ bool BlockingState::execute(std::size_t t) {
 void BlockingState::undo(std::size_t t) {
   --pos_[t];
   const ScriptOp& op = next(t);
+  std::int64_t* fill = objects_.data() + script_->mutexes.size();
   switch (op.verb) {
-    case Verb::Lock: held_[op.object] = false; break;
-    case Verb::Unlock: held_[op.object] = true; break;
-    case Verb::Send: --fill_[op.object]; break;
-    case Verb::Recv: ++fill_[op.object]; break;
+    case Verb::Lock: objects_[op.object] = 0; break;
+    case Verb::Unlock: objects_[op.object] = 1; break;
+    case Verb::Send: --fill[op.object]; break;
+    case Verb::Recv: ++fill[op.object]; break;
     case Verb::Barrier:
       --arrivals_[t];
       completed_ = count_completed();

@@ -28,6 +28,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -44,17 +45,21 @@ enum class ObjectKind : std::uint8_t { Var, Mutex, Channel, None };
 struct ScriptOp {
   Verb verb = Verb::Read;
   std::uint32_t object = 0;  ///< id in the object_kind(verb) name table; 0 for barrier
+  std::uint32_t site = 0;    ///< id of the label: ops with one label share it
   std::string text;          ///< tagged label, e.g. "t0 write x"
 };
 
 /// Per-thread op vectors with operands interned separately per object
-/// kind (ids count up from 0 in first-seen order, thread by thread).
+/// kind, and labels interned as sites (ids count up from 0 in
+/// first-seen order, thread by thread). A label carries its thread's
+/// tag, so every site belongs to one thread.
 class Script {
  public:
   Script() = default;  // not an aggregate: a braced op list never converts
 
   std::vector<std::vector<ScriptOp>> threads;
   std::vector<std::string> vars, mutexes, channels;  ///< name tables, by id
+  std::uint32_t sites = 0;                           ///< distinct labels
 
   /// The operand name of `op` ("" for barrier).
   [[nodiscard]] const std::string& name(const ScriptOp& op) const;
@@ -62,8 +67,19 @@ class Script {
   [[nodiscard]] std::size_t total_ops() const;
 };
 
-/// Parse untagged per-thread scripts (the replay_all_interleavings /
-/// Explorer input shape). The only op tokenizer of the kit.
+/// Untagged per-thread op texts as views into the caller's text, flat:
+/// thread k's ops are ops[k == 0 ? 0 : ends[k - 1], ends[k]).
+struct ScriptText {
+  std::vector<std::string_view> ops;
+  std::vector<std::size_t> ends;
+};
+
+/// Parse untagged per-thread scripts. The only op tokenizer of the kit:
+/// each name is looked up once in its table, and each label is built
+/// once.
+[[nodiscard]] Script parse_script(const ScriptText& text);
+
+/// Same, over the replay_all_interleavings / Explorer input shape.
 [[nodiscard]] Script parse_script(const std::vector<std::vector<std::string>>& scripts);
 
 /// (thread, op index) of every unlock with no program-order lock of the
@@ -128,10 +144,10 @@ class BlockingState {
  private:
   const Script* script_;
   std::vector<std::size_t> pos_;
-  std::vector<bool> held_;                 ///< by mutex id
-  std::vector<std::int64_t> fill_;         ///< pending sends by channel id
+  /// By mutex id whether it is held, then by channel id the pending
+  /// sends.
+  std::vector<std::int64_t> objects_;
   std::vector<std::size_t> arrivals_;      ///< barrier arrivals by thread
-  std::vector<std::size_t> participants_;  ///< threads with a non-empty script
   std::size_t completed_ = 0;  ///< completed cycles, recounted at barrier ops only
 
   /// The fewest arrivals of any thread with a non-empty script.

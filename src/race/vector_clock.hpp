@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -66,6 +67,13 @@ class VectorClock {
   /// The FastTrack write-check: an access is ordered after a write iff
   /// the accessor's clock contains the write's epoch.
   [[nodiscard]] bool contains(Epoch e) const { return get(e.tid) >= e.clock; }
+
+  /// The stored components, in thread order, and their replacement
+  /// (the storage is kept): how a journal saves and restores a clock.
+  [[nodiscard]] std::span<const Clock> components() const { return clocks_; }
+  void assign(std::span<const Clock> components) {
+    clocks_.assign(components.begin(), components.end());
+  }
 
   /// Number of components stored (threads ever touched).
   [[nodiscard]] std::size_t size() const { return clocks_.size(); }

@@ -480,15 +480,16 @@ TEST(ScriptGrammar, WhitespaceSeparatesTokens) {
 }
 
 TEST(ConcurChecks, CycleComponentsFindsSccsAndSelfLoops) {
+  // Resources a, b, c, d as 1, 2, 3, 4.
   std::vector<OrderEdge> edges;
-  edges.push_back({"a", "b", nullptr});
-  edges.push_back({"b", "a", nullptr});
-  edges.push_back({"b", "c", nullptr});  // c: no cycle
-  edges.push_back({"d", "d", nullptr});  // self-loop
+  edges.push_back({1, 2, nullptr});
+  edges.push_back({2, 1, nullptr});
+  edges.push_back({2, 3, nullptr});  // c: no cycle
+  edges.push_back({4, 4, nullptr});  // self-loop
   const auto components = cycle_components(edges);
   ASSERT_EQ(components.size(), 2u);
-  EXPECT_EQ(components[0], (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(components[1], (std::vector<std::string>{"d"}));
+  EXPECT_EQ(components[0], (std::vector<Resource>{1, 2}));
+  EXPECT_EQ(components[1], (std::vector<Resource>{4}));
 }
 
 TEST(ConcurChecks, SeedExploreOptionsWiresGuidanceAndPruning) {

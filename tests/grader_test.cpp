@@ -281,6 +281,18 @@ TEST(Toolchain, ScriptOpCapAdmitsABodyAtTheCap) {
   EXPECT_EQ(over.status, "invalid") << over.to_json();
 }
 
+TEST(Toolchain, ScriptWideBodyVerdictIsBounded) {
+  // 512 one-op threads writing one variable: one static-race diagnostic
+  // per thread pair. The verdict quotes four of them and their total.
+  std::string body;
+  for (std::size_t t = 0; t < kMaxScriptOps; ++t) body += "write x\n";
+  const Verdict v = run_toolchain({"s", SubmissionKind::Script, body}, test_limits());
+  EXPECT_EQ(v.status, "race_found");
+  EXPECT_LT(v.to_json().size(), 64u * 1024u);
+  ASSERT_EQ(v.notes.size(), 9u);
+  EXPECT_EQ(v.notes[4], "130816 static finding(s) in all");
+}
+
 // --- hostile mini-C nesting and Life sizes ------------------------------
 
 /// `int main() { return <open * n> 1 <close * n>; }`

@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "life/traced.hpp"
 #include "os/interleave.hpp"
 #include "parallel/sync.hpp"
@@ -830,6 +831,97 @@ TEST(TracedLife, ParallelRunNamesRacesLikeTheReplay) {
   EXPECT_EQ(real.size(), 160u);
   EXPECT_EQ(real.count("cur[0,9] | swap grids (serial thread) | step_region band 2"), 1u);
   EXPECT_EQ(real.count("next[4,0] | swap grids (serial thread) | step_region band 1"), 1u);
+}
+
+// --- the undo journal ------------------------------------------------
+
+// A detector fed through the journaled steps and rolled back equals a
+// fresh detector fed what still stands: after a full feed, after undoing
+// to a seeded depth, and after every step of a different suffix. The
+// bodies take locks, channels and barriers, and the last one's
+// cross-thread reads inflate a readers vector that a write then empties.
+TEST(DetectorUndo, RollbackMatchesFreshFeed) {
+  std::vector<std::vector<std::vector<std::string>>> bodies;
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    ScriptGenConfig config;
+    config.threads = 2 + seed % 3;
+    config.ops_per_thread = 6;
+    config.locks = 2;
+    config.channels = 1;
+    config.barriers = seed % 2 == 0;
+    config.lock_cycles = seed % 3 == 1;
+    bodies.push_back(generate_script(seed, config));
+  }
+  bodies.push_back({{"read x", "read y", "read x", "barrier"},
+                    {"read x", "write y", "barrier", "read x"},
+                    {"read x", "write x", "barrier", "read x"}});
+  common::SplitMix64 rng(31);
+  for (const auto& scripts : bodies) {
+    const Script script = parse_script(scripts);
+    const auto fresh_summary = [&script](const std::vector<std::uint32_t>& schedule) {
+      Detector fresh;
+      const ScriptIds ids = intern_script(script, fresh);
+      BlockingState state(script);
+      (void)replay_ids(script, ids, schedule, fresh, state);
+      return fresh.summary();
+    };
+
+    Detector walked;
+    const ScriptIds ids = intern_script(script, walked);
+    for (std::size_t k = 1; k < script.threads.size(); ++k) (void)walked.register_thread();
+    BlockingState state(script);
+    std::vector<std::uint32_t> schedule;
+    std::vector<bool> fed;  // whether each walk step gave the detector a step
+    const auto step = [&](std::uint32_t t) {
+      const ScriptOp& op = state.next(t);
+      const ObjectKind kind = object_kind(op.verb);
+      const std::vector<NameId>& objects = kind == ObjectKind::Var     ? ids.vars
+                                           : kind == ObjectKind::Mutex ? ids.locks
+                                                                       : ids.channels;
+      const bool any = kind != ObjectKind::None;
+      if (any) walked.step(op.verb, t, objects[op.object], ids.sites[t][state.positions()[t]]);
+      const bool completed = state.execute(t);
+      if (completed) walked.step_barrier(ids.waiters);
+      schedule.push_back(t);
+      fed.push_back(any || completed);
+    };
+    const auto back = [&] {
+      state.undo(schedule.back());
+      if (fed.back()) walked.undo();
+      schedule.pop_back();
+      fed.pop_back();
+    };
+    const auto pending = [&] {
+      std::vector<std::uint32_t> out;
+      for (std::uint32_t t = 0; t < script.threads.size(); ++t) {
+        if (!state.done(t)) out.push_back(t);
+      }
+      return out;
+    };
+
+    for (auto ready = pending(); !ready.empty(); ready = pending()) {
+      step(ready[rng.below(ready.size())]);
+    }
+    ASSERT_EQ(walked.summary(), fresh_summary(schedule));
+    const std::vector<std::uint32_t> first = schedule;
+    const std::size_t depth = rng.below(first.size() + 1);
+    while (schedule.size() > depth) back();
+    ASSERT_EQ(walked.summary(), fresh_summary(schedule));
+    for (auto ready = pending(); !ready.empty(); ready = pending()) {
+      // Leave the first feed's path at the branch point when another
+      // thread can go.
+      std::uint32_t t = ready[rng.below(ready.size())];
+      if (schedule.size() == depth && ready.size() > 1 && t == first[depth]) {
+        t = ready[(std::find(ready.begin(), ready.end(), t) - ready.begin() + 1) %
+                  ready.size()];
+      }
+      step(t);
+      ASSERT_EQ(walked.summary(), fresh_summary(schedule));
+    }
+    while (!schedule.empty()) back();
+    EXPECT_EQ(walked.events(), 0u);
+    EXPECT_TRUE(walked.records().empty());
+  }
 }
 
 }  // namespace
