@@ -17,10 +17,17 @@
 //                        malformed configs) mixed into the batch; the
 //                        pool must grade everything and stay intact.
 //
+// Rows (a) and (c) also report each pass's handoffs: publish_waits
+// (submit blocked on a full queue), worker_waits (a worker blocked on an
+// empty one) and this process's context switches per submission
+// (getrusage; reported only, no floor).
+//
 // Usage: bench_grader [--perf-smoke] [--json[=DIR]] [--timestamp=T]
 //   --perf-smoke   smaller batches, assert the >=5x warm/cold floor and
 //                  poison completeness, nonzero exit on violation (the
 //                  tier-1 ctest entry).
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <string>
 
@@ -44,12 +51,43 @@ GraderService::Options service_options(std::size_t workers) {
   return options;
 }
 
-/// Submit the plan, wait idle, and return submissions/second.
-double grade_batch(GraderService& service, const LoadPlan& plan) {
+/// Voluntary plus involuntary context switches of this process so far.
+double context_switches() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_nvcsw + usage.ru_nivcsw);
+}
+
+struct Pass {
+  double rate = 0;         ///< submissions/second
+  double csw_per_sub = 0;  ///< context switches per submission
+};
+
+/// Submit the plan and wait idle.
+Pass grade_batch(GraderService& service, const LoadPlan& plan) {
+  const double batch = static_cast<double>(plan.submissions.size());
+  const double csw_begin = context_switches();
   const auto begin = cs31::bench::Clock::now();
   for (const auto& submission : plan.submissions) service.submit(submission);
   service.wait_idle();
-  return static_cast<double>(plan.submissions.size()) / cs31::bench::seconds_since(begin);
+  const double seconds = cs31::bench::seconds_since(begin);
+  return Pass{batch / seconds, (context_switches() - csw_begin) / batch};
+}
+
+/// Print and record one pass's handoffs: the queue waits since `before`
+/// and the context switches per submission, under `prefix` + name +
+/// `suffix`.
+void report_handoffs(cs31::bench::JsonReport& json, const std::string& prefix,
+                     const std::string& suffix, const GraderService::Stats& before,
+                     const GraderService::Stats& after, const Pass& pass) {
+  const std::uint64_t publish = after.publish_waits - before.publish_waits;
+  const std::uint64_t worker = after.worker_waits - before.worker_waits;
+  std::printf("          %" PRIu64 " publish waits, %" PRIu64
+              " worker waits, %.3f context switches/submission\n",
+              publish, worker, pass.csw_per_sub);
+  json.metric(prefix + "publish_waits" + suffix, publish);
+  json.metric(prefix + "worker_waits" + suffix, worker);
+  json.metric(prefix + "csw_per_sub" + suffix, pass.csw_per_sub);
 }
 
 }  // namespace
@@ -74,17 +112,21 @@ int main(int argc, char** argv) {
   // fastest cold pass read warm/cold 4.2-4.9x, under the floor.
   const LoadPlan steady = make_scenario("steady", batch, 1);
   GraderService service(service_options(workers));
-  const double cold_rate = grade_batch(service, steady);
-  const bool cold_ran_all = service.stats().toolchain_runs == batch;
-  const double warm_rate = grade_batch(service, steady);  // same bytes: all hits
+  const Pass cold_pass = grade_batch(service, steady);
+  const auto cold_stats = service.stats();
+  const bool cold_ran_all = cold_stats.toolchain_runs == batch;
+  const Pass warm_pass = grade_batch(service, steady);  // same bytes: all hits
   const auto warm_stats = service.stats();
   const bool warm_hit_all = warm_stats.toolchain_runs == batch;
+  const double cold_rate = cold_pass.rate, warm_rate = warm_pass.rate;
   const double warm_over_cold = warm_rate / cold_rate;
   std::printf("(a) cold vs warm, %zu distinct submissions, %zu workers\n", batch, workers);
   std::printf("    cold  %10.0f submissions/s   (%" PRIu64 " toolchain runs)\n", cold_rate,
               warm_stats.toolchain_runs);
+  report_handoffs(json, "cold_", "", GraderService::Stats{}, cold_stats, cold_pass);
   std::printf("    warm  %10.0f submissions/s   (%" PRIu64 " cache hits)\n", warm_rate,
               warm_stats.cache.hits);
+  report_handoffs(json, "warm_", "", cold_stats, warm_stats, warm_pass);
   std::printf("    warm/cold %.1fx\n\n", warm_over_cold);
   json.metric("cold_rate", cold_rate);
   json.metric("warm_rate", warm_rate);
@@ -94,7 +136,7 @@ int main(int argc, char** argv) {
   // (b) duplicate storm ---------------------------------------------------
   const LoadPlan storm = make_scenario("duplicate_storm", batch, 1);
   GraderService storm_service(service_options(workers));
-  const double storm_rate = grade_batch(storm_service, storm);
+  const double storm_rate = grade_batch(storm_service, storm).rate;
   const auto storm_stats = storm_service.stats();
   std::printf("(b) duplicate storm, %zu submissions, %" PRIu64 " distinct bodies\n", batch,
               storm_stats.cache.misses);
@@ -110,16 +152,18 @@ int main(int argc, char** argv) {
   std::printf("(c) cold steady throughput vs worker count\n");
   for (const std::size_t w : {1u, 2u, 4u}) {
     GraderService scaled(service_options(w));
-    const double rate = grade_batch(scaled, steady);
-    std::printf("    %zu worker%s %9.0f submissions/s\n", w, w == 1 ? " " : "s", rate);
-    json.metric("cold_rate_w" + std::to_string(w), rate);
+    const Pass pass = grade_batch(scaled, steady);
+    std::printf("    %zu worker%s %9.0f submissions/s\n", w, w == 1 ? " " : "s", pass.rate);
+    json.metric("cold_rate_w" + std::to_string(w), pass.rate);
+    report_handoffs(json, "cold_", "_w" + std::to_string(w), GraderService::Stats{},
+                    scaled.stats(), pass);
   }
   std::printf("\n");
 
   // (d) poison ------------------------------------------------------------
   const LoadPlan poison = make_scenario("poison", perf_smoke ? 48 : 240, 1);
   GraderService poison_service(service_options(workers));
-  const double poison_rate = grade_batch(poison_service, poison);
+  const double poison_rate = grade_batch(poison_service, poison).rate;
   const auto poison_stats = poison_service.stats();
   const bool pool_intact = poison_stats.graded == poison.submissions.size();
   std::printf("(d) poison scenario: %" PRIu64 "/%zu graded, pool %s, %7.0f submissions/s\n\n",

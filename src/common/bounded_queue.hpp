@@ -5,14 +5,14 @@
 // per-shard chunk queue) so cs31::grader's per-worker queues are the
 // same implementation, not a copy.
 //
-// Semantics (unchanged from the pipeline original):
+// Semantics:
 //   push          blocks while the queue is full — that block IS the
 //                 backpressure; `waits` counts how often it happened.
 //                 Throws cs31::Error after close().
-//   pop           blocks until an item or close; returns false only
-//                 when closed AND drained, so a closed queue still
-//                 delivers everything it holds. Marks the consumer
-//                 busy until done().
+//   pop           blocks until an item or close (`pop_waits` counts the
+//                 blocks); returns false only when closed AND drained,
+//                 so a closed queue still delivers everything it holds.
+//                 Marks the consumer busy until done().
 //   done          the consumer finished a popped item. wait_drained
 //                 needs this: "empty" alone would declare a queue
 //                 drained while a consumer still chews the last item.
@@ -20,6 +20,12 @@
 //                 idle — the building block for a stage-ordered
 //                 wait_idle across a multi-queue topology.
 //   close         wakes everyone; pending items still drain.
+//
+// Wake-ups come in batches (perfbook: amortize the handoff). push wakes
+// consumers only when the queue goes from empty to non-empty; pop wakes
+// producers only at or below half the capacity, so a producer blocked on
+// a full queue sleeps once per ~capacity/2 items (at capacity 1 and 2,
+// once per item); done wakes wait_drained only at the state it awaits.
 //
 // Any number of pushers. Consumers: `consumers_active` counts every
 // popped-but-not-done() item, so wait_drained stays honest for any
@@ -40,12 +46,13 @@ namespace cs31::common {
 template <typename T>
 struct BoundedQueue {
   mutable std::mutex mutex;
-  std::condition_variable not_full, not_empty;
+  std::condition_variable not_full, not_empty, drained;
   std::deque<T> items;
   std::size_t capacity = 8;
   bool closed = false;
   std::size_t consumers_active = 0;  ///< popped items not yet done()
   std::uint64_t waits = 0;       ///< producer blocks on full
+  std::uint64_t pop_waits = 0;   ///< consumer blocks on empty
   std::uint64_t high_water = 0;  ///< max queue depth observed
 
   BoundedQueue() = default;
@@ -61,27 +68,27 @@ struct BoundedQueue {
     }
     items.push_back(std::move(item));
     high_water = std::max<std::uint64_t>(high_water, items.size());
-    not_empty.notify_all();
+    if (items.size() == 1) not_empty.notify_all();
   }
 
   /// False when closed and drained; counts the consumer as busy while
   /// the item is out (cleared by done()).
   bool pop(T& out) {
     std::unique_lock lock(mutex);
+    if (items.empty() && !closed) ++pop_waits;
     not_empty.wait(lock, [&] { return !items.empty() || closed; });
     if (items.empty()) return false;
     out = std::move(items.front());
     items.pop_front();
     ++consumers_active;
-    not_full.notify_all();
+    if (items.size() <= capacity / 2) not_full.notify_all();
     return true;
   }
 
   void done() {
     std::scoped_lock lock(mutex);
     if (consumers_active > 0) --consumers_active;
-    // wait_drained waits on not_full too (an empty queue is "not full").
-    not_full.notify_all();
+    if (items.empty() && consumers_active == 0) drained.notify_all();
   }
 
   void close() {
@@ -93,7 +100,7 @@ struct BoundedQueue {
 
   void wait_drained() {
     std::unique_lock lock(mutex);
-    not_full.wait(lock, [&] { return items.empty() && consumers_active == 0; });
+    drained.wait(lock, [&] { return items.empty() && consumers_active == 0; });
   }
 };
 

@@ -1,14 +1,16 @@
 #include "grader/cache.hpp"
 
+#include <utility>
+
 namespace cs31::grader {
 
-Verdict VerdictCache::get_or_compute(ContentHash hash, const Submission& submission,
-                                     const std::function<Verdict()>& compute) {
+const std::string& VerdictCache::get_or_compute(ContentHash hash, Submission& submission,
+                                                const std::function<Verdict()>& compute) {
   const auto it = entries_.find(hash);
   if (it != entries_.end() && it->second.kind == submission.kind &&
       it->second.body == submission.body) {
     ++hits_;
-    return it->second.verdict;
+    return it->second.json;
   }
   ++misses_;
 
@@ -16,20 +18,16 @@ Verdict VerdictCache::get_or_compute(ContentHash hash, const Submission& submiss
   try {
     verdict = compute();
   } catch (const std::exception& e) {
-    verdict.status = "grader_error";
-    verdict.score = 0;
-    verdict.notes = {e.what()};
+    verdict = Verdict{.status = "grader_error", .notes = {e.what()}};
   } catch (...) {
-    verdict.status = "grader_error";
-    verdict.score = 0;
-    verdict.notes = {"unknown exception in toolchain"};
+    verdict = Verdict{.status = "grader_error", .notes = {"unknown exception in toolchain"}};
   }
   // A colliding body is graded but not stored: the entry stays with the
   // body that claimed the hash first.
-  if (it == entries_.end()) {
-    entries_.emplace(hash, Entry{submission.kind, submission.body, verdict});
-  }
-  return verdict;
+  if (it != entries_.end()) return uncached_ = verdict.to_json();
+  return entries_
+      .emplace(hash, Entry{submission.kind, std::move(submission.body), verdict.to_json()})
+      .first->second.json;
 }
 
 VerdictCache::Stats VerdictCache::stats() const {

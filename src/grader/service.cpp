@@ -49,35 +49,40 @@ void GraderService::submit_all(std::vector<Submission> submissions) {
 void GraderService::worker_main(Worker& worker) {
   Job job;
   while (worker.queue.pop(job)) {
-    Verdict verdict;
+    std::string error_json;
+    const std::string* verdict_json = &error_json;
     try {
-      verdict = worker.cache.get_or_compute(job.hash, job.submission, [this, &job] {
+      verdict_json = &worker.cache.get_or_compute(job.hash, job.submission, [this, &job] {
         return run_toolchain(job.submission, options_.limits);
       });
     } catch (const std::exception& e) {
       // Last-resort pool protection (the cache already converts compute
       // exceptions; this guards the cache's own plumbing): the
       // submission gets a report, the worker lives on.
-      verdict = Verdict{};
-      verdict.status = "grader_error";
-      verdict.score = 0;
-      verdict.notes = {e.what()};
+      error_json = Verdict{.status = "grader_error", .notes = {e.what()}}.to_json();
     }
-    finish(job, verdict);
+    finish(job, *verdict_json);
     ++worker.graded;
     job = Job{};
     worker.queue.done();
   }
 }
 
-void GraderService::finish(const Job& job, const Verdict& verdict) {
-  // Envelope first (who/what/which bytes), then the verdict's own
-  // fields spliced in — one line, stable key order.
-  std::string line = "{\"id\":" + json_quote(job.submission.id);
-  line += ",\"kind\":" + json_quote(to_string(job.submission.kind));
-  line += ",\"hash\":" + json_quote(hash_hex(job.hash));
-  line += ",";
-  line += verdict.to_json().substr(1);  // drop the verdict's '{'
+void GraderService::finish(const Job& job, const std::string& verdict_json) {
+  // Envelope first (who/what/which bytes), then the rendered verdict's
+  // fields spliced in — one line, stable key order, one buffer.
+  const std::string_view kind = kind_name(job.submission.kind);
+  std::string line;
+  // The envelope's keys, quotes and hash digits take 47 bytes.
+  line.reserve(47 + job.submission.id.size() + kind.size() + verdict_json.size());
+  line += "{\"id\":";
+  json_quote(line, job.submission.id);
+  line += ",\"kind\":";
+  json_quote(line, kind);
+  line += ",\"hash\":\"";
+  hash_hex(line, job.hash);
+  line += "\",";
+  line.append(verdict_json, 1);  // drop the verdict's '{'
   std::scoped_lock lock(reports_mutex_);
   reports_[job.seq] = std::move(line);
 }
@@ -109,6 +114,7 @@ GraderService::Stats GraderService::stats() const {
   for (const auto& worker : workers_) {
     std::scoped_lock lock(worker->queue.mutex);
     stats.publish_waits += worker->queue.waits;
+    stats.worker_waits += worker->queue.pop_waits;
     stats.graded += worker->graded;
     stats.graded_per_worker.push_back(worker->graded);
     const VerdictCache::Stats cache = worker->cache.stats();

@@ -8,13 +8,16 @@
 //             it straight onto worker `hash % workers`'s bounded queue
 //             (any number of front-end threads). A full queue BLOCKS the
 //             submitter — backpressure, so a burst can never balloon
-//             memory. Routing by content hash (not round-robin) means
+//             memory — until the worker has drained it to half, so a
+//             submitter ahead of its worker wakes once per ~capacity/2
+//             jobs, not once per job (bounded_queue.hpp). Routing by content hash (not round-robin) means
 //             identical bodies always land on the same worker, so a
 //             duplicate storm serializes behind one toolchain run on one
 //             worker while every other worker keeps grading distinct work.
 //   grade   — N workers, each popping its own queue, grading through its
-//             own VerdictCache, and writing the finished report line into
-//             the arrival-numbered slot. Every copy of a body reaches the
+//             own VerdictCache (each verdict rendered once, as JSON), and
+//             writing the report line (envelope, then those bytes, in one
+//             buffer) into the arrival-numbered slot. Every copy of a body reaches the
 //             worker that owns its hash, which grades one job at a time,
 //             so a private, lock-free cache still runs the toolchain once
 //             per distinct body, service-wide. A worker never dies:
@@ -62,6 +65,7 @@ class GraderService {
     std::uint64_t toolchain_runs = 0;  ///< actual compiles/executions: one per cache miss
     VerdictCache::Stats cache;         ///< summed over the workers' caches
     std::uint64_t publish_waits = 0;   ///< submit blocks on full worker queues
+    std::uint64_t worker_waits = 0;    ///< worker blocks on empty queues
     std::vector<std::uint64_t> graded_per_worker;
   };
 
@@ -110,7 +114,7 @@ class GraderService {
   };
 
   void worker_main(Worker& worker);
-  void finish(const Job& job, const Verdict& verdict);
+  void finish(const Job& job, const std::string& verdict_json);
 
   const Options options_;
   std::vector<std::unique_ptr<Worker>> workers_;

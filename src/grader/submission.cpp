@@ -31,10 +31,16 @@ ContentHash content_hash(SubmissionKind kind, const std::string& body) {
   return h;
 }
 
-std::string hash_hex(ContentHash hash) {
+void hash_hex(std::string& out, ContentHash hash) {
   char buf[24];
   std::snprintf(buf, sizeof buf, "0x%016llx", static_cast<unsigned long long>(hash));
-  return buf;
+  out += buf;
+}
+
+std::string hash_hex(ContentHash hash) {
+  std::string out;
+  hash_hex(out, hash);
+  return out;
 }
 
 }  // namespace cs31::grader

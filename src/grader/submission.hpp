@@ -45,7 +45,9 @@ using ContentHash = std::uint64_t;
   return content_hash(s.kind, s.body);
 }
 
-/// Fixed-width lowercase hex ("0x" + 16 digits) for reports.
+/// Fixed-width lowercase hex ("0x" + 16 digits) for reports; the
+/// first form appends it to `out`.
+void hash_hex(std::string& out, ContentHash hash);
 [[nodiscard]] std::string hash_hex(ContentHash hash);
 
 }  // namespace cs31::grader

@@ -355,7 +355,8 @@ Verdict run_toolchain(const Submission& submission, const ToolchainLimits& limit
 }
 
 std::string Verdict::to_json() const {
-  std::string out = "{\"status\":" + json_quote(status);
+  std::string out = "{\"status\":";
+  json_quote(out, status);
   out += ",\"score\":" + std::to_string(score);
   out += ",\"result\":" + std::to_string(result);
   out += ",\"instructions\":" + std::to_string(instructions);
@@ -364,7 +365,7 @@ std::string Verdict::to_json() const {
   out += ",\"notes\":[";
   for (std::size_t i = 0; i < notes.size(); ++i) {
     if (i > 0) out += ',';
-    out += json_quote(notes[i]);
+    json_quote(out, notes[i]);
   }
   out += "]}";
   return out;

@@ -587,12 +587,24 @@ CompactSite Detector::make_site(ThreadId t, AccessKind kind, NameId where) {
   site.event = events_;
   ThreadState& ts = threads_[t];
   if (!ts.held.empty()) {
-    if (!ts.lockset || *ts.lockset != ts.held) {
-      ts.lockset = std::make_shared<const std::vector<NameId>>(ts.held);
-    }
+    if (!ts.lockset || *ts.lockset != ts.held) ts.lockset = lockset_block(ts.held);
     site.locks = ts.lockset;
   }
   return site;
+}
+
+std::shared_ptr<const std::vector<NameId>> Detector::lockset_block(
+    const std::vector<NameId>& held) {
+  // Locksets are few (a program's lock nestings), so a list compared by
+  // value finds a block faster than a map; the cap bounds the search on
+  // a trace that holds unusually many.
+  constexpr std::size_t kLocksetBlocks = 32;
+  for (const auto& block : locksets_) {
+    if (*block == held) return block;
+  }
+  auto block = std::make_shared<const std::vector<NameId>>(held);
+  if (locksets_.size() < kLocksetBlocks) locksets_.push_back(block);
+  return block;
 }
 
 void Detector::report(NameId var, const CompactSite& first, const CompactSite& second,

@@ -532,6 +532,10 @@ class Detector final : public EventSink {
   void report(NameId var, const CompactSite& first, const CompactSite& second,
               Conflict conflict);
   [[nodiscard]] CompactSite make_site(ThreadId t, AccessKind kind, NameId where);
+  /// A block holding `held`: a stored one with the same content, else a
+  /// new one (kept for reuse while the list has room).
+  [[nodiscard]] std::shared_ptr<const std::vector<NameId>> lockset_block(
+      const std::vector<NameId>& held);
 
   mutable std::mutex mutex_;
   std::vector<ThreadState> threads_;
@@ -549,6 +553,10 @@ class Detector final : public EventSink {
   std::vector<Clock> clock_arena_;    // the journal's saved clocks
   std::vector<Epochs> saved_vars_;     // the journal's saved variables
   std::vector<Reader> saved_readers_;  // and their readers
+  /// The lockset blocks made so far (the first 32), reused by content:
+  /// a thread that moves between nested locksets finds its old blocks
+  /// here instead of allocating one per access in every schedule.
+  std::vector<std::shared_ptr<const std::vector<NameId>>> locksets_;
 };
 
 }  // namespace cs31::race

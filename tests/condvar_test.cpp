@@ -5,11 +5,22 @@
 // "missed wakeup" version is flagged. The same two programs run raw
 // under ThreadSanitizer via tests/tsan_crosscheck.cpp (cv-buggy /
 // cv-clean modes), and the verdicts must agree.
+//
+// BoundedQueue: the kit's own bounded buffer (common/bounded_queue.hpp)
+// and its batched wake rule — producers woken at the low-water mark,
+// wait_drained at the last done(), everyone at close.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <functional>
 #include <mutex>
 #include <thread>
+#include <utility>
+#include <vector>
 
+#include "common/bounded_queue.hpp"
+#include "common/error.hpp"
 #include "parallel/threads.hpp"
 #include "trace/condvar.hpp"
 #include "trace/context.hpp"
@@ -133,6 +144,188 @@ TEST(CondVar, MissedWakeupSpinPairIsFlagged) {
   ctx.flush();
   ASSERT_FALSE(ctx.detector().race_free());
   EXPECT_TRUE(mentions_variable(ctx.detector().races(), "payload"));
+}
+
+// --- BoundedQueue ------------------------------------------------------
+
+using Queue = common::BoundedQueue<int>;
+
+/// Poll `ready` for up to 10 s; false if it never held.
+bool eventually(const std::function<bool()>& ready) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!ready()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// Long enough for a woken thread to act on a lightly loaded host.
+void settle() { std::this_thread::sleep_for(std::chrono::milliseconds(20)); }
+
+std::size_t depth(const Queue& q) {
+  std::scoped_lock lock(q.mutex);
+  return q.items.size();
+}
+
+std::uint64_t producer_waits(const Queue& q) {
+  std::scoped_lock lock(q.mutex);
+  return q.waits;
+}
+
+int pop_one(Queue& q) {
+  int item = -1;
+  EXPECT_TRUE(q.pop(item));
+  q.done();
+  return item;
+}
+
+/// A pushing thread. A test that fails early ends with the producer
+/// still blocked on a full queue, so leaving scope closes the queue
+/// (its push then throws) before joining, and a failure cannot hang.
+class Producer {
+ public:
+  Producer(Queue& q, std::function<void()> pushes)
+      : q_(q), thread_([pushes = std::move(pushes)] {
+          try {
+            pushes();
+          } catch (const Error&) {
+          }
+        }) {}
+  Producer(const Producer&) = delete;
+  Producer& operator=(const Producer&) = delete;
+  ~Producer() {
+    if (!thread_.joinable()) return;
+    q_.close();
+    thread_.join();
+  }
+  void join() { thread_.join(); }
+
+ private:
+  Queue& q_;
+  std::thread thread_;
+};
+
+TEST(BoundedQueue, BlockedProducerWakesAtTheLowWaterMark) {
+  constexpr int kCap = 8;
+  Queue q(kCap);
+  for (int i = 0; i < kCap; ++i) q.push(i);
+  Producer producer(q, [&] { q.push(kCap); });
+  ASSERT_TRUE(eventually([&] { return producer_waits(q) == 1; }));
+  // Above half the capacity a pop leaves the producer asleep, though
+  // there is room for its item.
+  for (int i = 0; i < kCap / 2 - 1; ++i) EXPECT_EQ(pop_one(q), i);
+  settle();
+  EXPECT_EQ(depth(q), static_cast<std::size_t>(kCap / 2 + 1)) << "woken above the mark";
+  // The pop that reaches the mark wakes it.
+  EXPECT_EQ(pop_one(q), kCap / 2 - 1);
+  ASSERT_TRUE(eventually([&] { return depth(q) == static_cast<std::size_t>(kCap / 2 + 1); }))
+      << "not woken at the mark";
+  producer.join();
+  EXPECT_EQ(producer_waits(q), 1u);
+  for (int i = kCap / 2; i <= kCap; ++i) EXPECT_EQ(pop_one(q), i);
+}
+
+TEST(BoundedQueue, WaitDrainedReturnsAtTheLastDone) {
+  Queue q(4);
+  // A consumer that finds the queue empty sleeps and is counted.
+  int first = -1;
+  std::thread consumer([&] { EXPECT_TRUE(q.pop(first)); });
+  ASSERT_TRUE(eventually([&] {
+    std::scoped_lock lock(q.mutex);
+    return q.pop_waits == 1;
+  }));
+  q.push(7);
+  consumer.join();
+  EXPECT_EQ(first, 7);
+  q.push(8);
+  q.push(9);
+  int item = 0;
+  ASSERT_TRUE(q.pop(item));
+  ASSERT_TRUE(q.pop(item));
+  std::atomic<bool> drained{false};
+  std::thread waiter([&] {
+    q.wait_drained();
+    drained = true;
+  });
+  q.done();
+  q.done();
+  settle();
+  EXPECT_FALSE(drained) << "drained while a consumer still held an item";
+  q.done();
+  EXPECT_TRUE(eventually([&] { return drained.load(); })) << "not woken by the last done()";
+  q.drained.notify_all();  // releases a waiter the wake rule failed to wake
+  waiter.join();
+}
+
+TEST(BoundedQueue, CloseWakesABlockedProducerAndHeldItemsDrain) {
+  Queue q(2);
+  q.push(1);
+  q.push(2);
+  std::atomic<bool> refused{false};
+  Producer producer(q, [&] {
+    try {
+      q.push(3);
+    } catch (const Error&) {
+      refused = true;
+    }
+  });
+  ASSERT_TRUE(eventually([&] { return producer_waits(q) == 1; }));
+  q.close();
+  producer.join();
+  EXPECT_TRUE(refused);
+  EXPECT_EQ(pop_one(q), 1);
+  EXPECT_EQ(pop_one(q), 2);
+  int item = 0;
+  EXPECT_FALSE(q.pop(item));
+}
+
+TEST(BoundedQueue, CapacityOneAndTwoHandOffItemByItem) {
+  for (const int cap : {1, 2}) {
+    SCOPED_TRACE(cap);
+    constexpr int kExtra = 6;
+    Queue q(static_cast<std::size_t>(cap));
+    for (int i = 0; i < cap; ++i) q.push(i);
+    Producer producer(q, [&] {
+      for (int i = cap; i < cap + kExtra; ++i) q.push(i);
+    });
+    // Every pop wakes the producer, which refills the queue before the
+    // next pop.
+    for (int i = 0; i < kExtra; ++i) {
+      ASSERT_TRUE(eventually([&] { return producer_waits(q) == static_cast<unsigned>(i + 1); }));
+      EXPECT_EQ(pop_one(q), i);
+      ASSERT_TRUE(eventually([&] { return depth(q) == static_cast<std::size_t>(cap); }));
+    }
+    producer.join();
+    for (int i = kExtra; i < cap + kExtra; ++i) EXPECT_EQ(pop_one(q), i);
+  }
+}
+
+TEST(BoundedQueue, TwoProducersOneConsumerKeepEachProducersOrder) {
+  constexpr int kPerProducer = 10000;
+  common::BoundedQueue<std::pair<int, int>> q(64);
+  std::vector<int> next(2, 0);
+  bool ordered = true;
+  std::thread consumer([&] {
+    std::pair<int, int> item;
+    while (q.pop(item)) {
+      ordered = ordered && item.second == next[static_cast<std::size_t>(item.first)];
+      ++next[static_cast<std::size_t>(item.first)];
+      q.done();
+    }
+  });
+  std::vector<std::thread> producers;
+  for (int p = 0; p < 2; ++p) {
+    producers.emplace_back([&q, p] {
+      for (int i = 0; i < kPerProducer; ++i) q.push({p, i});
+    });
+  }
+  for (auto& t : producers) t.join();
+  q.wait_drained();
+  q.close();
+  consumer.join();
+  EXPECT_TRUE(ordered);
+  EXPECT_EQ(next, std::vector<int>(2, kPerProducer));
 }
 
 }  // namespace

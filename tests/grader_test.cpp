@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <set>
@@ -531,21 +532,33 @@ TEST(Toolchain, VerdictJsonIsStable) {
 
 // --- verdict cache -----------------------------------------------------
 
+/// One lookup on its own copy of `s`: a stored miss takes the body.
+std::string lookup(VerdictCache& cache, ContentHash hash, Submission s,
+                   const std::function<Verdict()>& compute) {
+  return cache.get_or_compute(hash, s, compute);
+}
+
 TEST(Cache, HitMissAccounting) {
   VerdictCache cache;
   const ContentHash h1 = 11, h2 = 22;
   const Submission a{"a", SubmissionKind::MiniC, "a"}, b{"b", SubmissionKind::MiniC, "b"};
-  const auto make = [](int score) {
-    return [score] {
-      Verdict v;
-      v.status = "ok";
-      v.score = score;
-      return v;
+  const auto verdict = [](int score) {
+    Verdict v;
+    v.status = "ok";
+    v.score = score;
+    return v;
+  };
+  int computed = 0;
+  const auto make = [&](int score) {
+    return [&, score] {
+      ++computed;
+      return verdict(score);
     };
   };
-  EXPECT_EQ(cache.get_or_compute(h1, a, make(100)).score, 100);
-  EXPECT_EQ(cache.get_or_compute(h1, a, make(50)).score, 100) << "hit must not recompute";
-  EXPECT_EQ(cache.get_or_compute(h2, b, make(70)).score, 70);
+  EXPECT_EQ(lookup(cache, h1, a, make(100)), verdict(100).to_json());
+  EXPECT_EQ(lookup(cache, h1, a, make(50)), verdict(100).to_json()) << "hit must not recompute";
+  EXPECT_EQ(computed, 1) << "a hit called compute";
+  EXPECT_EQ(lookup(cache, h2, b, make(70)), verdict(70).to_json());
   const auto stats = cache.stats();
   EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.hits, 1u);
@@ -565,12 +578,15 @@ TEST(Cache, HashCollisionIsAMissThatKeepsTheStoredEntry) {
   const auto grade = [](const Submission& s) {
     return [&s] { return run_toolchain(s, test_limits()); };
   };
-  EXPECT_EQ(cache.get_or_compute(shared, alice, grade(alice)).result, 1);
-  EXPECT_EQ(cache.get_or_compute(shared, mallory, grade(mallory)).result, 2)
+  const auto json = [](const Submission& s) { return run_toolchain(s, test_limits()).to_json(); };
+  ASSERT_NE(json(alice), json(mallory));
+  ASSERT_NE(json(alice), json(as_asm));
+  EXPECT_EQ(lookup(cache, shared, alice, grade(alice)), json(alice));
+  EXPECT_EQ(lookup(cache, shared, mallory, grade(mallory)), json(mallory))
       << "a colliding body was served another body's verdict";
-  EXPECT_EQ(cache.get_or_compute(shared, as_asm, grade(as_asm)).status, "compile_error")
+  EXPECT_EQ(lookup(cache, shared, as_asm, grade(as_asm)), json(as_asm))
       << "same bytes under another kind were served the mini-C verdict";
-  EXPECT_EQ(cache.get_or_compute(shared, alice, [] { return Verdict{}; }).result, 1)
+  EXPECT_EQ(lookup(cache, shared, alice, [] { return Verdict{}; }), json(alice))
       << "the collision overwrote the stored entry";
   const auto stats = cache.stats();
   EXPECT_EQ(stats.misses, 3u);
@@ -581,14 +597,11 @@ TEST(Cache, HashCollisionIsAMissThatKeepsTheStoredEntry) {
 TEST(Cache, ComputeExceptionBecomesCachedGraderError) {
   VerdictCache cache;
   const Submission s{"s", SubmissionKind::MiniC, "boom"};
-  const Verdict v = cache.get_or_compute(5, s, []() -> Verdict {
-    throw std::runtime_error("toolchain bug");
-  });
-  EXPECT_EQ(v.status, "grader_error");
-  ASSERT_FALSE(v.notes.empty());
-  EXPECT_EQ(v.notes[0], "toolchain bug");
+  const std::string want = Verdict{.status = "grader_error", .notes = {"toolchain bug"}}.to_json();
+  EXPECT_EQ(lookup(cache, 5, s, []() -> Verdict { throw std::runtime_error("toolchain bug"); }),
+            want);
   // Later lookups get the same verdict — no retry storm.
-  EXPECT_EQ(cache.get_or_compute(5, s, [] { return Verdict{}; }).status, "grader_error");
+  EXPECT_EQ(lookup(cache, 5, s, [] { return Verdict{}; }), want);
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
