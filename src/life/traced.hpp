@@ -78,9 +78,9 @@ struct TracedLifeOptions {
 /// (reserve_cell_names: a name is formatted only if a report reads it),
 /// each run of consecutive rows is appended with one buffer lookup
 /// (TraceContext::accesses_as), and the drain hands each run of
-/// accesses to the FastTrack detector under one lock, so the per-access
-/// cost is a buffer append plus an epoch check, not a string lookup or
-/// a mutex — which is what lets this scale past toy grids
+/// accesses to the FastTrack detector in one call, so the per-access
+/// cost is a buffer append plus an epoch check, not a string lookup —
+/// which is what lets this scale past toy grids
 /// (bench_race_overhead has the numbers).
 [[nodiscard]] TracedLifeResult traced_life_check(const Grid& initial, std::size_t threads,
                                                  std::size_t rounds, bool use_barrier,

@@ -1,6 +1,7 @@
 #include "race/detector.hpp"
 
 #include <algorithm>
+#include <mutex>
 #include <sstream>
 #include <unordered_set>
 
@@ -224,7 +225,6 @@ Detector::Detector(std::shared_ptr<NameTables> names) : names_(std::move(names))
 }
 
 ThreadId Detector::register_thread() {
-  std::scoped_lock lock(mutex_);
   const auto tid = static_cast<ThreadId>(threads_.size());
   ThreadState ts;
   ts.vc.set(tid, 1);
@@ -233,7 +233,6 @@ ThreadId Detector::register_thread() {
 }
 
 ThreadId Detector::fork(ThreadId parent) {
-  std::scoped_lock lock(mutex_);
   ++events_;
   ThreadState& p = state(parent);
   const auto child = static_cast<ThreadId>(threads_.size());
@@ -246,7 +245,6 @@ ThreadId Detector::fork(ThreadId parent) {
 }
 
 void Detector::join(ThreadId parent, ThreadId child) {
-  std::scoped_lock lock(mutex_);
   ++events_;
   ThreadState& c = state(child);
   state(parent).vc.join(c.vc);  // parent observes the child's whole life
@@ -255,21 +253,18 @@ void Detector::join(ThreadId parent, ThreadId child) {
 
 NameId Detector::intern_var(std::string_view name) {
   const NameId id = names_->intern(NameKind::Var, name);
-  std::scoped_lock lock(mutex_);
   if (id >= vars_.size()) vars_.resize(id + 1);
   return id;
 }
 
 NameId Detector::intern_lock(std::string_view name) {
   const NameId id = names_->intern(NameKind::Lock, name);
-  std::scoped_lock lock(mutex_);
   if (id >= locks_.size()) locks_.resize(id + 1);
   return id;
 }
 
 NameId Detector::intern_channel(std::string_view name) {
   const NameId id = names_->intern(NameKind::Channel, name);
-  std::scoped_lock lock(mutex_);
   if (id >= channels_.size()) channels_.resize(id + 1);
   return id;
 }
@@ -279,37 +274,30 @@ NameId Detector::intern_site(std::string_view label) {
 }
 
 void Detector::acquire(ThreadId t, NameId lock_id) {
-  std::scoped_lock lock(mutex_);
   on_acquire<false>(t, lock_id);
 }
 
 void Detector::release(ThreadId t, NameId lock_id) {
-  std::scoped_lock lock(mutex_);
   on_release<false>(t, lock_id);
 }
 
 void Detector::barrier(const std::vector<ThreadId>& waiters) {
-  std::scoped_lock lock(mutex_);
   on_barrier<false>(waiters);
 }
 
 void Detector::channel_send(ThreadId t, NameId channel_id) {
-  std::scoped_lock lock(mutex_);
   on_send<false>(t, channel_id);
 }
 
 void Detector::channel_recv(ThreadId t, NameId channel_id) {
-  std::scoped_lock lock(mutex_);
   on_recv<false>(t, channel_id);
 }
 
 void Detector::read(ThreadId t, NameId var, NameId site) {
-  std::scoped_lock lock(mutex_);
   check_and_record(t, var, AccessKind::Read, site);
 }
 
 void Detector::write(ThreadId t, NameId var, NameId site) {
-  std::scoped_lock lock(mutex_);
   check_and_record(t, var, AccessKind::Write, site);
 }
 
@@ -636,7 +624,6 @@ void Detector::cover(Table& table, NameKind kind, NameId id) {
 }
 
 const std::vector<RaceReport>& Detector::races() const {
-  std::scoped_lock lock(mutex_);
   while (built_.size() < records_.size()) {
     built_.push_back(build_report(*names_, records_[built_.size()]));
   }
@@ -644,32 +631,26 @@ const std::vector<RaceReport>& Detector::races() const {
 }
 
 RaceList Detector::race_list() const {
-  std::scoped_lock lock(mutex_);
   return RaceList(names_, records_);
 }
 
 const std::vector<RaceRecord>& Detector::records() const {
-  std::scoped_lock lock(mutex_);
   return records_;
 }
 
 bool Detector::race_free() const {
-  std::scoped_lock lock(mutex_);
   return records_.empty();
 }
 
 std::uint64_t Detector::race_count() const {
-  std::scoped_lock lock(mutex_);
   return race_count_;
 }
 
 std::uint64_t Detector::events() const {
-  std::scoped_lock lock(mutex_);
   return events_;
 }
 
 std::size_t Detector::threads() const {
-  std::scoped_lock lock(mutex_);
   return threads_.size();
 }
 
@@ -682,7 +663,6 @@ std::size_t clock_bytes(const VectorClock& vc) {
 }  // namespace
 
 std::size_t Detector::shadow_bytes() const {
-  std::scoped_lock lock(mutex_);
   std::size_t total = 0;
   for (const ThreadState& ts : threads_) {
     total += clock_bytes(ts.vc) + sizeof(ts.held) + ts.held.capacity() * sizeof(NameId);
@@ -713,7 +693,6 @@ std::string Detector::summary() const {
 }
 
 void Detector::set_event_clock(std::uint64_t seen) {
-  std::scoped_lock lock(mutex_);
   events_ = seen;
 }
 

@@ -39,8 +39,8 @@
 // That is why an inflation allocates one small vector (room for two
 // readers), not a vector clock plus a separate vector of sites.
 //
-// Per access the detector takes its mutex once; a drain hands it whole
-// runs of accesses (check_accesses) so that a run costs one lock.
+// A drain hands the detector whole runs of accesses (check_accesses),
+// so a run costs one call, not one virtual call per access.
 //
 // The undo journal: a feeder that walks a tree of event sequences depth
 // first (the DPOR explorer) keeps one detector for the whole walk. Each
@@ -57,7 +57,6 @@
 #include <cstdint>
 #include <iterator>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -253,9 +252,17 @@ class RaceList {
 /// sink the first time one of its events carries it, so in
 /// first-dispatch order. The name forms (`read(t, "x", "site")` and the
 /// rest) are conveniences defined once here: intern, then the id form.
-/// All implementations are thread-safe event sinks (events are
-/// internally serialized), but `races()` returns a reference into the
-/// sink — read it only once the instrumented threads are quiescent.
+///
+/// A sink has one owner and takes no lock (perfbook's data ownership):
+///   - one thread at a time feeds it (interning included);
+///   - the feeder supplies the happens-before edge to whoever reads it
+///     next: a TraceContext dispatches under its stream mutex, an
+///     AnalysisPipeline shard's detector is read after wait_idle, and a
+///     replay, the explorer or a fuzz-trace run feeds from one thread;
+///   - its read accessors (`races()`, `summary()`, `events()` and the
+///     rest) are called only once the feed is quiescent, e.g. after
+///     TraceContext::flush, and by one thread at a time: `races()`
+///     builds reports into the sink and returns a reference to them.
 class EventSink {
  public:
   virtual ~EventSink() = default;
@@ -408,11 +415,10 @@ class Detector final : public EventSink {
     /// sees only a slice of the stream numbers it like the whole.
     std::uint64_t event = 0;
   };
-  /// A run of accesses under one lock: exactly read()/write() on
+  /// A run of accesses in one call: exactly read()/write() on
   /// `to_access(e)` for each element e of [first, last), in order.
   template <typename It, typename ToAccess>
   void check_accesses(It first, It last, ToAccess to_access) {
-    std::scoped_lock lock(mutex_);
     for (; first != last; ++first) {
       const Access a = to_access(*first);
       if (a.event != 0) events_ = a.event - 1;
@@ -420,11 +426,10 @@ class Detector final : public EventSink {
     }
   }
 
-  /// The journaled feed (see the file comment), for one owner, so it
-  /// takes no lock. `step` is the event of a script op other than a
-  /// barrier arrival (object: its variable, lock or channel id) and
-  /// `step_barrier` a completed cycle. Register every thread and intern
-  /// every name before the first step.
+  /// The journaled feed (see the file comment). `step` is the event of
+  /// a script op other than a barrier arrival (object: its variable,
+  /// lock or channel id) and `step_barrier` a completed cycle. Register
+  /// every thread and intern every name before the first step.
   void step(Verb verb, ThreadId t, NameId object, NameId site);
   void step_barrier(const std::vector<ThreadId>& waiters);
   void undo();
@@ -537,7 +542,6 @@ class Detector final : public EventSink {
   [[nodiscard]] std::shared_ptr<const std::vector<NameId>> lockset_block(
       const std::vector<NameId>& held);
 
-  mutable std::mutex mutex_;
   std::vector<ThreadState> threads_;
   std::vector<VectorClock> locks_;     // by lock id
   std::vector<VectorClock> channels_;  // by channel id

@@ -30,13 +30,11 @@ void LocksetDetector::check_thread(ThreadId t) const {
 }
 
 ThreadId LocksetDetector::register_thread() {
-  std::scoped_lock lock(mutex_);
   held_.emplace_back();
   return static_cast<ThreadId>(held_.size() - 1);
 }
 
 ThreadId LocksetDetector::fork(ThreadId parent) {
-  std::scoped_lock lock(mutex_);
   check_thread(parent);
   ++events_;
   held_.emplace_back();
@@ -44,14 +42,12 @@ ThreadId LocksetDetector::fork(ThreadId parent) {
 }
 
 void LocksetDetector::join(ThreadId parent, ThreadId child) {
-  std::scoped_lock lock(mutex_);
   check_thread(parent);
   check_thread(child);
   ++events_;  // no ordering recorded — lockset is blind to join edges
 }
 
 void LocksetDetector::acquire(ThreadId t, NameId lock) {
-  std::scoped_lock guard(mutex_);
   check_thread(t);
   require(lock < lock_names_.size(), "lockset: acquire of a lock id that was never interned");
   held_[t].push_back(lock);
@@ -59,7 +55,6 @@ void LocksetDetector::acquire(ThreadId t, NameId lock) {
 }
 
 void LocksetDetector::release(ThreadId t, NameId lock) {
-  std::scoped_lock guard(mutex_);
   check_thread(t);
   require(lock < lock_names_.size(), "lockset: release of a lock id that was never interned");
   auto& held = held_[t];
@@ -73,33 +68,28 @@ void LocksetDetector::release(ThreadId t, NameId lock) {
 }
 
 void LocksetDetector::barrier(const std::vector<ThreadId>& waiters) {
-  std::scoped_lock lock(mutex_);
   require(!waiters.empty(), "barrier needs at least one waiter");
   for (const ThreadId w : waiters) check_thread(w);
   ++events_;  // deliberately no effect: Eraser cannot see barrier order
 }
 
 void LocksetDetector::channel_send(ThreadId t, NameId channel) {
-  std::scoped_lock lock(mutex_);
   check_thread(t);
   (void)channel;
   ++events_;  // deliberately no effect
 }
 
 void LocksetDetector::channel_recv(ThreadId t, NameId channel) {
-  std::scoped_lock lock(mutex_);
   check_thread(t);
   (void)channel;
   ++events_;  // deliberately no effect
 }
 
 NameId LocksetDetector::intern_var(std::string_view name) {
-  std::scoped_lock lock(mutex_);
   return var_names_.id(name);
 }
 
 NameId LocksetDetector::intern_lock(std::string_view name) {
-  std::scoped_lock lock(mutex_);
   return lock_names_.id(name);
 }
 
@@ -109,24 +99,19 @@ NameId LocksetDetector::intern_channel(std::string_view name) {
 }
 
 NameId LocksetDetector::intern_site(std::string_view label) {
-  std::scoped_lock lock(mutex_);
   return site_names_.id(label);
 }
 
 void LocksetDetector::read(ThreadId t, NameId var, NameId site) {
-  std::scoped_lock guard(mutex_);
-  check_thread(t);
-  on_access_locked(t, var, AccessKind::Read, site);
+  on_access(t, var, AccessKind::Read, site);
 }
 
 void LocksetDetector::write(ThreadId t, NameId var, NameId site) {
-  std::scoped_lock guard(mutex_);
-  check_thread(t);
-  on_access_locked(t, var, AccessKind::Write, site);
+  on_access(t, var, AccessKind::Write, site);
 }
 
-void LocksetDetector::on_access_locked(ThreadId t, NameId var, AccessKind kind,
-                                       NameId where) {
+void LocksetDetector::on_access(ThreadId t, NameId var, AccessKind kind, NameId where) {
+  check_thread(t);
   require(var < var_names_.size() && where < site_names_.size(),
           "lockset: access names a variable or site id that was never interned");
   ++events_;
@@ -221,32 +206,26 @@ void LocksetDetector::report(NameId var, const Access& first, const Access& seco
 }
 
 const std::vector<RaceReport>& LocksetDetector::races() const {
-  std::scoped_lock lock(mutex_);
   return races_;
 }
 
 bool LocksetDetector::race_free() const {
-  std::scoped_lock lock(mutex_);
   return races_.empty();
 }
 
 std::uint64_t LocksetDetector::race_count() const {
-  std::scoped_lock lock(mutex_);
   return race_count_;
 }
 
 std::uint64_t LocksetDetector::events() const {
-  std::scoped_lock lock(mutex_);
   return events_;
 }
 
 std::size_t LocksetDetector::threads() const {
-  std::scoped_lock lock(mutex_);
   return held_.size();
 }
 
 std::size_t LocksetDetector::shadow_bytes() const {
-  std::scoped_lock lock(mutex_);
   std::size_t bytes = held_.size() * sizeof(std::vector<NameId>);
   for (const auto& h : held_) bytes += h.capacity() * sizeof(NameId);
   bytes += vars_.size() * sizeof(VarState);
@@ -260,7 +239,6 @@ std::size_t LocksetDetector::shadow_bytes() const {
 }
 
 std::string LocksetDetector::summary() const {
-  std::scoped_lock lock(mutex_);
   std::ostringstream out;
   if (races_.empty()) {
     out << "lockset: no locking-discipline violations in " << events_ << " events across "
@@ -274,7 +252,6 @@ std::string LocksetDetector::summary() const {
 }
 
 std::vector<std::string> LocksetDetector::candidate_lockset(const std::string& var) const {
-  std::scoped_lock lock(mutex_);
   std::vector<std::string> out;
   // Read-only probe: an unknown variable has no lockset yet.
   for (NameId id = 0; id < vars_.size(); ++id) {
@@ -287,7 +264,6 @@ std::vector<std::string> LocksetDetector::candidate_lockset(const std::string& v
 }
 
 bool LocksetDetector::lockset_defined(const std::string& var) const {
-  std::scoped_lock lock(mutex_);
   for (NameId id = 0; id < vars_.size(); ++id) {
     if (var_names_.name(id) == var) {
       return vars_[id].state == State::Shared || vars_[id].state == State::SharedModified;

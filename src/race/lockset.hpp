@@ -29,7 +29,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -117,13 +116,12 @@ class LocksetDetector final : public EventSink {
     std::size_t operator()(const ReportKey& k) const;
   };
 
-  // The *_locked members expect mutex_ held.
-  void on_access_locked(ThreadId t, NameId var, AccessKind kind, NameId where);
+  /// read() and write(): the state machine step of one access.
+  void on_access(ThreadId t, NameId var, AccessKind kind, NameId where);
   void check_thread(ThreadId t) const;
   [[nodiscard]] AccessSite materialize(const Access& access) const;
   void report(NameId var, const Access& first, const Access& second);
 
-  mutable std::mutex mutex_;
   std::vector<std::vector<NameId>> held_;  // by thread id, acquisition order
   std::vector<VarState> vars_;             // by variable id
   Interner var_names_;

@@ -15,7 +15,6 @@ ReferenceDetector::ReferenceDetector() {
 }
 
 ThreadId ReferenceDetector::register_thread() {
-  std::scoped_lock lock(mutex_);
   const auto tid = static_cast<ThreadId>(threads_.size());
   ThreadState ts;
   ts.vc.set(tid, 1);
@@ -24,7 +23,6 @@ ThreadId ReferenceDetector::register_thread() {
 }
 
 ThreadId ReferenceDetector::fork(ThreadId parent) {
-  std::scoped_lock lock(mutex_);
   ++events_;
   ThreadState& p = state(parent);
   const auto child = static_cast<ThreadId>(threads_.size());
@@ -37,7 +35,6 @@ ThreadId ReferenceDetector::fork(ThreadId parent) {
 }
 
 void ReferenceDetector::join(ThreadId parent, ThreadId child) {
-  std::scoped_lock lock(mutex_);
   ++events_;
   ThreadState& c = state(child);
   state(parent).vc.join(c.vc);  // parent observes the child's whole life
@@ -62,7 +59,6 @@ NameId ReferenceDetector::intern_site(std::string_view label) {
 
 void ReferenceDetector::acquire(ThreadId t, NameId lock_id) {
   const std::string& lock_name = names_.name(NameKind::Lock, lock_id);
-  std::scoped_lock lock(mutex_);
   ++events_;
   ThreadState& ts = state(t);
   ts.vc.join(locks_[lock_name]);  // observe the previous critical section
@@ -71,7 +67,6 @@ void ReferenceDetector::acquire(ThreadId t, NameId lock_id) {
 
 void ReferenceDetector::release(ThreadId t, NameId lock_id) {
   const std::string& lock_name = names_.name(NameKind::Lock, lock_id);
-  std::scoped_lock lock(mutex_);
   ++events_;
   ThreadState& ts = state(t);
   const auto it = std::find(ts.held.rbegin(), ts.held.rend(), lock_name);
@@ -85,7 +80,6 @@ void ReferenceDetector::release(ThreadId t, NameId lock_id) {
 }
 
 void ReferenceDetector::barrier(const std::vector<ThreadId>& waiters) {
-  std::scoped_lock lock(mutex_);
   require(!waiters.empty(), "barrier needs at least one waiter");
   ++events_;
   VectorClock all;
@@ -99,7 +93,6 @@ void ReferenceDetector::barrier(const std::vector<ThreadId>& waiters) {
 
 void ReferenceDetector::channel_send(ThreadId t, NameId channel_id) {
   const std::string& channel = names_.name(NameKind::Channel, channel_id);
-  std::scoped_lock lock(mutex_);
   ++events_;
   ThreadState& ts = state(t);
   channels_[channel].join(ts.vc);
@@ -108,19 +101,16 @@ void ReferenceDetector::channel_send(ThreadId t, NameId channel_id) {
 
 void ReferenceDetector::channel_recv(ThreadId t, NameId channel_id) {
   const std::string& channel = names_.name(NameKind::Channel, channel_id);
-  std::scoped_lock lock(mutex_);
   ++events_;
   state(t).vc.join(channels_[channel]);
 }
 
 void ReferenceDetector::read(ThreadId t, NameId var, NameId site) {
-  std::scoped_lock lock(mutex_);
   check_and_record(t, names_.name(NameKind::Var, var), AccessKind::Read,
                    names_.name(NameKind::Site, site));
 }
 
 void ReferenceDetector::write(ThreadId t, NameId var, NameId site) {
-  std::scoped_lock lock(mutex_);
   check_and_record(t, names_.name(NameKind::Var, var), AccessKind::Write,
                    names_.name(NameKind::Site, site));
 }
@@ -193,22 +183,18 @@ ReferenceDetector::ThreadState& ReferenceDetector::state(ThreadId t) {
 const std::vector<RaceReport>& ReferenceDetector::races() const { return races_; }
 
 bool ReferenceDetector::race_free() const {
-  std::scoped_lock lock(mutex_);
   return races_.empty();
 }
 
 std::uint64_t ReferenceDetector::race_count() const {
-  std::scoped_lock lock(mutex_);
   return race_count_;
 }
 
 std::uint64_t ReferenceDetector::events() const {
-  std::scoped_lock lock(mutex_);
   return events_;
 }
 
 std::size_t ReferenceDetector::threads() const {
-  std::scoped_lock lock(mutex_);
   return threads_.size();
 }
 
@@ -236,7 +222,6 @@ std::size_t site_bytes(const AccessSite& s) {
 }  // namespace
 
 std::size_t ReferenceDetector::shadow_bytes() const {
-  std::scoped_lock lock(mutex_);
   std::size_t total = 0;
   for (const ThreadState& ts : threads_) {
     total += clock_bytes(ts.vc) + sizeof(ts.held);
@@ -261,7 +246,6 @@ std::size_t ReferenceDetector::shadow_bytes() const {
 }
 
 std::string ReferenceDetector::summary() const {
-  std::scoped_lock lock(mutex_);
   std::ostringstream out;
   if (races_.empty()) {
     out << "race-free: no data races over " << events_ << " events, "

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <set>
 #include <string>
 #include <string_view>
@@ -97,7 +96,6 @@ class ReferenceDetector final : public EventSink {
   AccessSite make_site(ThreadId t, AccessKind kind, const std::string& where) const;
 
   NameTables names_;  ///< the id entry's; not shadow state
-  mutable std::mutex mutex_;
   std::vector<ThreadState> threads_;
   std::map<std::string, VectorClock> locks_;
   std::map<std::string, VectorClock> channels_;

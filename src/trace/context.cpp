@@ -791,7 +791,7 @@ void TraceContext::dispatch(const Event* first, const Event* last) {
       continue;
     }
     // A maximal run of accesses: no fork can remap a thread inside it,
-    // so a detector on the context's own ids checks it under one lock.
+    // so a detector on the context's own ids checks it in one call.
     const Event* const end =
         std::find_if(first, last, [](const Event& e) { return is_sync(e.kind); });
     for (SinkBinding& binding : sinks_) {

@@ -41,10 +41,11 @@
 //               LocksetDetector, a MetricsSink, anything else honouring
 //               the interface. A detector that shares the context's
 //               name tables gets each run of access events in one call
-//               (Detector::check_accesses: one detector lock per run);
-//               any other sink gets its own ids, each name interned
-//               into it on first sight. Each sink sees the same events
-//               in the same order.
+//               (Detector::check_accesses); any other sink gets its own
+//               ids, each name interned into it on first sight. Each
+//               sink sees the same events in the same order, dispatched
+//               under stream_mutex_, which makes the draining thread
+//               the sinks' one owner (race::EventSink).
 //
 // Ordering (why lock-free capture drains byte-identically):
 //   1. Stamps are fetch_adds on one atomic, so they are unique and
@@ -504,11 +505,11 @@ class TraceContext {
   /// is sorted.
   /// The merge hands each block of merged order to dispatch where it
   /// lies, and dispatch hands each run of access events in it to a
-  /// same-ids detector in one call, under one detector lock. The two
-  /// halves are separate so a barrier can let its waiters go in
-  /// between: collect_locked takes the covered buffers' events and
-  /// returns the dispatch horizon; merge_locked merges what was taken
-  /// with pending_ and the sync stream and dispatches up to the horizon.
+  /// same-ids detector in one call. The two halves are separate so a
+  /// barrier can let its waiters go in between: collect_locked takes
+  /// the covered buffers' events and returns the dispatch horizon;
+  /// merge_locked merges what was taken with pending_ and the sync
+  /// stream and dispatches up to the horizon.
   void drain_locked(const std::vector<ThreadId>& subset, bool all);
   /// A nonzero `epoch` becomes each covered buffer's epoch first (a
   /// barrier cycle's stamp).

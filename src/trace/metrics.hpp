@@ -6,28 +6,17 @@
 // contention profile. Like every EventSink it takes events by id; it
 // keeps only lock names, so interning any other name returns id 0.
 //
-// Counting is lock-free on the per-event path: each thread's metrics
-// row is a cache-line-aligned block of relaxed atomics living in
-// chunked stable storage (rows never move once published), and the
-// event total is a common::ShardedCounter. The sink's one mutex guards
-// only structure — registering/forking threads, the lock names and the
-// per-lock counts an acquire bumps, barrier-cycle bookkeeping, and
-// readers — so a read/write/release/send/recv costs two uncontended
-// fetch_adds, not a mutex round-trip per event. (The sink used to take its mutex on
-// every event; with an inline drain racing a metrics poll, that lock
-// was pure serialization for what is statistically-mergeable counting
-// — exactly the per-CPU-counter case from McKenney ch. 5.)
+// Like every sink it has one owner (see race::EventSink): the counters
+// are plain integers, bumped by the one thread feeding the sink and
+// read once that feed is quiescent (after a flush).
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
-#include "common/sharded_counter.hpp"
 #include "race/detector.hpp"
 #include "race/interner.hpp"
 
@@ -51,7 +40,6 @@ struct ThreadMetrics {
 class MetricsSink final : public race::EventSink {
  public:
   MetricsSink();
-  ~MetricsSink() override;
 
   MetricsSink(const MetricsSink&) = delete;
   MetricsSink& operator=(const MetricsSink&) = delete;
@@ -81,54 +69,28 @@ class MetricsSink final : public race::EventSink {
   [[nodiscard]] const std::vector<race::RaceReport>& races() const override;
   [[nodiscard]] bool race_free() const override { return true; }
   [[nodiscard]] std::uint64_t race_count() const override { return 0; }
-  [[nodiscard]] std::uint64_t events() const override;
-  [[nodiscard]] std::size_t threads() const override;
+  [[nodiscard]] std::uint64_t events() const override { return events_; }
+  [[nodiscard]] std::size_t threads() const override { return rows_.size(); }
   [[nodiscard]] std::size_t shadow_bytes() const override;
   [[nodiscard]] std::string summary() const override;
 
   // --- metrics ---
-  // Readers sum the atomics: exact once writers are quiescent (after a
-  // flush / wait_idle); a read racing live counting may miss in-flight
-  // increments but never double-counts — the ShardedCounter contract.
-  [[nodiscard]] std::vector<ThreadMetrics> per_thread() const;
+  /// One row per registered thread, indexed by thread id.
+  [[nodiscard]] const std::vector<ThreadMetrics>& per_thread() const { return rows_; }
   /// (lock name, acquire count), by first-acquire order — the hotter a
   /// lock, the more serialization it imposes.
   [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> lock_acquires() const;
-  [[nodiscard]] std::uint64_t barrier_cycles() const;
+  [[nodiscard]] std::uint64_t barrier_cycles() const { return barrier_cycles_; }
 
  private:
-  /// One thread's counters. Same layout cost as ThreadMetrics, but each
-  /// field is independently updatable with a relaxed fetch_add, and the
-  /// row is line-aligned so two threads' rows never share a cache line.
-  struct alignas(64) AtomicThreadMetrics {
-    std::atomic<std::uint64_t> reads{0}, writes{0}, acquires{0}, releases{0},
-        sends{0}, recvs{0}, barriers{0};
-  };
-  static constexpr std::size_t kRowsPerChunk = 64;
-  static constexpr std::size_t kMaxChunks = 1024;  ///< 64Ki threads
-  struct Chunk {
-    std::array<AtomicThreadMetrics, kRowsPerChunk> rows{};
-  };
+  /// The row for `t`; throws cs31::Error on an unregistered id.
+  [[nodiscard]] ThreadMetrics& row(race::ThreadId t);
 
-  /// The row for `t`; throws cs31::Error on an unregistered id. Safe
-  /// without the mutex: a row is published (release) before the thread
-  /// count that makes it addressable, and published chunks never move.
-  [[nodiscard]] AtomicThreadMetrics& row(race::ThreadId t) const;
-  [[nodiscard]] ThreadMetrics snapshot_row(race::ThreadId t) const;
-  /// Ensure rows [0, count) exist and publish the new count. Caller
-  /// holds mutex_.
-  void grow_locked(std::size_t count);
-
-  /// Guards structure only: thread registration, the lock names and
-  /// counts, barrier bookkeeping, and multi-value readers. Never taken
-  /// by read/write/release/send/recv.
-  mutable std::mutex mutex_;
-  std::atomic<std::size_t> thread_count_{0};
-  std::array<std::atomic<Chunk*>, kMaxChunks> chunks_{};
-  common::ShardedCounter events_;
+  std::vector<ThreadMetrics> rows_;  // by thread id
+  std::uint64_t events_ = 0;
   race::Interner lock_names_;
-  std::vector<std::uint64_t> lock_acquires_;  // by lock id; guarded by mutex_
-  std::uint64_t barrier_cycles_ = 0;          // guarded by mutex_
+  std::vector<std::uint64_t> lock_acquires_;  // by lock id
+  std::uint64_t barrier_cycles_ = 0;
 };
 
 }  // namespace cs31::trace

@@ -167,7 +167,7 @@ void AnalysisPipeline::analyze(Shard& shard, const ShardChunk& chunk) {
       ++position;
       continue;
     }
-    // This shard's accesses up to the next sync: one detector lock for
+    // This shard's accesses up to the next sync: one detector call for
     // all of them, each numbered by its place in the whole stream, so
     // this shard's AccessSite.event values — and therefore its reports
     // — match what an inline detector seeing the whole stream records.

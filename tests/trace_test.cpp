@@ -692,7 +692,8 @@ TEST(LocksetDetectorTest, RealThreadLifeReportsPinnedByDigest) {
   // order, the flagged-access count and the summary. The drained stream
   // is schedule-independent, so the digest is too; a change to how the
   // detector dedups or words its reports, or to how the context feeds
-  // it, must leave this alone.
+  // it, must leave this alone. The metrics sink on the same feed counts
+  // what the built-in detector saw.
   const life::Grid initial = life::Grid::random(64, 64, 0.3, 7);
   TraceContext ctx;
   race::LocksetDetector lockset;
@@ -717,6 +718,10 @@ TEST(LocksetDetectorTest, RealThreadLifeReportsPinnedByDigest) {
   EXPECT_EQ(lockset.races().size(), 110u);
   EXPECT_EQ(lockset.race_count(), 1934u);
   EXPECT_EQ(digest, 0x2802f22154f62fdeull);
+  EXPECT_EQ(metrics.events(), ctx.detector().events());
+  EXPECT_EQ(metrics.threads(), ctx.detector().threads());
+  EXPECT_EQ(metrics.barrier_cycles(), 20u);
+  EXPECT_TRUE(metrics.lock_acquires().empty());
 }
 
 // --- team joins --------------------------------------------------------
