@@ -545,6 +545,7 @@ bool report_shard_scaling(cs31::bench::JsonReport& json) {
   std::printf("  (balance = min..max access events routed per shard — var-id\n"
               "   sharding spreads the grid cells evenly)\n\n");
 
+  json.metric("capacity_scaling_1_to_4", capacity4 / capacity1);
   if (capacity4 <= capacity1) {
     std::fprintf(stderr,
                  "FAIL: 4-shard analysis capacity (%.1f Mev/s) does not exceed "
@@ -553,7 +554,6 @@ bool report_shard_scaling(cs31::bench::JsonReport& json) {
     return false;
   }
   std::printf("capacity scales %.2fx from 1 to 4 shards\n\n", capacity4 / capacity1);
-  json.metric("capacity_scaling_1_to_4", capacity4 / capacity1);
   return true;
 }
 
@@ -719,14 +719,16 @@ int main(int argc, char** argv) {
     return ok ? 0 : 1;
   }
 
-  if (!report_compression(json)) return 1;
-  if (!report_realthread(json)) return 1;
-  if (!report_pipeline(json)) return 1;
-  if (!report_capture_overhead(json)) return 1;
-  if (!report_sync_storm(json)) return 1;
-  if (!report_shard_scaling(json)) return 1;
+  // Every section runs and writes its rows before any gate is judged,
+  // so one failed gate does not cost the JSON the sections after it.
+  bool ok = report_compression(json);
+  ok = report_realthread(json) && ok;
+  ok = report_pipeline(json) && ok;
+  ok = report_capture_overhead(json) && ok;
+  ok = report_sync_storm(json) && ok;
+  ok = report_shard_scaling(json) && ok;
   report_sampling(json);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "life/traced.hpp"
 #include "parallel/sync.hpp"
 
 namespace cs31::life {
@@ -159,13 +160,12 @@ ParallelLife::ParallelLife(Grid initial, std::size_t threads, parallel::GridSpli
 
 void ParallelLife::run(std::size_t n) { run(n, LifeTraceOptions{}); }
 
-trace::NameId reserve_cell_names(trace::TraceContext& ctx, std::size_t rows,
-                                 std::size_t cols) {
-  return ctx.reserve_vars(2 * rows * cols, [cols](std::size_t k) {
+race::NameFormat cell_names(std::size_t cols) {
+  return [cols](std::size_t k) {
     const std::size_t cell = k / 2;
     return (k % 2 == 0 ? "cur[" : "next[") + std::to_string(cell / cols) + ',' +
            std::to_string(cell % cols) + ']';
-  });
+  };
 }
 
 /// Interned ids a traced round fires per access: one id per band line
@@ -204,7 +204,8 @@ struct ParallelLife::TraceIds {
   }
 };
 
-ParallelLife::TraceIds ParallelLife::intern_trace_ids(trace::TraceContext& ctx,
+template <class Names>
+ParallelLife::TraceIds ParallelLife::intern_trace_ids(Names& names,
                                                       TraceGranularity granularity) const {
   TraceIds ids;
   ids.rows = current_.rows();
@@ -213,9 +214,9 @@ ParallelLife::TraceIds ParallelLife::intern_trace_ids(trace::TraceContext& ctx,
   ids.cell = granularity == TraceGranularity::Cell;
   ids.items = ids.cell ? ids.rows * ids.cols : ids.horizontal ? ids.rows : ids.cols;
   if (ids.cell) {
-    ids.grids = reserve_cell_names(ctx, ids.rows, ids.cols);
+    ids.grids = reserve_cell_names(names, ids.rows, ids.cols);
   } else {
-    ids.grids = ctx.reserve_vars(2 * ids.items, [](std::size_t k) {
+    ids.grids = names.reserve_vars(2 * ids.items, [](std::size_t k) {
       return (k % 2 == 0 ? "cur[" : "next[") + std::to_string(k / 2) + ']';
     });
   }
@@ -226,9 +227,9 @@ ParallelLife::TraceIds ParallelLife::intern_trace_ids(trace::TraceContext& ctx,
   // (TracedLife.BarrierlessRaceSetStableAcrossRounds).
   ids.band_sites.reserve(regions_.size());
   for (std::size_t t = 0; t < regions_.size(); ++t) {
-    ids.band_sites.push_back(ctx.intern_site("step_region band " + std::to_string(t)));
+    ids.band_sites.push_back(names.intern_site("step_region band " + std::to_string(t)));
   }
-  ids.swap_site = ctx.intern_site("swap grids (serial thread)");
+  ids.swap_site = names.intern_site("swap grids (serial thread)");
   return ids;
 }
 
@@ -334,30 +335,45 @@ void ParallelLife::run(std::size_t n, const LifeTraceOptions& options) {
   }
 }
 
-Grid ParallelLife::replay(trace::TraceContext& ctx, std::size_t n, bool use_barrier) && {
-  const TraceIds ids = intern_trace_ids(ctx, TraceGranularity::Cell);
+template <class Feed>
+Grid ParallelLife::replay(Feed& feed, std::size_t n, bool use_barrier) && {
+  const TraceIds ids = intern_trace_ids(feed, TraceGranularity::Cell);
   // Main (trace thread 0) forks one worker per band, like the ThreadTeam
-  // in run().
+  // in run(). The first worker steps its first band before main forks
+  // the rest, and those forks are flushed before the next band. A
+  // TraceContext dispatches a fork-first script in that order anyway
+  // (the first band runs in the first fork's epoch, which sorts before
+  // every later fork), and the pinned replay streams hold it; emitting
+  // it so gives a SinkFeed's sink the same stream.
   std::vector<trace::ThreadId> workers;
   workers.reserve(regions_.size());
-  for (std::size_t t = 0; t < regions_.size(); ++t) workers.push_back(ctx.fork_thread(0));
-  // Worker `t`'s accesses, appended on its behalf.
-  const auto as = [&ctx](trace::ThreadId t) {
-    return [&ctx, t](auto... access) { ctx.accesses_as(t, access...); };
+  const auto fork_rest = [&] {
+    while (workers.size() < regions_.size()) workers.push_back(feed.fork_thread(0));
+    feed.flush();
+  };
+  workers.push_back(feed.fork_thread(0));
+  // Worker `t`'s accesses, emitted on its behalf.
+  const auto as = [&feed](trace::ThreadId t) {
+    return [&feed, t](auto... access) { feed.accesses_as(t, access...); };
   };
   for (std::size_t round = 0; round < n; ++round) {
-    for (std::size_t t = 0; t < workers.size(); ++t) {
+    for (std::size_t t = 0; t < regions_.size(); ++t) {
+      if (t == workers.size()) fork_rest();
       (void)compute_phase(t, &ids, as(workers[t]));
-      ctx.flush();
+      feed.flush();
     }
-    if (use_barrier) ctx.barrier_cycle(workers);
+    if (use_barrier) feed.barrier_cycle(workers);
     swap_phase(&ids, as(workers[0]));
-    ctx.flush();
-    if (use_barrier) ctx.barrier_cycle(workers);
+    feed.flush();
+    if (use_barrier) feed.barrier_cycle(workers);
   }
-  ctx.join_threads(0, workers);
+  if (workers.size() < regions_.size()) fork_rest();
+  feed.join_threads(0, workers);
   return std::move(current_);
 }
+
+template Grid ParallelLife::replay(trace::TraceContext&, std::size_t, bool) &&;
+template Grid ParallelLife::replay(SinkFeed&, std::size_t, bool) &&;
 
 int ParallelLife::owner(std::size_t r, std::size_t c) const {
   for (std::size_t t = 0; t < regions_.size(); ++t) {

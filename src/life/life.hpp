@@ -149,29 +149,34 @@ class ParallelLife {
   /// life/traced.cpp: the one caller of replay().
   friend struct LifeReplay;
 
-  /// The ids a traced round names its accesses with (life.cpp).
+  /// The ids a traced round names its accesses with (life.cpp), interned
+  /// through `names`: a TraceContext, or the replay's SinkFeed.
   struct TraceIds;
-  [[nodiscard]] TraceIds intern_trace_ids(trace::TraceContext& ctx,
-                                          TraceGranularity granularity) const;
+  template <class Names>
+  [[nodiscard]] TraceIds intern_trace_ids(Names& names, TraceGranularity granularity) const;
 
   // The Lab 10 round, written once. compute_phase is band `id`'s step:
   // its halo reads and band writes, then step_region. swap_phase is the
   // serial thread's publish of the new generation. Each emits its
   // accesses through `capture` (TraceContext::accesses' arguments) when
   // `ids` is set: run() passes the bound ctx->accesses, replay() a
-  // scripted worker's ctx.accesses_as.
+  // scripted worker's feed.accesses_as.
   template <class Capture>
   RegionDelta compute_phase(std::size_t id, const TraceIds* ids, const Capture& capture);
   template <class Capture>
   void swap_phase(const TraceIds* ids, const Capture& capture);
 
-  /// run(n) replayed from the calling OS thread through `ctx`'s
-  /// scripted API at Cell granularity — life::traced_life_check's
-  /// engine. Forks every worker first, flushes after every band and
-  /// after the swap (dispatch order is then emission order), records
-  /// both barrier cycles only when `use_barrier` is set, joins the
-  /// workers, and hands back the final grid.
-  [[nodiscard]] Grid replay(trace::TraceContext& ctx, std::size_t n, bool use_barrier) &&;
+  /// run(n) replayed from the calling OS thread at Cell granularity —
+  /// life::traced_life_check's engine — through `feed`'s scripted API
+  /// (fork_thread, accesses_as, flush, barrier_cycle, join_threads):
+  /// a life::SinkFeed, which hands each event to its sink as it is
+  /// emitted, or a TraceContext, for pipelined or sampled analysis.
+  /// Flushes after every band and after the swap (a context then
+  /// dispatches in emission order), records both barrier cycles only
+  /// when `use_barrier` is set, joins the workers, and hands back the
+  /// final grid. Instantiated in life.cpp for those two feeds.
+  template <class Feed>
+  [[nodiscard]] Grid replay(Feed& feed, std::size_t n, bool use_barrier) &&;
 
   Grid current_;
   Grid next_;
@@ -182,13 +187,22 @@ class ParallelLife {
   LifeStats stats_;
 };
 
+/// The names of both grids' cells, interleaved, on a grid `cols` wide:
+/// index 2·(r·cols + c) is cur[r,c] ("cur[2,5]") and the index after it
+/// next[r,c].
+[[nodiscard]] race::NameFormat cell_names(std::size_t cols);
+
 /// Reserve the traced names of both grids' cells as one block of
-/// variable ids in `ctx`, interleaved: cur[r,c] ("cur[2,5]") is
-/// base + 2·(r·cols + c) and next[r,c] the id after it. Returns base.
-/// A traced round names cells through this (ParallelLife::run at Cell
-/// granularity, and the replay); a name is formatted only when a report
-/// (or a string lookup) reads it.
-[[nodiscard]] trace::NameId reserve_cell_names(trace::TraceContext& ctx, std::size_t rows,
-                                               std::size_t cols);
+/// variable ids through `names` (a TraceContext, or the replay's
+/// SinkFeed), in cell_names' order: cur[r,c] is base + 2·(r·cols + c)
+/// and next[r,c] the id after it. Returns base. A traced round names
+/// cells through this (ParallelLife::run at Cell granularity, and the
+/// replay); a name is formatted only when a report (or a string lookup)
+/// reads it.
+template <class Names>
+[[nodiscard]] trace::NameId reserve_cell_names(Names& names, std::size_t rows,
+                                               std::size_t cols) {
+  return names.reserve_vars(2 * rows * cols, cell_names(cols));
+}
 
 }  // namespace cs31::life

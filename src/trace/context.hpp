@@ -74,12 +74,15 @@
 //
 // The same context serves two execution styles with one code path:
 // real threads bind themselves (bind_self / a traced ThreadTeam) and
-// use the calling-thread API, while deterministic replays emit events
-// for scripted thread ids from a single OS thread (the *_as API). The
-// Lab 10 round is written once (ParallelLife's compute and swap phases,
-// life/life.cpp) and takes its capture as a parameter:
-// ParallelLife::run(traced) passes accesses() on each real thread,
-// life::traced_life_check passes accesses_as() for each scripted worker.
+// use the calling-thread API, while a scripted emitter plays every
+// thread from a single OS thread (the *_as API). The Lab 10 round is
+// written once (ParallelLife's compute and swap phases, life/life.cpp)
+// and takes its capture as a parameter: ParallelLife::run(traced)
+// passes accesses() on each real thread. life::traced_life_check's
+// replay emits in dispatch order from one thread, so it normally feeds
+// its detector directly (life::SinkFeed, through a SinkBinding) and
+// needs none of the buffers or drains here; only its pipelined and
+// sampled forms replay through a context's accesses_as().
 //
 // Quiescence contract (checked by usage, not locks): a drain may only
 // cover buffers whose owning threads are blocked or finished — barrier
@@ -153,14 +156,15 @@ struct BufferStats {
   std::uint64_t sampled_out = 0;  ///< access events dropped by sampling
 };
 
-/// How one sink receives a context's events: the context's inline sinks
-/// and each AnalysisPipeline shard's detector go through the same
-/// binding, and every sink takes ids. `shared` is set when the sink is a
-/// race::Detector over the context's own name tables (the built-in
-/// detector and the pipeline's shard detectors are): its ids need no
-/// translation and it takes whole runs of accesses. Any other sink gets
-/// ids translated through maps built lazily from the context's names (a
-/// name is looked up and interned into the sink once, on first sight).
+/// How one sink receives a feeder's events: a context's inline sinks,
+/// each AnalysisPipeline shard's detector and the Life replay's direct
+/// feed (life::SinkFeed) go through the same binding, and every sink
+/// takes ids. `shared` is set when the sink is a race::Detector over the
+/// feeder's own name tables (the built-in detector and the pipeline's
+/// shard detectors are): its ids need no translation and it takes whole
+/// runs of accesses. Any other sink gets ids translated through maps
+/// built lazily from the feeder's names (a name is looked up and
+/// interned into the sink once, on first sight).
 struct SinkBinding {
   SinkBinding(race::EventSink& sink, const std::shared_ptr<race::NameTables>& names);
 

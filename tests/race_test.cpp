@@ -428,22 +428,43 @@ TEST(ReservedNames, StringLookupFindsTheBlockId) {
 TEST(ReservedNames, PipelinedLifeCheckMatchesInlineReport) {
   // The context and the pipeline's shards share one name table, so the
   // lazily named block is formatted only where a report reads it; the
-  // report must match the inline one byte for byte.
-  const life::Grid initial = life::Grid::random(8, 8, 0.3, 5);
-  for (const std::size_t threads : {2u, 4u}) {
-    for (const bool use_barrier : {true, false}) {
-      const auto inline_run = life::traced_life_check(initial, threads, 2, use_barrier);
-      const auto pipeline = std::make_unique<trace::AnalysisPipeline>(
-          trace::AnalysisPipeline::Options{.shards = 2});
-      life::TracedLifeOptions options;
-      options.use_barrier = use_barrier;
-      options.pipeline = pipeline.get();
-      const auto piped = life::traced_life_check(initial, threads, 2, options);
-      EXPECT_EQ(piped.report(), inline_run.report())
-          << threads << " threads, barrier " << use_barrier;
-      EXPECT_EQ(piped.race_free, use_barrier);
+  // report must match the inline one byte for byte. The inline check
+  // feeds its detector directly and the pipelined one goes through a
+  // TraceContext, so this also holds the two feeds to one event stream,
+  // over TracedLife.ReportsPinnedByDigest's matrix and zero rounds.
+  const std::vector<life::Grid> grids = {life::Grid::random(10, 9, 0.35, 31),
+                                         life::Grid::random(8, 12, 0.3, 48611)};
+  std::size_t runs = 0;
+  for (const life::Grid& grid : grids) {
+    for (const std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+      for (const bool use_barrier : {true, false}) {
+        for (const life::EdgeRule rule : {life::EdgeRule::Torus, life::EdgeRule::Bounded}) {
+          for (const std::size_t rounds : {3u, 0u}) {
+            const auto inline_run =
+                life::traced_life_check(grid, threads, rounds, use_barrier, rule);
+            const auto pipeline = std::make_unique<trace::AnalysisPipeline>(
+                trace::AnalysisPipeline::Options{.shards = 2});
+            life::TracedLifeOptions options;
+            options.use_barrier = use_barrier;
+            options.rule = rule;
+            options.pipeline = pipeline.get();
+            const auto piped = life::traced_life_check(grid, threads, rounds, options);
+            const std::string where = std::to_string(threads) + " threads, barrier " +
+                                      std::to_string(use_barrier) + ", rule " +
+                                      std::to_string(static_cast<int>(rule)) + ", " +
+                                      std::to_string(rounds) + " rounds";
+            EXPECT_EQ(piped.report(), inline_run.report()) << where;
+            EXPECT_EQ(piped.events, inline_run.events) << where;
+            EXPECT_EQ(piped.race_count, inline_run.race_count) << where;
+            EXPECT_EQ(piped.threads, inline_run.threads) << where;
+            EXPECT_EQ(piped.grid, inline_run.grid) << where;
+            ++runs;
+          }
+        }
+      }
     }
   }
+  EXPECT_EQ(runs, 80u);
 }
 
 TEST(SharedCounterTraced, UnsynchronizedDeterministicallyFlagged) {
